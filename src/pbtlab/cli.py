@@ -10,7 +10,8 @@ Subcommands:
 Exit codes: 0 success, 1 configuration error, 2 I/O error, 3 verification
 failure.  CSV output uses 17 significant digits, LF line endings, a header
 row, and (unless --no-timestamp) a leading comment line with the run time.
-A JSON sidecar echoing the full configuration is written next to each CSV.
+A JSON sidecar next to each CSV echoes the configuration: the subcommand and
+the flags it takes (each subcommand registers only the flags it reads).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import datetime
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -54,8 +54,12 @@ def _parse_grid(text: str) -> List[float]:
             lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
             if count < 1 or lo > hi:
                 raise ValueError
-            return [lo] if count == 1 else list(np.linspace(lo, hi, count))
-        return [float(p) for p in text.split(",") if p.strip()]
+            values = [lo] if count == 1 else list(np.linspace(lo, hi, count))
+        else:
+            values = [float(p) for p in text.split(",") if p.strip()]
+        if not all(map(math.isfinite, values)):
+            raise ValueError
+        return values
     except ValueError:
         raise ConfigError(f"cannot parse grid specification {text!r}") from None
 
@@ -128,13 +132,6 @@ def _emit(args, header, rows, config) -> None:
         _write_csv(args.out, header, rows, config, timestamp=not args.no_timestamp)
 
 
-def _pool_map(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------- commands
 
 def cmd_surface(args) -> int:
@@ -146,14 +143,11 @@ def cmd_surface(args) -> int:
         raise ConfigError(f"need n >= 1, got {n}")
     gammas = _parse_grid(args.gamma)
     thetas = _parse_grid(args.theta)
-    points = [(g, t) for g in gammas for t in thetas]
-
-    def one(pt):
-        g, t = pt
-        f = closedform.fidelity_noiseless_povm(n, DephasingParams(g, t))
-        return [g, t, f, closedform.teleport_fidelity(f)]
-
-    rows = _pool_map(one, points, args.threads)
+    rows = []
+    for g in gammas:
+        for t in thetas:
+            f = closedform.fidelity_noiseless_povm(n, DephasingParams(g, t))
+            rows.append([g, t, f, closedform.teleport_fidelity(f)])
     header = ["gamma_abs", "theta", "ent_fidelity", "teleport_fidelity"]
     _emit(args, header, rows, _config_echo(args, n=n))
     return EXIT_OK
@@ -165,19 +159,14 @@ def cmd_vs_n(args) -> int:
         raise ConfigError("vs-n requires positive port counts")
     gammas = _parse_grid(args.gamma)
     thetas = _parse_grid(args.theta)
-    params = [(g, t) for g in gammas for t in thetas]
-
-    def one(n):
+    rows = []
+    for n in ns:
         ref = closedform.f_ih(n)
-        out = []
-        for g, t in params:
-            f = closedform.fidelity_noiseless_povm(n, DephasingParams(g, t))
-            out.append([n, g, t, f, closedform.teleport_fidelity(f),
-                        closedform.teleport_fidelity(ref)])
-        return out
-
-    chunks = _pool_map(one, ns, args.threads)
-    rows = [row for chunk in chunks for row in chunk]
+        for g in gammas:
+            for t in thetas:
+                f = closedform.fidelity_noiseless_povm(n, DephasingParams(g, t))
+                rows.append([n, g, t, f, closedform.teleport_fidelity(f),
+                             closedform.teleport_fidelity(ref)])
     header = ["n", "gamma_abs", "theta", "ent_fidelity", "teleport_fidelity",
               "noiseless_teleport_fidelity"]
     _emit(args, header, rows, _config_echo(args))
@@ -208,12 +197,14 @@ def cmd_spinboson(args) -> int:
     n = ns[0]
     modes = [m.strip() for m in args.povm.split(",") if m.strip()]
     for m in modes:
-        if m not in ("closed_form", "noise_adapted"):
+        if m not in sb.POVM_MODES:
             raise ConfigError(f"unknown povm mode {m!r}")
     if not modes:
         raise ConfigError("spinboson requires at least one povm mode")
     if "noise_adapted" in modes:
         _check_cap([n], args.max_n_override)
+    if not math.isfinite(args.ell):
+        raise ConfigError(f"--ell must be finite, got {args.ell}")
     taus = _parse_grid(args.tau)
     ohmicities = _parse_grid(args.s)
     temps = _parse_grid(args.temp_ratio)
@@ -221,14 +212,11 @@ def cmd_spinboson(args) -> int:
     for s in ohmicities:
         for th in temps:
             params = sb.SpinBosonParams(s, th, args.ell)
-            curves = {m: sb.fidelity_vs_time(n, params, taus, m) for m in modes}
-            any_curve = curves[modes[0]]
-            for i, tau in enumerate(taus):
-                pt = any_curve[i]
-                row = [s, th, tau, pt.chi, pt.phase, pt.gamma_abs]
-                for m in ("closed_form", "noise_adapted"):
-                    row.append(curves[m][i].teleport_fidelity if m in curves else None)
-                rows.append(row)
+            for pts in sb.fidelities_vs_time(n, params, taus, modes):
+                pt = pts[modes[0]]
+                rows.append([s, th, pt.tau, pt.chi, pt.phase, pt.gamma_abs]
+                            + [pts[m].teleport_fidelity if m in pts else None
+                               for m in sb.POVM_MODES])
     header = ["ohmicity", "temp_ratio", "tau", "chi", "phase", "gamma_abs",
               "f_closed_form", "f_noise_adapted"]
     _emit(args, header, rows, _config_echo(args, n=n))
@@ -384,17 +372,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, needs_out=True):
+    def common(sp, dense=False):
         sp.add_argument("--n", default="9",
                         help="port count: single value, comma list, or lo:hi range")
-        sp.add_argument("--threads", type=int, default=1)
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--no-timestamp", action="store_true",
                         help="omit the timestamp comment for byte-stable output")
-        sp.add_argument("--max-n-override", type=int, default=DEFAULT_MAX_N,
-                        help="raise the dense-computation port-count cap")
-        if needs_out:
-            sp.add_argument("--out", required=True, help="output file path")
+        if dense:
+            sp.add_argument("--max-n-override", type=int, default=DEFAULT_MAX_N,
+                            help="raise the dense-computation port-count cap")
+        sp.add_argument("--out", required=True, help="output file path")
 
     sp = sub.add_parser("surface", help="fidelity over a (gamma, theta) grid")
     common(sp)
@@ -409,24 +396,21 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_vs_n)
 
     sp = sub.add_parser("compare", help="noiseless vs noise-adapted measurements")
-    common(sp)
+    common(sp, dense=True)
     sp.add_argument("--gamma", default="0:1:51")
     sp.set_defaults(func=cmd_compare)
 
     sp = sub.add_parser("spinboson", help="time-dependent fidelity for a thermal bath")
-    common(sp)
+    common(sp, dense=True)
     sp.add_argument("--tau", default="0:8:81")
     sp.add_argument("--s", default="2", help="bath spectral exponent(s)")
     sp.add_argument("--temp-ratio", default="0.1,0.9", dest="temp_ratio")
     sp.add_argument("--ell", type=float, default=3.0)
     sp.add_argument("--povm", default="closed_form",
-                    help="comma list from {closed_form, noise_adapted}")
-    sp.add_argument("--order", type=int, default=4000,
-                    help="series order for the Taylor PGM (diagnostics)")
+                    help=f"comma list from {{{', '.join(sb.POVM_MODES)}}}")
     sp.set_defaults(func=cmd_spinboson)
 
     sp = sub.add_parser("verify", help="run the internal consistency suites")
-    common(sp, needs_out=False)
     sp.add_argument("--out", default=None, help="write the JSON report here")
     sp.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     sp.set_defaults(func=cmd_verify)

@@ -9,12 +9,11 @@ most significant qubits and Bob's qubit B on the least significant one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-HERMITIAN_ATOL = 1e-12
 DEFAULT_RANK_TOL = 1e-12
 
 
@@ -63,15 +62,6 @@ class SpectralDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    rank_tol: float = DEFAULT_RANK_TOL
-
-    def rank(self) -> int:
-        lam_max = float(np.max(np.abs(self.eigenvalues), initial=0.0))
-        return int(np.sum(np.abs(self.eigenvalues) > self.rank_tol * lam_max))
-
-    def support_mask(self) -> np.ndarray:
-        lam_max = float(np.max(np.abs(self.eigenvalues), initial=0.0))
-        return np.abs(self.eigenvalues) > self.rank_tol * lam_max
 
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
@@ -109,14 +99,14 @@ def partial_trace(op: HermitianOp, keep: Iterable[int]) -> HermitianOp:
     return HermitianOp(t.reshape(d, d), len(keep))
 
 
-def eig_hermitian(op: HermitianOp, rank_tol: float = DEFAULT_RANK_TOL) -> SpectralDecomposition:
-    """Full spectral decomposition with eigenvalues sorted descending."""
-    m = op.matrix
-    if not np.allclose(m, m.conj().T, rtol=0.0, atol=1e-10):
-        raise LinopsError("eig_hermitian requires a Hermitian matrix")
-    w, v = np.linalg.eigh(m)
+def eig_hermitian(op: HermitianOp) -> SpectralDecomposition:
+    """Full spectral decomposition with eigenvalues sorted descending.
+
+    Hermiticity needs no check here: the HermitianOp constructor enforces it.
+    """
+    w, v = np.linalg.eigh(op.matrix)
     order = np.argsort(w)[::-1]
-    return SpectralDecomposition(w[order], v[:, order], rank_tol)
+    return SpectralDecomposition(w[order], v[:, order])
 
 
 def func_on_support(
@@ -129,7 +119,7 @@ def func_on_support(
     Eigenvalues below rank_tol * lambda_max (relative) map to zero; a negative
     eigenvalue beyond that cut signals a non-PSD input and raises.
     """
-    dec = eig_hermitian(op, rank_tol)
+    dec = eig_hermitian(op)
     w = dec.eigenvalues
     lam_max = float(np.max(w, initial=0.0))
     cut = rank_tol * max(lam_max, 0.0)

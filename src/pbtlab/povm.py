@@ -14,12 +14,11 @@ from typing import List
 
 import numpy as np
 
-from .ensemble import NOISELESS, SignalEnsemble, rotate_b
+from .ensemble import SignalEnsemble, rotate_b
 from .linops import (
     DEFAULT_RANK_TOL,
     HermitianOp,
     LinopsError,
-    eig_hermitian,
     inv_sqrt_on_support,
 )
 

@@ -27,6 +27,8 @@ from .fidelity import ent_fidelity
 from .povm import pgm
 
 SMALL_W = 1e-6
+# Measurements a fidelity curve can be computed for; see fidelities_vs_time.
+POVM_MODES = ("closed_form", "noise_adapted")
 
 
 class QuadratureError(ArithmeticError):
@@ -181,28 +183,39 @@ class FidelityCurvePoint:
 
 def fidelity_vs_time(n: int, params: SpinBosonParams, taus: Sequence[float],
                      povm_mode: str = "closed_form") -> list:
-    """Teleportation fidelity along a time grid for a fixed bath.
+    """Teleportation fidelity along a time grid for a fixed bath (one POVM mode)."""
+    return [pts[povm_mode] for pts in fidelities_vs_time(n, params, taus, (povm_mode,))]
 
-    povm_mode "closed_form" uses the analytic fidelity of the ideal
+
+def fidelities_vs_time(n: int, params: SpinBosonParams, taus: Sequence[float],
+                       povm_modes: Sequence[str]) -> list:
+    """Teleportation fidelities of several POVM modes along one time grid.
+
+    One dict per tau maps each mode to its point; all modes share the tau's
+    decoherence factor.  "closed_form" is the analytic fidelity of the ideal
     measurement; "noise_adapted" rebuilds the PGM from the dephased ensemble
     (complex dephasing factor) at every grid point.
     """
     taus = list(taus)
     if any(b < a for a, b in zip(taus, taus[1:])):
         raise ValueError("tau grid must be sorted ascending")
-    if povm_mode not in ("closed_form", "noise_adapted"):
-        raise ValueError(f"unknown povm_mode {povm_mode!r}")
+    for mode in povm_modes:
+        if mode not in POVM_MODES:
+            raise ValueError(f"unknown povm_mode {mode!r}")
     out = []
     for tau in taus:
         fac = decoherence_factor(float(tau), params)
         dp = fac.as_params
-        if povm_mode == "closed_form":
-            f = closedform.fidelity_noiseless_povm(n, dp)
-        else:
-            ens = SignalEnsemble.build(n, dp)
-            f = ent_fidelity(pgm(ens), ens).ent_fidelity
-        out.append(FidelityCurvePoint(
-            float(tau), fac.chi, fac.phase, fac.gamma_abs,
-            f, closedform.teleport_fidelity(f),
-        ))
+        pts = {}
+        for mode in povm_modes:
+            if mode == "closed_form":
+                f = closedform.fidelity_noiseless_povm(n, dp)
+            else:
+                ens = SignalEnsemble.build(n, dp)
+                f = ent_fidelity(pgm(ens), ens).ent_fidelity
+            pts[mode] = FidelityCurvePoint(
+                float(tau), fac.chi, fac.phase, fac.gamma_abs,
+                f, closedform.teleport_fidelity(f),
+            )
+        out.append(pts)
     return out

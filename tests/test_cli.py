@@ -4,7 +4,10 @@ import math
 import pytest
 
 from pbtlab import closedform as cf
+from pbtlab import spinboson as sb
 from pbtlab.cli import main
+
+MODES = ("closed_form", "noise_adapted")
 
 
 def read_csv(path):
@@ -52,15 +55,6 @@ def test_timestamp_line_present_by_default(tmp_path):
     out = tmp_path / "t.csv"
     main(["surface", "--n", "2", "--gamma", "1", "--theta", "0", "--out", str(out)])
     assert out.read_text().startswith("# generated ")
-
-
-def test_threads_do_not_change_output(tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    base = ["surface", "--n", "3", "--gamma", "0:1:7", "--theta", "0:2:7",
-            "--no-timestamp"]
-    main(base + ["--threads", "1", "--out", str(a)])
-    main(base + ["--threads", "4", "--out", str(b)])
-    assert a.read_text().splitlines()[1:] == b.read_text().splitlines()[1:]
 
 
 def test_vs_n_reference_column(tmp_path):
@@ -118,6 +112,54 @@ def test_spinboson_rows(tmp_path):
     assert float(first["f_closed_form"]) == pytest.approx(
         cf.teleport_fidelity(cf.f_ih(4)), abs=1e-12)
     assert first["f_noise_adapted"] == ""
+
+
+def test_spinboson_two_modes_share_one_decoherence_factor(tmp_path, monkeypatch):
+    base = ["spinboson", "--n", "3", "--tau", "0:2:3", "--s", "2,3",
+            "--temp-ratio", "0.1", "--ell", "3", "--no-timestamp"]
+    single = {}
+    for mode in MODES:
+        out = tmp_path / f"{mode}.csv"
+        assert main(base + ["--povm", mode, "--out", str(out)]) == 0
+        single[mode] = read_csv(out)[1]
+
+    calls = []
+    factor = sb.decoherence_factor
+
+    def counting(tau, params):
+        calls.append((tau, params))
+        return factor(tau, params)
+
+    monkeypatch.setattr(sb, "decoherence_factor", counting)
+    out = tmp_path / "both.csv"
+    assert main(base + ["--povm", "closed_form,noise_adapted", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert len(rows) == len(calls) == 6
+    for mode in MODES:
+        col = f"f_{mode}"
+        assert [r[col] for r in rows] == [r[col] for r in single[mode]]
+    assert [r["chi"] for r in rows] == [r["chi"] for r in single["closed_form"]]
+
+
+def test_spinboson_unsorted_tau_is_config_error(tmp_path):
+    rc = main(["spinboson", "--n", "3", "--tau", "3,1", "--s", "2",
+               "--temp-ratio", "0.1", "--out", str(tmp_path / "x.csv")])
+    assert rc == 1
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--tau", "0,inf"),
+    ("--ell", "inf"),
+    ("--s", "inf"),
+    ("--ell", "nan"),
+    ("--temp-ratio", "nan"),
+])
+def test_spinboson_non_finite_input_is_config_error(tmp_path, flag, value):
+    argv = {"--tau": "0,1", "--s": "2", "--temp-ratio": "0.1", "--ell": "3"}
+    argv[flag] = value
+    rc = main(["spinboson", "--n", "3", "--out", str(tmp_path / "x.csv")]
+              + [a for kv in argv.items() for a in kv])
+    assert rc == 1
 
 
 def test_spinboson_bad_mode(tmp_path):
