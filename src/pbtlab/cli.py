@@ -7,9 +7,11 @@ Subcommands:
   spinboson  time-dependent fidelity for the thermal-bath dephasing model
   verify     run the internal consistency suites and emit a JSON report
 
-Exit codes: 0 success, 1 configuration error, 2 I/O error, 3 verification
-failure.  CSV output uses 17 significant digits, LF line endings, a header
-row, and (unless --no-timestamp) a leading comment line with the run time.
+Exit codes: 0 success, 1 configuration or domain error (a value outside a
+model's range, or a frequency integral whose integrand overflows or whose
+quadrature fails), 2 I/O error, 3 verification failure.  CSV output uses 17
+significant digits, LF line endings, a header row, and (unless
+--no-timestamp) a leading comment line with the run time.
 A JSON sidecar next to each CSV echoes the configuration: the subcommand and
 the flags it takes (each subcommand registers only the flags it reads).
 """
@@ -80,7 +82,7 @@ def _check_cap(ns: Sequence[int], max_n: int) -> None:
     bad = [n for n in ns if n > max_n]
     if bad:
         raise ConfigError(
-            f"port count {max(bad)} exceeds the cap {max_n} for dense "
+            f"port count {max(bad)} exceeds the cap {max_n} for PGM "
             f"computations; raise it with --max-n-override"
         )
 
@@ -210,9 +212,9 @@ def cmd_spinboson(args) -> int:
     temps = _parse_grid(args.temp_ratio)
     rows = []
     for s in ohmicities:
-        for th in temps:
-            params = sb.SpinBosonParams(s, th, args.ell)
-            for pts in sb.fidelities_vs_time(n, params, taus, modes):
+        baths = [sb.SpinBosonParams(s, th, args.ell) for th in temps]
+        for th, curve in zip(temps, sb.fidelities_vs_time(n, baths, taus, modes)):
+            for pts in curve:
                 pt = pts[modes[0]]
                 rows.append([s, th, pt.tau, pt.chi, pt.phase, pt.gamma_abs]
                             + [pts[m].teleport_fidelity if m in pts else None
@@ -380,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="omit the timestamp comment for byte-stable output")
         if dense:
             sp.add_argument("--max-n-override", type=int, default=DEFAULT_MAX_N,
-                            help="raise the dense-computation port-count cap")
+                            help="raise the PGM port-count cap")
         sp.add_argument("--out", required=True, help="output file path")
 
     sp = sub.add_parser("surface", help="fidelity over a (gamma, theta) grid")
@@ -426,7 +428,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, sb.QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except IOError as exc:

@@ -15,16 +15,15 @@ decoherence-free subspace.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy import integrate
 
 from . import closedform
-from .ensemble import DephasingParams, SignalEnsemble
-from .fidelity import ent_fidelity
-from .povm import pgm
+from .ensemble import DephasingParams
+from .fidelity import pgm_fidelity_reduced
 
 SMALL_W = 1e-6
 # Measurements a fidelity curve can be computed for; see fidelities_vs_time.
@@ -96,13 +95,23 @@ def _panel_integrate(f: Callable[[float], float], lo: float, hi: float,
     edges = np.linspace(lo, hi, n_panels + 1)
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
-        val, err = integrate.quad(
-            f, a, b,
-            epsabs=quad.abs_tol, epsrel=quad.rel_tol,
-            limit=quad.max_subdivisions,
-        )
+        try:
+            val, err = integrate.quad(
+                f, a, b,
+                epsabs=quad.abs_tol, epsrel=quad.rel_tol,
+                limit=quad.max_subdivisions,
+            )
+        except OverflowError:
+            # w^(s-2) in the chi/phase integrands leaves the float range below
+            # the cutoff 40 + 10 s once s exceeds about 103 (where it does not
+            # raise, it shows up as a non-finite value, caught below)
+            raise QuadratureError(
+                f"integrand factor w^(s-2) overflows the float range on panel "
+                f"[{a:g}, {b:g}]"
+            ) from None
         if not math.isfinite(val):
-            raise QuadratureError(f"integral diverged on panel [{a:g}, {b:g}]")
+            raise QuadratureError(
+                f"quadrature gave a non-finite value on panel [{a:g}, {b:g}]")
         total += val
     return total
 
@@ -184,38 +193,50 @@ class FidelityCurvePoint:
 def fidelity_vs_time(n: int, params: SpinBosonParams, taus: Sequence[float],
                      povm_mode: str = "closed_form") -> list:
     """Teleportation fidelity along a time grid for a fixed bath (one POVM mode)."""
-    return [pts[povm_mode] for pts in fidelities_vs_time(n, params, taus, (povm_mode,))]
+    (curve,) = fidelities_vs_time(n, [params], taus, (povm_mode,))
+    return [pts[povm_mode] for pts in curve]
 
 
-def fidelities_vs_time(n: int, params: SpinBosonParams, taus: Sequence[float],
+def fidelities_vs_time(n: int, baths: Sequence[SpinBosonParams], taus: Sequence[float],
                        povm_modes: Sequence[str]) -> list:
-    """Teleportation fidelities of several POVM modes along one time grid.
+    """Teleportation fidelities of several POVM modes along one time grid, per bath.
 
-    One dict per tau maps each mode to its point; all modes share the tau's
-    decoherence factor.  "closed_form" is the analytic fidelity of the ideal
-    measurement; "noise_adapted" rebuilds the PGM from the dephased ensemble
-    (complex dephasing factor) at every grid point.
+    One list per bath holds one dict per tau, mapping each mode to its point.
+    All modes share the tau's decoherence factor, and baths that differ only
+    in temperature share its phase, which does not depend on the temperature.
+    "closed_form" is the analytic fidelity of the ideal measurement;
+    "noise_adapted" is the PGM of the dephased ensemble (complex dephasing
+    factor) at every grid point, by the symmetry-reduced route
+    `fidelity.pgm_fidelity_reduced`.
     """
-    taus = list(taus)
+    taus = [float(t) for t in taus]
     if any(b < a for a, b in zip(taus, taus[1:])):
         raise ValueError("tau grid must be sorted ascending")
     for mode in povm_modes:
         if mode not in POVM_MODES:
             raise ValueError(f"unknown povm_mode {mode!r}")
+    phases = {}  # (tau, bath at zero temperature) -> phase
     out = []
-    for tau in taus:
-        fac = decoherence_factor(float(tau), params)
-        dp = fac.as_params
-        pts = {}
-        for mode in povm_modes:
-            if mode == "closed_form":
-                f = closedform.fidelity_noiseless_povm(n, dp)
+    for params in baths:
+        cold = replace(params, temperature_ratio=0.0)
+        curve = []
+        for tau in taus:
+            if (tau, cold) in phases:
+                fac = DecoherenceFactor(chi(tau, params), phases[tau, cold])
             else:
-                ens = SignalEnsemble.build(n, dp)
-                f = ent_fidelity(pgm(ens), ens).ent_fidelity
-            pts[mode] = FidelityCurvePoint(
-                float(tau), fac.chi, fac.phase, fac.gamma_abs,
-                f, closedform.teleport_fidelity(f),
-            )
-        out.append(pts)
+                fac = decoherence_factor(tau, params)
+                phases[tau, cold] = fac.phase
+            dp = fac.as_params
+            pts = {}
+            for mode in povm_modes:
+                if mode == "closed_form":
+                    f = closedform.fidelity_noiseless_povm(n, dp)
+                else:
+                    f = pgm_fidelity_reduced(n, dp)
+                pts[mode] = FidelityCurvePoint(
+                    tau, fac.chi, fac.phase, fac.gamma_abs,
+                    f, closedform.teleport_fidelity(f),
+                )
+            curve.append(pts)
+        out.append(curve)
     return out

@@ -162,6 +162,27 @@ def test_spinboson_non_finite_input_is_config_error(tmp_path, flag, value):
     assert rc == 1
 
 
+def test_spinboson_overflowing_ohmicity_is_one_error_line(tmp_path, capsys):
+    # w^(s-2) leaves the float range long before the cutoff 40 + 10 s
+    rc = main(["spinboson", "--n", "2", "--s", "1000", "--tau", "0,1",
+               "--temp-ratio", "0.1", "--out", str(tmp_path / "x.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_spinboson_quadrature_error_is_one_error_line(tmp_path, capsys, monkeypatch):
+    def failing(tau, params):
+        raise sb.QuadratureError("integral diverged")
+
+    monkeypatch.setattr(sb, "chi", failing)
+    rc = main(["spinboson", "--n", "2", "--tau", "0,1", "--s", "2",
+               "--temp-ratio", "0.1", "--out", str(tmp_path / "x.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: integral diverged"]
+
+
 def test_spinboson_bad_mode(tmp_path):
     rc = main(["spinboson", "--n", "4", "--povm", "bogus",
                "--out", str(tmp_path / "x.csv")])

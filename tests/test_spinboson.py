@@ -47,6 +47,24 @@ def test_phase_temperature_independent():
     assert a == pytest.approx(b, abs=1e-12)
 
 
+def test_phase_computed_once_for_all_temperatures(monkeypatch):
+    calls = []
+    phase = sb.phase
+
+    def counting(tau, p):
+        calls.append(tau)
+        return phase(tau, p)
+
+    monkeypatch.setattr(sb, "phase", counting)
+    taus = [0.0, 1.0, 2.5]
+    cold, hot = ([pts["closed_form"] for pts in curve] for curve in sb.fidelities_vs_time(
+        3, [params(th=0.1), params(th=0.9)], taus, ["closed_form"]))
+    assert calls == taus
+    assert [p.phase for p in cold] == [p.phase for p in hot] == [
+        phase(t, params(th=0.9)) for t in taus]
+    assert [p.chi for p in cold] != [p.chi for p in hot]
+
+
 def test_phase_analytic_ohmicity_two():
     # for s = 2 the integrand reduces to elementary exponential-sine integrals:
     # theta = (1/2)[ell/(1+ell^2) - (ell+tau)/(2(1+(ell+tau)^2)) - (ell-tau)/(2(1+(ell-tau)^2))]
