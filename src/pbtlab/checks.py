@@ -1,0 +1,169 @@
+"""Consistency checks, each written once and shared by `verify` and the tests.
+
+A check is a function of its grid and bounds.  It returns one `Gap` per
+quantity it checks: the worst value over the grid, its bound and where it
+sits.  `pbtlab verify` runs `SUITES` on small grids; the acceptance criteria
+call the same functions on larger ones.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from dataclasses import dataclass, replace
+
+import numpy as np
+
+from . import closedform as cf
+from . import spinboson as sb
+from .ensemble import DephasingParams, SignalEnsemble
+from .fidelity import ent_fidelity, mixed_term
+from .linops import HermitianOp, state_fidelity, trace_norm
+from .povm import noiseless_povm, pgm, pgm_taylor, validate
+
+
+@dataclass
+class Gap:
+    """Worst measured value of one quantity, its bound and where it sits."""
+
+    quantity: str
+    bound: float
+    worst: float = 0.0
+    where: str = ""
+
+    def see(self, value: float, where: str) -> None:
+        if value > self.worst or math.isnan(value):  # a NaN is never within bound
+            self.worst, self.where = value, where
+
+    @property
+    def ok(self) -> bool:
+        return self.worst <= self.bound
+
+
+def closed_form_vs_trace(ns, gammas, thetas, bound: float) -> Gap:
+    """Direct-trace fidelity of the noiseless PGM against the closed form."""
+    gap = Gap("|direct trace - closed form|", bound)
+    for n in ns:
+        base = noiseless_povm(n)
+        for g, t in itertools.product(gammas, thetas):
+            dp = DephasingParams(g, t)
+            got = ent_fidelity(base, SignalEnsemble.build(n, dp)).ent_fidelity
+            gap.see(abs(got - cf.fidelity_noiseless_povm(n, dp)),
+                    f"N={n} gamma={g:g} theta={t:g}")
+    return gap
+
+
+def povm_validity(ns, gammas, theta: float, residual_bound: float,
+                  eig_bound: float, overlap_bound: float) -> tuple:
+    """Completeness residual, most negative eigenvalue and defect overlap of the PGM."""
+    residual = Gap("completeness residual", residual_bound)
+    negative = Gap("-(smallest POVM eigenvalue)", eig_bound)
+    overlap = Gap("|defect-signal overlap|", overlap_bound)
+    for n, g in itertools.product(ns, gammas):
+        ens = SignalEnsemble.build(n, DephasingParams(g, theta))
+        rep, at = validate(pgm(ens), ens), f"N={n} gamma={g:g}"
+        residual.see(rep.completeness_residual, at)
+        negative.see(-min(*rep.min_eigenvalues, rep.defect_min_eigenvalue), at)
+        overlap.see(max(map(abs, rep.defect_support_overlaps)), at)
+    return residual, negative, overlap
+
+
+def mixed_term_vanishes(ns, bound: float) -> Gap:
+    """Bell cross-term trace of the noiseless PGM at every port."""
+    gap = Gap("|tr(Pi_i K_i)|", bound)
+    for n in ns:
+        pov = noiseless_povm(n)
+        for i in range(1, n + 1):
+            gap.see(mixed_term(pov, i, n), f"N={n} port {i}")
+    return gap
+
+
+def spectrum_block_formulas(ns, bound: float) -> Gap:
+    """Dense spectrum of the noiseless average against the spin-block formulas."""
+    gap = Gap("|dense eigenvalue - block formula|", bound)
+    for n in ns:
+        dense = np.sort(np.linalg.eigvalsh(SignalEnsemble.noiseless(n).average_unnormalized.matrix))
+        mult = cf.spin_block_spectrum(n).eigenvalue_multiplicities()
+        support = np.repeat(list(mult), list(mult.values()))
+        expected = np.sort(np.concatenate([support, np.zeros(dense.size - support.size)]))
+        gap.see(float(np.max(np.abs(dense - expected))), f"N={n}")
+    return gap
+
+
+def pairwise_fidelity_half(ns, gammas, thetas, bound: float) -> Gap:
+    """Uhlmann fidelity of every pair of signal states against 1/2."""
+    gap = Gap("|pairwise fidelity - 1/2|", bound)
+    for n, g, t in itertools.product(ns, gammas, thetas):
+        states = SignalEnsemble.build(n, DephasingParams(g, t)).states
+        for i, j in itertools.combinations(range(n), 2):
+            gap.see(abs(state_fidelity(states[i], states[j]) - 0.5),
+                    f"N={n} gamma={g:g} theta={t:g} pair ({i},{j})")
+    return gap
+
+
+def helstrom(gammas, thetas, bound: float, slack: float) -> tuple:
+    """N=2: ||eta_1 - eta_2||_1 against sqrt(1 + 2|gamma|^2) at thetas[0] and its
+    change to each other theta (to bound); the noiseless and noise-adapted PGM
+    fidelities at thetas[0] exceed the Helstrom bound by at most slack."""
+    norm = Gap("|trace norm - sqrt(1 + 2|gamma|^2)|", bound)
+    spread = Gap("theta dependence of the trace norm", bound)
+    excess = Gap("PGM fidelity above the Helstrom bound", slack)
+    base = noiseless_povm(2)
+    for g in gammas:
+        ens = [SignalEnsemble.build(2, DephasingParams(g, t)) for t in thetas]
+        tns = [trace_norm(HermitianOp(e.states[0].matrix - e.states[1].matrix, 3)) for e in ens]
+        at = f"gamma={g:g} theta={thetas[0]:g}"
+        norm.see(abs(tns[0] - math.sqrt(1.0 + 2.0 * g * g)), at)
+        for t, tn in zip(thetas[1:], tns[1:]):
+            spread.see(abs(tns[0] - tn), f"gamma={g:g} theta={t:g}")
+        for pov in (base, pgm(ens[0])):
+            excess.see(ent_fidelity(pov, ens[0]).ent_fidelity - cf.helstrom_bound_n2(g), at)
+    return norm, spread, excess
+
+
+def spin_boson(params: sb.SpinBosonParams, taus, settings, zero_bound: float,
+               shift_bound: float) -> tuple:
+    """chi and the phase vanish at tau = 0 and chi at separation 0 (to zero_bound);
+    chi >= 0; other quadrature settings move chi and the phase by <= shift_bound."""
+    vanish = Gap("|chi|, |phase| where they vanish", zero_bound)
+    vanish.see(abs(sb.chi(0.0, params)), "chi at tau=0")
+    vanish.see(abs(sb.phase(0.0, params)), "phase at tau=0")
+    negative = Gap("negative part of chi", 0.0)
+    shift = Gap("shift of chi and phase", shift_bound)
+    alts = [replace(params, quad=q) for q in settings]
+    for tau in taus:
+        c0, p0 = sb.chi(tau, params), sb.phase(tau, params)
+        vanish.see(abs(sb.chi(tau, replace(params, separation=0.0))), f"chi at ell=0 tau={tau:g}")
+        negative.see(-c0, f"tau={tau:g}")
+        for alt in alts:
+            shift.see(max(abs(sb.chi(tau, alt) - c0), abs(sb.phase(tau, alt) - p0)),
+                      f"tau={tau:g} {alt.quad}")
+    return vanish, negative, shift
+
+
+def taylor_pgm_agreement(ns, gammas, order: int, bound: float) -> Gap:
+    """Series-expanded PGM fidelity against the eigensolver PGM at theta = 0."""
+    gap = Gap(f"|Taylor (order {order}) - eigensolver PGM fidelity|", bound)
+    for n, g in itertools.product(ns, gammas):
+        ens = SignalEnsemble.build(n, DephasingParams(g, 0.0))
+        f_eig = ent_fidelity(pgm(ens), ens).ent_fidelity
+        f_tay = ent_fidelity(pgm_taylor(ens, order), ens).ent_fidelity
+        gap.see(abs(f_eig - f_tay), f"N={n} gamma={g:g}")
+    return gap
+
+
+# verify's suites in report order, each on a small grid.
+SUITES = {
+    "closed_form_agreement": lambda: (closed_form_vs_trace(
+        (2, 3, 4), (0.0, 0.5, 1.0), (0.0, math.pi / 2, math.pi), 1e-9),),
+    "povm_validity": lambda: povm_validity((2, 3, 4), (0.3, 1.0), 0.4, 1e-8, 1e-10, 1e-9),
+    "mixed_term_vanishes": lambda: (mixed_term_vanishes((2, 3, 4), 1e-10),),
+    "spectrum_block_formulas": lambda: (spectrum_block_formulas((2, 3, 4), 1e-10),),
+    "pairwise_fidelity_half": lambda: (pairwise_fidelity_half(
+        (3,), (0.0, 0.7, 1.0), (0.3,), 1e-9),),
+    "helstrom_trace_norm": lambda: helstrom((0.0, 0.4, 1.0), (0.7,), 1e-10, 1e-9),
+    "spin_boson_limits": lambda: spin_boson(sb.SpinBosonParams(2.0, 0.5, 3.0), (4.0, 5.0),
+                                            (sb.QuadratureSettings(upper_cutoff=120.0),),
+                                            1e-12, 1e-8),
+    "taylor_pgm_agreement": lambda: (taylor_pgm_agreement((2,), (1.0,), 4000, 1e-6),),
+}

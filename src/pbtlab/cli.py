@@ -28,10 +28,8 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import closedform, spinboson as sb
-from .ensemble import DephasingParams, SignalEnsemble
-from .fidelity import compare_noise_adapted, ent_fidelity, mixed_term
-from .linops import HermitianOp, state_fidelity, trace_norm
-from .povm import noiseless_povm, pgm, pgm_taylor, validate
+from .ensemble import NOISELESS, DephasingParams
+from .fidelity import compare_noise_adapted
 
 DEFAULT_MAX_N = 12
 
@@ -101,15 +99,12 @@ def _write_csv(path: str, header: List[str], rows: List[list],
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(_fmt(v) if not isinstance(v, str) else v for v in row))
-    try:
-        with open(path, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-        with open(path + ".json", "w") as fh:
-            json.dump({"config": config, "columns": header, "rows": len(rows)},
-                      fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise IOError(str(exc)) from exc
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+    with open(path + ".json", "w") as fh:
+        json.dump({"config": config, "columns": header, "rows": len(rows)},
+                  fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _write_json(path: str, header: List[str], rows: List[list],
@@ -119,12 +114,9 @@ def _write_json(path: str, header: List[str], rows: List[list],
         "columns": header,
         "rows": [[None if v is None else float(v) for v in row] for row in rows],
     }
-    try:
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise IOError(str(exc)) from exc
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _emit(args, header, rows, config) -> None:
@@ -163,7 +155,7 @@ def cmd_vs_n(args) -> int:
     thetas = _parse_grid(args.theta)
     rows = []
     for n in ns:
-        ref = closedform.f_ih(n)
+        ref = closedform.fidelity_noiseless_povm(n, NOISELESS)  # = f_ih(n), cached per n
         for g in gammas:
             for t in thetas:
                 f = closedform.fidelity_noiseless_povm(n, DephasingParams(g, t))
@@ -225,134 +217,23 @@ def cmd_spinboson(args) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------- verify
-
-def _suite_closed_form_agreement() -> Optional[str]:
-    for n in (2, 3, 4):
-        base = noiseless_povm(n)
-        for g in (0.0, 0.5, 1.0):
-            for t in (0.0, math.pi / 2, math.pi):
-                dp = DephasingParams(g, t)
-                ens = SignalEnsemble.build(n, dp)
-                got = ent_fidelity(base, ens).ent_fidelity
-                want = closedform.fidelity_noiseless_povm(n, dp)
-                if abs(got - want) > 1e-9:
-                    return f"N={n} gamma={g} theta={t}: {got} vs {want}"
-    return None
-
-
-def _suite_povm_validity() -> Optional[str]:
-    for n in (2, 3, 4):
-        for g in (0.3, 1.0):
-            ens = SignalEnsemble.build(n, DephasingParams(g, 0.4))
-            rep = validate(pgm(ens), ens)
-            if not rep.ok():
-                return f"N={n} gamma={g}: residual {rep.completeness_residual}"
-            if max(map(abs, rep.defect_support_overlaps), default=0.0) > 1e-9:
-                return f"N={n} gamma={g}: defect overlaps signal support"
-    return None
-
-
-def _suite_mixed_term() -> Optional[str]:
-    for n in (2, 3, 4):
-        base = noiseless_povm(n)
-        for i in range(1, n + 1):
-            v = mixed_term(base, i, n)
-            if v > 1e-10:
-                return f"N={n} port {i}: mixed term {v}"
-    return None
-
-
-def _suite_spectrum() -> Optional[str]:
-    for n in (2, 3, 4):
-        ens = SignalEnsemble.noiseless(n)
-        dense = np.linalg.eigvalsh(ens.average_unnormalized.matrix)
-        pred = closedform.spin_block_spectrum(n).eigenvalue_multiplicities()
-        expected = sorted(
-            [lam for lam, m in pred.items() for _ in range(m)]
-            + [0.0] * (2 ** (n + 1) - sum(pred.values()))
-        )
-        if not np.allclose(sorted(dense), expected, atol=1e-10):
-            return f"N={n}: dense spectrum disagrees with block formulas"
-    return None
-
-
-def _suite_pairwise() -> Optional[str]:
-    for g in (0.0, 0.7, 1.0):
-        ens = SignalEnsemble.build(3, DephasingParams(g, 0.3))
-        for i in range(3):
-            for j in range(i + 1, 3):
-                f = state_fidelity(ens.states[i], ens.states[j])
-                if abs(f - 0.5) > 1e-9:
-                    return f"gamma={g} pair ({i},{j}): fidelity {f}"
-    return None
-
-
-def _suite_helstrom() -> Optional[str]:
-    for g in (0.0, 0.4, 1.0):
-        ens = SignalEnsemble.build(2, DephasingParams(g, 0.7))
-        a, b = ens.states
-        tn = trace_norm(HermitianOp(a.matrix - b.matrix, a.n_qubits))
-        want = math.sqrt(1.0 + 2.0 * g * g)
-        if abs(tn - want) > 1e-10:
-            return f"gamma={g}: trace norm {tn} vs {want}"
-    return None
-
-
-def _suite_spinboson() -> Optional[str]:
-    params = sb.SpinBosonParams(2.0, 0.5, 3.0)
-    if abs(sb.chi(0.0, params)) > 1e-12 or abs(sb.phase(0.0, params)) > 1e-12:
-        return "nonzero decoherence at tau = 0"
-    flat = sb.SpinBosonParams(2.0, 0.5, 0.0)
-    if abs(sb.chi(5.0, flat)) > 1e-12:
-        return "nonzero chi at zero separation"
-    c = sb.chi(4.0, params)
-    if c < 0.0:
-        return f"negative chi {c}"
-    wide = sb.SpinBosonParams(2.0, 0.5, 3.0, sb.QuadratureSettings(upper_cutoff=120.0))
-    if abs(sb.chi(4.0, wide) - c) > 1e-8:
-        return "chi not converged in the frequency cutoff"
-    return None
-
-
-def _suite_taylor() -> Optional[str]:
-    ens = SignalEnsemble.build(2, DephasingParams(1.0, 0.0))
-    f_eig = ent_fidelity(pgm(ens), ens).ent_fidelity
-    f_tay = ent_fidelity(pgm_taylor(ens, 4000), ens).ent_fidelity
-    if abs(f_eig - f_tay) > 1e-6:
-        return f"Taylor vs eigensolver gap {abs(f_eig - f_tay)}"
-    return None
-
-
-VERIFY_SUITES = [
-    ("closed_form_agreement", _suite_closed_form_agreement),
-    ("povm_validity", _suite_povm_validity),
-    ("mixed_term_vanishes", _suite_mixed_term),
-    ("spectrum_block_formulas", _suite_spectrum),
-    ("pairwise_fidelity_half", _suite_pairwise),
-    ("helstrom_trace_norm", _suite_helstrom),
-    ("spin_boson_limits", _suite_spinboson),
-    ("taylor_pgm_agreement", _suite_taylor),
-]
-
-
 def cmd_verify(args) -> int:
+    # Imported here so that the other subcommands do not load (or compile) it.
+    from . import checks
     results = []
-    for name, fn in VERIFY_SUITES:
-        failure = "injected fault" if args.inject_fault else fn()
-        results.append({"suite": name, "passed": failure is None,
-                        "detail": failure})
-    report = {
-        "all_passed": all(r["passed"] for r in results),
-        "suites": results,
-    }
+    for name, suite in checks.SUITES.items():
+        gaps = suite()
+        gap = next((g for g in gaps if not g.ok), gaps[0])
+        detail = None if gap.ok else (
+            f"{gap.quantity} {gap.worst:.3g} above {gap.bound:g} at {gap.where}")
+        results.append({"suite": name, "passed": gap.ok, "detail": detail,
+                        "worst": gap.worst, "bound": gap.bound,
+                        "gaps": [vars(g) for g in gaps]})
+    report = {"all_passed": all(r["passed"] for r in results), "suites": results}
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise IOError(str(exc)) from exc
+        with open(args.out, "w") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
     return EXIT_OK if report["all_passed"] else EXIT_VERIFY
@@ -414,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run the internal consistency suites")
     sp.add_argument("--out", default=None, help="write the JSON report here")
-    sp.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     sp.set_defaults(func=cmd_verify)
 
     return p
@@ -431,7 +311,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ConfigError, ValueError, sb.QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except IOError as exc:
+    except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
 

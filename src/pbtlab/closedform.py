@@ -6,6 +6,7 @@ stay finite for port counts in the tens of thousands.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -68,14 +69,21 @@ def f_corr_trace(n: int) -> float:
     return CORR_TRACE_SCALE * f_corr(n)
 
 
+@functools.lru_cache(maxsize=64)
+def _noiseless_terms(n: int) -> tuple:
+    """(f_ih(n), f_corr_trace(n)): two O(n) sums, computed once per n."""
+    return f_ih(n), f_corr_trace(n)
+
+
 def fidelity_noiseless_povm(n: int, params: DephasingParams) -> float:
     """Entanglement fidelity of the noiseless measurement on the dephased ensemble.
 
     Affine in |gamma| cos(theta): weight (1 +/- |gamma| cos theta)/2 on the
     singlet and triplet channels respectively.
     """
+    ih, corr = _noiseless_terms(n)
     c = params.gamma_abs * math.cos(params.theta)
-    return 0.5 * (1.0 + c) * f_ih(n) + 0.5 * (1.0 - c) * f_corr_trace(n)
+    return 0.5 * (1.0 + c) * ih + 0.5 * (1.0 - c) * corr
 
 
 def teleport_fidelity(ent_fid: float) -> float:
@@ -120,9 +128,6 @@ class SpinBlockSpectrum:
             if b.degeneracy_plus > 0:
                 out[b.lambda_plus] = out.get(b.lambda_plus, 0) + b.degeneracy_plus
         return out
-
-    def support_dim(self) -> int:
-        return sum(m for m in self.eigenvalue_multiplicities().values())
 
     def trace(self) -> float:
         return sum(lam * m for lam, m in self.eigenvalue_multiplicities().items())

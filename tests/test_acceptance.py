@@ -1,7 +1,8 @@
 """End-to-end acceptance checks.
 
-Each test prints one [PASS]/[FAIL] line for its criterion.  The expensive
-N=9 dense sweep is computed once and shared between the criteria that need it.
+Each test prints one [PASS]/[FAIL] line for its criterion.  The N=9 sweep
+(reduced PGM) is computed once and shared between the criteria that need it.
+Criteria 1, 4, 5, 7, 8, 9 and 13 run `pbtlab.checks`, as `verify` does.
 """
 
 import functools
@@ -10,12 +11,12 @@ import time
 
 import numpy as np
 
+from pbtlab import checks
 from pbtlab import closedform as cf
 from pbtlab import spinboson as sb
 from pbtlab.ensemble import DephasingParams, SignalEnsemble
-from pbtlab.fidelity import compare_noise_adapted, ent_fidelity, mixed_term
-from pbtlab.linops import HermitianOp, state_fidelity, trace_norm
-from pbtlab.povm import noiseless_povm, pgm, pgm_taylor
+from pbtlab.fidelity import compare_noise_adapted, ent_fidelity
+from pbtlab.povm import pgm
 
 
 def report(num, desc, ok, detail=""):
@@ -39,17 +40,10 @@ def adapted_fidelity(n, gamma_abs, theta):
 
 
 def test_criterion_1_closed_form_vs_numeric():
-    worst = 0.0
-    for n in range(2, 7):
-        base = noiseless_povm(n)
-        for g in np.linspace(0.0, 1.0, 5):
-            for t in np.linspace(0.0, math.pi, 5):
-                dp = DephasingParams(g, t)
-                ens = SignalEnsemble.build(n, dp)
-                got = ent_fidelity(base, ens).ent_fidelity
-                worst = max(worst, abs(got - cf.fidelity_noiseless_povm(n, dp)))
+    gap = checks.closed_form_vs_trace(range(2, 7), np.linspace(0.0, 1.0, 5),
+                                      np.linspace(0.0, math.pi, 5), 1e-9)
     report(1, "direct-trace fidelity matches the closed form to 1e-9 "
-              "(N=2..6, 5x5 grid)", worst <= 1e-9, f"worst gap {worst:.2e}")
+              "(N=2..6, 5x5 grid)", gap.ok, f"worst gap {gap.worst:.2e}")
 
 
 def test_criterion_2_f_corr_landmark():
@@ -71,39 +65,17 @@ def test_criterion_3_asymptotics():
 
 
 def test_criterion_4_pairwise_fidelity():
-    worst = 0.0
-    for n in range(2, 6):
-        for g in (0.0, 0.3, 0.7, 1.0):
-            for t in (0.0, math.pi / 2):
-                ens = SignalEnsemble.build(n, DephasingParams(g, t))
-                for i in range(n):
-                    for j in range(i + 1, n):
-                        f = state_fidelity(ens.states[i], ens.states[j])
-                        worst = max(worst, abs(f - 0.5))
+    gap = checks.pairwise_fidelity_half(range(2, 6), (0.0, 0.3, 0.7, 1.0),
+                                        (0.0, math.pi / 2), 1e-9)
     report(4, "pairwise signal-state fidelity equals 1/2 to 1e-9",
-           worst <= 1e-9, f"worst deviation {worst:.2e}")
+           gap.ok, f"worst deviation {gap.worst:.2e}")
 
 
 def test_criterion_5_helstrom():
-    grid = np.linspace(0.0, 1.0, 21)
-    worst_tn = worst_theta = 0.0
-    bound_ok = True
-    base = noiseless_povm(2)
-    for g in grid:
-        ens0 = SignalEnsemble.build(2, DephasingParams(g, 0.0))
-        ens1 = SignalEnsemble.build(2, DephasingParams(g, 1.1))
-        tn0 = trace_norm(HermitianOp(ens0.states[0].matrix - ens0.states[1].matrix, 3))
-        tn1 = trace_norm(HermitianOp(ens1.states[0].matrix - ens1.states[1].matrix, 3))
-        worst_tn = max(worst_tn, abs(tn0 - math.sqrt(1.0 + 2.0 * g * g)))
-        worst_theta = max(worst_theta, abs(tn0 - tn1))
-        bound = cf.helstrom_bound_n2(g)
-        f_fixed = ent_fidelity(base, ens0).ent_fidelity
-        f_adapt = ent_fidelity(pgm(ens0), ens0).ent_fidelity
-        bound_ok = bound_ok and f_fixed <= bound + 1e-9 and f_adapt <= bound + 1e-9
-    ok = worst_tn <= 1e-10 and worst_theta <= 1e-10 and bound_ok
+    norm, spread, excess = checks.helstrom(np.linspace(0.0, 1.0, 21), (0.0, 1.1), 1e-10, 1e-9)
     report(5, "trace norm equals sqrt(1+2|gamma|^2), theta-independent; "
-              "N=2 fidelities respect the Helstrom bound", ok,
-           f"norm err {worst_tn:.2e}, theta dependence {worst_theta:.2e}")
+              "N=2 fidelities respect the Helstrom bound", norm.ok and spread.ok and excess.ok,
+           f"norm err {norm.worst:.2e}, theta dependence {spread.worst:.2e}")
 
 
 def test_criterion_6_bound_ordering():
@@ -133,42 +105,22 @@ def test_criterion_6_bound_ordering():
 
 
 def test_criterion_7_spectrum():
-    worst = 0.0
-    for n in range(2, 7):
-        ens = SignalEnsemble.noiseless(n)
-        dense = np.sort(np.linalg.eigvalsh(ens.average_unnormalized.matrix))
-        pred = cf.spin_block_spectrum(n)
-        mult = pred.eigenvalue_multiplicities()
-        expected = np.array(sorted(
-            [lam for lam, m in mult.items() for _ in range(m)]
-            + [0.0] * (2 ** (n + 1) - pred.support_dim())
-        ))
-        worst = max(worst, float(np.max(np.abs(dense - expected))))
+    gap = checks.spectrum_block_formulas(range(2, 7), 1e-10)
     report(7, "dense spectrum of the noiseless average matches the "
-              "spin-block formulas to 1e-10 (N=2..6)", worst <= 1e-10,
-           f"worst gap {worst:.2e}")
+              "spin-block formulas to 1e-10 (N=2..6)", gap.ok,
+           f"worst gap {gap.worst:.2e}")
 
 
 def test_criterion_8_mixed_term():
-    worst = 0.0
-    for n in range(2, 6):
-        pov = noiseless_povm(n)
-        for i in range(1, n + 1):
-            worst = max(worst, mixed_term(pov, i, n))
+    gap = checks.mixed_term_vanishes(range(2, 6), 1e-10)
     report(8, "Bell cross-term trace vanishes to 1e-10 (N=2..5, all ports)",
-           worst <= 1e-10, f"largest magnitude {worst:.2e}")
+           gap.ok, f"largest magnitude {gap.worst:.2e}")
 
 
 def test_criterion_9_taylor_agreement():
-    worst = 0.0
-    for n in (2, 3):
-        for g in (0.5, 1.0):
-            ens = SignalEnsemble.build(n, DephasingParams(g, 0.0))
-            f_eig = ent_fidelity(pgm(ens), ens).ent_fidelity
-            f_tay = ent_fidelity(pgm_taylor(ens, 4000), ens).ent_fidelity
-            worst = max(worst, abs(f_eig - f_tay))
+    gap = checks.taylor_pgm_agreement((2, 3), (0.5, 1.0), 4000, 1e-6)
     report(9, "series-expanded and eigensolver measurements agree to 1e-6 "
-              "(order 4000, N=2,3)", worst <= 1e-6, f"worst gap {worst:.2e}")
+              "(order 4000, N=2,3)", gap.ok, f"worst gap {gap.worst:.2e}")
 
 
 def test_criterion_10_measurement_crossover():
@@ -251,19 +203,9 @@ def test_criterion_12_spin_boson_curves():
 
 
 def test_criterion_13_quadrature_robustness():
-    worst = 0.0
-    taus = np.linspace(0.0, 8.0, 81)
-    base = sb.SpinBosonParams(2.0, 0.1, 3.0)
-    wide = sb.SpinBosonParams(2.0, 0.1, 3.0,
-                              sb.QuadratureSettings(upper_cutoff=120.0))
-    tight = sb.SpinBosonParams(2.0, 0.1, 3.0,
-                               sb.QuadratureSettings(rel_tol=5e-11))
-    for tau in taus:
-        c0, p0 = sb.chi(tau, base), sb.phase(tau, base)
-        for alt in (wide, tight):
-            worst = max(worst,
-                        abs(sb.chi(tau, alt) - c0),
-                        abs(sb.phase(tau, alt) - p0))
+    settings = (sb.QuadratureSettings(upper_cutoff=120.0), sb.QuadratureSettings(rel_tol=5e-11))
+    *_, gap = checks.spin_boson(sb.SpinBosonParams(2.0, 0.1, 3.0), np.linspace(0.0, 8.0, 81),
+                                settings, 1e-12, 1e-8)
     report(13, "doubling the frequency cutoff or halving the tolerance moves "
-               "chi and the phase by at most 1e-8", worst <= 1e-8,
-           f"worst shift {worst:.2e}")
+               "chi and the phase by at most 1e-8", gap.ok,
+           f"worst shift {gap.worst:.2e}")

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from pbtlab import checks
 from pbtlab import closedform as cf
 from pbtlab import spinboson as sb
 from pbtlab.cli import main
@@ -31,6 +32,14 @@ def test_surface_grid_and_corner(tmp_path):
     anti = [r for r in rows if float(r["gamma_abs"]) == 1.0
             and float(r["theta"]) == pytest.approx(math.pi)]
     assert float(anti[0]["ent_fidelity"]) == pytest.approx(cf.f_corr_trace(4), abs=1e-12)
+
+
+def test_surface_computes_closed_form_terms_once(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cf, "f_ih", lambda n, f_ih=cf.f_ih: calls.append(n) or f_ih(n))
+    cf._noiseless_terms.cache_clear()
+    assert main(["surface", "--n", "4", "--gamma", "0:1:3", "--out", str(tmp_path / "s.csv")]) == 0
+    assert calls == [4]
 
 
 def test_surface_writes_json_sidecar(tmp_path):
@@ -213,16 +222,27 @@ def test_json_format(tmp_path):
 
 def test_verify_passes(tmp_path):
     out = tmp_path / "report.json"
-    rc = main(["verify", "--out", str(out)])
-    assert rc == 0
+    assert main(["verify", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["all_passed"]
-    assert all(s["passed"] for s in report["suites"])
+    assert [s["suite"] for s in report["suites"]] == ["closed_form_agreement", "povm_validity",
+        "mixed_term_vanishes", "spectrum_block_formulas", "pairwise_fidelity_half",
+        "helstrom_trace_norm", "spin_boson_limits", "taylor_pgm_agreement"]
+    for s in report["suites"]:
+        assert s["passed"] and math.isfinite(s["worst"]) and s["worst"] <= s["bound"]
 
 
-def test_verify_fault_injection(tmp_path):
+def test_verify_fault_injection(tmp_path, monkeypatch):
+    def failing():
+        gap = checks.Gap("injected", 1e-10)
+        for value, where in ((0.5, "a"), (2.0, "b"), (1.0, "c")):
+            gap.see(value, where)
+        return (gap,)
+    monkeypatch.setitem(checks.SUITES, "helstrom_trace_norm", failing)
     out = tmp_path / "report.json"
-    rc = main(["verify", "--out", str(out), "--inject-fault"])
-    assert rc == 3
+    assert main(["verify", "--out", str(out)]) == 3
     report = json.loads(out.read_text())
-    assert not report["all_passed"]
+    assert report["all_passed"] is False
+    [failed] = [s for s in report["suites"] if not s["passed"]]
+    assert failed["suite"] == "helstrom_trace_norm" and failed["worst"] == 2.0 > failed["bound"]
+    assert failed["detail"] == "injected 2 above 1e-10 at b"

@@ -1,11 +1,11 @@
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
+from pbtlab import checks
 from pbtlab import closedform as cf
-from pbtlab.ensemble import DephasingParams, SignalEnsemble
+from pbtlab.ensemble import DephasingParams
 
 
 def test_degeneracy_small_cases():
@@ -78,16 +78,7 @@ def test_teleport_fidelity_map():
 
 
 def test_spin_block_spectrum_matches_dense():
-    for n in range(2, 6):
-        ens = SignalEnsemble.noiseless(n)
-        dense = np.sort(np.linalg.eigvalsh(ens.average_unnormalized.matrix))
-        pred = cf.spin_block_spectrum(n)
-        mult = pred.eigenvalue_multiplicities()
-        expected = sorted(
-            [lam for lam, m in mult.items() for _ in range(m)]
-            + [0.0] * (2 ** (n + 1) - pred.support_dim())
-        )
-        assert np.allclose(dense, expected, atol=1e-10)
+    assert checks.spectrum_block_formulas(range(2, 6), 1e-10).ok
 
 
 def test_spin_block_trace_equals_n():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pbtlab import checks
 from pbtlab.ensemble import (
     NOISELESS,
     P_MINUS,
@@ -15,7 +16,7 @@ from pbtlab.ensemble import (
     rotate_b,
     signal_state,
 )
-from pbtlab.linops import LinopsError, partial_trace, state_fidelity
+from pbtlab.linops import LinopsError, partial_trace
 
 
 def test_bell_projectors_orthonormal():
@@ -104,6 +105,4 @@ def test_ensemble_permutation_symmetry():
 
 
 def test_pairwise_state_fidelity_half():
-    ens = SignalEnsemble.build(3, DephasingParams(0.5, 0.4))
-    f = state_fidelity(ens.states[0], ens.states[2])
-    assert f == pytest.approx(0.5, abs=1e-9)
+    assert checks.pairwise_fidelity_half((3,), (0.5,), (0.4,), 1e-9).ok

@@ -4,11 +4,12 @@ import math
 
 import pytest
 
+from pbtlab import checks
 from pbtlab import closedform as cf
 from pbtlab.ensemble import DephasingParams, SignalEnsemble
 from pbtlab.fidelity import _sector_log_weights, ent_fidelity, pgm_fidelity_reduced
 from pbtlab.linops import LinopsError
-from pbtlab.povm import noiseless_povm, pgm
+from pbtlab.povm import pgm
 
 GAMMAS = (0.0, 0.3, 0.999, 1.0)
 THETAS = (0.0, 1.3, 3.0)
@@ -21,15 +22,13 @@ TOL = 1e-12
 def test_compare_routes_match_dense(n):
     # compare's two columns: the reduced noise-adapted PGM and the noiseless
     # closed form, each against its dense 2^(N+1)-dimensional counterpart
-    base = noiseless_povm(n)
     for g in GAMMAS:
         for th in THETAS:
             p = DephasingParams(g, th)
             ens = SignalEnsemble.build(n, p)
             adapted = ent_fidelity(pgm(ens), ens).ent_fidelity
-            noiseless = ent_fidelity(base, ens).ent_fidelity
             assert abs(pgm_fidelity_reduced(n, p) - adapted) <= TOL
-            assert abs(cf.fidelity_noiseless_povm(n, p) - noiseless) <= TOL
+    assert checks.closed_form_vs_trace((n,), GAMMAS, THETAS, TOL).ok
 
 
 @pytest.mark.parametrize("n", range(1, 13))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pbtlab import checks
 from pbtlab import closedform as cf
 from pbtlab import spinboson as sb
 
@@ -30,9 +31,7 @@ def test_chi_trivial_zeros():
 
 
 def test_chi_nonnegative():
-    p = params()
-    for tau in (0.5, 1.0, 3.0, 8.0):
-        assert sb.chi(tau, p) >= 0.0
+    assert all(g.ok for g in checks.spin_boson(params(), (0.5, 1.0, 3.0, 8.0), (), 0.0, 0.0))
 
 
 def test_chi_thermal_enhancement():
@@ -104,11 +103,9 @@ def test_decoherence_factor_trivial():
 
 
 def test_quadrature_cutoff_convergence():
-    p = params()
-    wide = params(upper_cutoff=120.0)
-    for tau in (1.0, 4.0, 8.0):
-        assert sb.chi(tau, wide) == pytest.approx(sb.chi(tau, p), abs=1e-8)
-        assert sb.phase(tau, wide) == pytest.approx(sb.phase(tau, p), abs=1e-8)
+    wide = sb.QuadratureSettings(upper_cutoff=120.0)
+    *_, shift = checks.spin_boson(params(), (1.0, 4.0, 8.0), (wide,), 1e-12, 1e-8)
+    assert shift.ok
 
 
 def test_negative_tau_rejected():
