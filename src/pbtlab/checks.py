@@ -141,6 +141,21 @@ def spin_boson(params: sb.SpinBosonParams, taus, settings, zero_bound: float,
     return vanish, negative, shift
 
 
+def decoherence_routes(ohmicities, temps, taus, ell: float, bound: float) -> tuple:
+    """Analytic chi and phase (`decoherence_factors`) against the quadrature
+    (`chi`, `phase`), each gap relative to max(1, |quadrature value|)."""
+    chi_gap = Gap("|analytic - quadrature chi| / max(1, |chi|)", bound)
+    phase_gap = Gap("|analytic - quadrature phase| / max(1, |phase|)", bound)
+    for s, th in itertools.product(ohmicities, temps):
+        params = sb.SpinBosonParams(s, th, ell)
+        for tau, fac in zip(taus, sb.decoherence_factors(taus, params)):
+            at = f"s={s:g} theta_T={th:g} tau={tau:g}"
+            c, p = sb.chi(tau, params), sb.phase(tau, params)
+            chi_gap.see(abs(fac.chi - c) / max(1.0, abs(c)), at)
+            phase_gap.see(abs(fac.phase - p) / max(1.0, abs(p)), at)
+    return chi_gap, phase_gap
+
+
 def taylor_pgm_agreement(ns, gammas, order: int, bound: float) -> Gap:
     """Series-expanded PGM fidelity against the eigensolver PGM at theta = 0."""
     gap = Gap(f"|Taylor (order {order}) - eigensolver PGM fidelity|", bound)
@@ -166,4 +181,7 @@ SUITES = {
                                             (sb.QuadratureSettings(upper_cutoff=120.0),),
                                             1e-12, 1e-8),
     "taylor_pgm_agreement": lambda: (taylor_pgm_agreement((2,), (1.0,), 4000, 1e-6),),
+    # 1e-9: the quadrature's own tolerance
+    "decoherence_routes": lambda: decoherence_routes((1.5, 2.0, 3.0), (0.0, 0.5),
+                                                     (0.5, 4.0, 8.0), 3.0, 1e-9),
 }

@@ -8,10 +8,10 @@ Subcommands:
   verify     run the internal consistency suites and emit a JSON report
 
 Exit codes: 0 success, 1 configuration or domain error (a value outside a
-model's range, or a frequency integral whose integrand overflows or whose
-quadrature fails), 2 I/O error, 3 verification failure.  CSV output uses 17
-significant digits, LF line endings, a header row, and (unless
---no-timestamp) a leading comment line with the run time.
+model's range, such as a bath exponent whose decoherence factor leaves the
+float range, or a failing quadrature in verify), 2 I/O error, 3 verification
+failure.  CSV output uses 17 significant digits, LF line endings, a header
+row, and (unless --no-timestamp) a leading comment line with the run time.
 A JSON sidecar next to each CSV echoes the configuration: the subcommand and
 the flags it takes (each subcommand registers only the flags it reads).
 """

@@ -50,13 +50,6 @@ class PovmReport:
     defect_min_eigenvalue: float
     defect_support_overlaps: tuple
 
-    def ok(self, eig_tol: float = 1e-10, completeness_tol: float = 1e-8) -> bool:
-        return (
-            min(self.min_eigenvalues, default=0.0) >= -eig_tol
-            and self.defect_min_eigenvalue >= -eig_tol
-            and self.completeness_residual <= completeness_tol
-        )
-
 
 def _hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)

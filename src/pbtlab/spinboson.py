@@ -10,16 +10,32 @@ factor after a dimensionless time tau is
 with chi and phase given by frequency integrals over the spectral density.
 Vanishing separation gives chi = phase = 0: the pair then sits in a
 decoherence-free subspace.
+
+Both integrals are combinations of the bath transform (a = s - 1)
+
+    G(t) = int w^(s-2) e^{-w} coth(w / 2 theta_T) e^{i w t} dw
+         = Gamma(a) [(1 - i t)^(-a) + 2 theta_T^a zeta(a, 1 + theta_T (1 - i t))],
+
+with zeta the Hurwitz zeta (expand coth in powers of e^{-w/theta_T}):
+
+    chi   = 2 Re[G(0) - G(tau) - G(ell) + G(tau - ell)/2 + G(tau + ell)/2],
+    phase = 1/2 Im[G(ell) - G(ell + tau)/2 - G(ell - tau)/2]  at theta_T = 0.
+
+`decoherence_factors` evaluates these on a whole tau grid; the weights of
+each combination sum to zero, so a t-independent constant in G cancels.
+`chi` and `phase` integrate the frequency integrals by adaptive quadrature
+and are the independent check of that route.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy import integrate
+from scipy.special import gammaln
 
 from . import closedform
 from .ensemble import DephasingParams
@@ -49,6 +65,9 @@ class QuadratureSettings:
 
 @dataclass(frozen=True)
 class SpinBosonParams:
+    """One bath and separation.  `quad` steers only the quadrature (`chi`,
+    `phase`); the analytic route that `spinboson` rows use does not read it."""
+
     ohmicity: float
     temperature_ratio: float = 0.0
     separation: float = 0.0
@@ -95,20 +114,11 @@ def _panel_integrate(f: Callable[[float], float], lo: float, hi: float,
     edges = np.linspace(lo, hi, n_panels + 1)
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
-        try:
-            val, err = integrate.quad(
-                f, a, b,
-                epsabs=quad.abs_tol, epsrel=quad.rel_tol,
-                limit=quad.max_subdivisions,
-            )
-        except OverflowError:
-            # w^(s-2) in the chi/phase integrands leaves the float range below
-            # the cutoff 40 + 10 s once s exceeds about 103 (where it does not
-            # raise, it shows up as a non-finite value, caught below)
-            raise QuadratureError(
-                f"integrand factor w^(s-2) overflows the float range on panel "
-                f"[{a:g}, {b:g}]"
-            ) from None
+        val, err = integrate.quad(
+            f, a, b,
+            epsabs=quad.abs_tol, epsrel=quad.rel_tol,
+            limit=quad.max_subdivisions,
+        )
         if not math.isfinite(val):
             raise QuadratureError(
                 f"quadrature gave a non-finite value on panel [{a:g}, {b:g}]")
@@ -176,8 +186,107 @@ def phase(tau: float, params: SpinBosonParams) -> float:
     return head + tail
 
 
+# The Hurwitz zeta of the thermal part is summed over ZETA_TERMS terms
+# directly and the rest by Euler-Maclaurin (DLMF 2.10.1, 25.11.5) with the
+# Bernoulli numbers B_2 .. B_20, each over (2j)!.
+ZETA_TERMS = 12
+_BERNOULLI_OVER_FACTORIAL = np.array([
+    1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510,
+    43867 / 798, -174611 / 330]) / np.array([math.factorial(2 * j) for j in range(1, 11)])
+
+
+def _second_difference(c, alpha, log_coef, taus: np.ndarray) -> np.ndarray:
+    """e^log_coef [(c - i tau)^(-alpha)/2 + (c + i tau)^(-alpha)/2 - c^(-alpha)], Re c > 0.
+
+    Each power is one exp of a logarithm, so a large coefficient does not
+    overflow on its own.  Summed directly, the three powers cancel as
+    tau -> 0; where |alpha x| < 1/2, x = tau / c, the bracket is therefore
+    c^(-alpha) [expm1(m) - 2 e^m sin^2(alpha arctan(x) / 2)], m = -(alpha/2) log(1 + x^2)
+    (log1p by hand: numpy's complex log1p loses small arguments).  Farther out
+    the direct sum is kept: there the powers differ in size by large factors
+    and that product would lose their phases.  Where alpha = 0 it returns the
+    limit of the bracket over alpha, -(1/2) log(1 + x^2) times e^log_coef.
+    """
+    x = taus / c
+    x2 = x * x
+    log1p_x2 = (0.5 * np.log1p(x2.real * (2.0 + x2.real) + x2.imag ** 2)
+                + 1j * np.arctan2(x2.imag, 1.0 + x2.real))
+    m = -0.5 * alpha * log1p_x2
+    centre = np.exp(log_coef - alpha * np.log(c))
+    near = centre * (np.expm1(m) - 2.0 * np.exp(m) * np.sin(0.5 * alpha * np.arctan(x)) ** 2)
+    far = 0.5 * (np.exp(log_coef - alpha * np.log(c - 1j * taus))
+                 + np.exp(log_coef - alpha * np.log(c + 1j * taus))) - centre
+    limit = -0.5 * np.exp(log_coef) * log1p_x2
+    return np.where(alpha == 0.0, limit, np.where(np.abs(alpha * x) < 0.5, near, far))
+
+
+def _thermal_terms(a: float, theta_t: float) -> tuple:
+    """The thermal part of G as sum_r sign_r e^(log_coef_r) (base_r - i t)^(-alpha_r) + const.
+
+    It is 2 Gamma(a) sum_{k>=1} (z + k/theta_T)^(-a), z = 1 - i t.  Rows
+    k = 1..ZETA_TERMS are its first terms.  With W = z + (ZETA_TERMS + 1)/theta_T,
+    Euler-Maclaurin turns the rest into 2 Gamma(a) times
+    theta_T W^(1-a)/(a-1) + W^(-a)/2 + sum_j B_2j/(2j)! (a)_(2j-1) theta_T^(1-2j) W^(1-a-2j),
+    one row each.  The first row's exponent a - 1 is 0 at s = 2, where
+    theta_T W^(1-a)/(a-1) is -theta_T log W up to a constant; its coefficient
+    then leaves out the 1/(a-1) (see `_second_difference`).  Returned as
+    (base, alpha, log_coef, sign) columns.
+    """
+    lg = gammaln(a)
+    k = np.arange(1, ZETA_TERMS + 1)
+    w_0 = 1.0 + (ZETA_TERMS + 1) / theta_t
+    j = np.arange(1, _BERNOULLI_OVER_FACTORIAL.size + 1)
+    log_2, log_th = math.log(2.0), math.log(theta_t)
+    pole = 0.0 if a == 1.0 else math.log(abs(a - 1.0))
+    base = np.concatenate((1.0 + k / theta_t, np.full(j.size + 2, w_0)))
+    alpha = np.concatenate((np.full(k.size, a), [a - 1.0, a], a + 2 * j - 1))
+    log_coef = np.concatenate((
+        np.full(k.size, log_2 + lg), [log_2 + log_th + lg - pole, lg],
+        log_2 + gammaln(a + 2 * j - 1) + np.log(np.abs(_BERNOULLI_OVER_FACTORIAL)) + (1 - 2 * j) * log_th))
+    sign = np.concatenate((np.ones(k.size), [1.0 if a >= 1.0 else -1.0, 1.0],
+                           np.sign(_BERNOULLI_OVER_FACTORIAL)))
+    return tuple(col[:, None] for col in (base, alpha, log_coef, sign))
+
+
+def decoherence_factors(taus: Sequence[float], params: SpinBosonParams) -> list:
+    """chi and the phase at every tau, from the closed form of the module docstring.
+
+    G(t) is Gamma(a) (1 - i t)^(-a) plus, at theta_T > 0, the rows of
+    `_thermal_terms`.  chi and the phase are sums of `_second_difference`s
+    of these powers, about t = 0 and t = ell (G(tau - ell) = conj G(ell - tau),
+    so their real parts agree), and a constant in G drops out of them.  The
+    phase takes the zero-temperature term only, so baths that differ only in
+    temperature get bit-for-bit the same phases.  tau = 0 and ell = 0 give
+    exactly 0.  A chi or phase outside the float range (s above about 172)
+    raises ValueError.
+    """
+    taus = np.asarray(taus, dtype=float)
+    if np.any(taus < 0.0):
+        raise ValueError(f"tau must be >= 0, got {taus.min()}")
+    s, th, ell = params.ohmicity, params.temperature_ratio, params.separation
+    chis = phases = np.zeros(taus.size)
+    if ell != 0.0:
+        a, lg = s - 1.0, gammaln(s - 1.0)
+        # an overflow shows as a non-finite chi or phase, raised below
+        with np.errstate(over="ignore", invalid="ignore"):
+            cold = _second_difference(1.0 - 1j * ell, a, lg, taus)
+            phases = -0.5 * cold.imag
+            combo = cold - _second_difference(1.0, a, lg, taus)
+            if th > 0.0:
+                base, alpha, log_coef, sign = _thermal_terms(a, th)
+                combo = combo + sum(sign * (_second_difference(base - 1j * ell, alpha, log_coef, taus)
+                                            - _second_difference(base, alpha, log_coef, taus)))
+            chis = 2.0 * combo.real
+        chis = np.where(taus == 0.0, 0.0, chis)
+        phases = np.where(taus == 0.0, 0.0, phases)
+        if not np.all(np.isfinite([chis, phases])):
+            raise ValueError(f"the decoherence factor at s={s:g} leaves the float range")
+    return [DecoherenceFactor(float(c), float(p)) for c, p in zip(chis, phases)]
+
+
 def decoherence_factor(tau: float, params: SpinBosonParams) -> DecoherenceFactor:
-    return DecoherenceFactor(chi(tau, params), phase(tau, params))
+    """The decoherence factor at one tau (see `decoherence_factors`)."""
+    return decoherence_factors([tau], params)[0]
 
 
 @dataclass(frozen=True)
@@ -202,8 +311,9 @@ def fidelities_vs_time(n: int, baths: Sequence[SpinBosonParams], taus: Sequence[
     """Teleportation fidelities of several POVM modes along one time grid, per bath.
 
     One list per bath holds one dict per tau, mapping each mode to its point.
-    All modes share the tau's decoherence factor, and baths that differ only
-    in temperature share its phase, which does not depend on the temperature.
+    All modes share the tau's decoherence factor (`decoherence_factors`, one
+    call per bath), and baths that differ only in temperature get the same
+    phase bit for bit.
     "closed_form" is the analytic fidelity of the ideal measurement;
     "noise_adapted" is the PGM of the dephased ensemble (complex dephasing
     factor) at every grid point, by the symmetry-reduced route
@@ -215,17 +325,10 @@ def fidelities_vs_time(n: int, baths: Sequence[SpinBosonParams], taus: Sequence[
     for mode in povm_modes:
         if mode not in POVM_MODES:
             raise ValueError(f"unknown povm_mode {mode!r}")
-    phases = {}  # (tau, bath at zero temperature) -> phase
     out = []
     for params in baths:
-        cold = replace(params, temperature_ratio=0.0)
         curve = []
-        for tau in taus:
-            if (tau, cold) in phases:
-                fac = DecoherenceFactor(chi(tau, params), phases[tau, cold])
-            else:
-                fac = decoherence_factor(tau, params)
-                phases[tau, cold] = fac.phase
+        for tau, fac in zip(taus, decoherence_factors(taus, params)):
             dp = fac.as_params
             pts = {}
             for mode in povm_modes:

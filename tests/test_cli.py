@@ -133,13 +133,13 @@ def test_spinboson_two_modes_share_one_decoherence_factor(tmp_path, monkeypatch)
         single[mode] = read_csv(out)[1]
 
     calls = []
-    factor = sb.decoherence_factor
+    factors = sb.decoherence_factors
 
-    def counting(tau, params):
-        calls.append((tau, params))
-        return factor(tau, params)
+    def counting(taus, params):
+        calls.extend((tau, params) for tau in taus)
+        return factors(taus, params)
 
-    monkeypatch.setattr(sb, "decoherence_factor", counting)
+    monkeypatch.setattr(sb, "decoherence_factors", counting)
     out = tmp_path / "both.csv"
     assert main(base + ["--povm", "closed_form,noise_adapted", "--out", str(out)]) == 0
     _, rows = read_csv(out)
@@ -172,7 +172,7 @@ def test_spinboson_non_finite_input_is_config_error(tmp_path, flag, value):
 
 
 def test_spinboson_overflowing_ohmicity_is_one_error_line(tmp_path, capsys):
-    # w^(s-2) leaves the float range long before the cutoff 40 + 10 s
+    # Gamma(s - 1) leaves the float range from s ~ 172.5 on
     rc = main(["spinboson", "--n", "2", "--s", "1000", "--tau", "0,1",
                "--temp-ratio", "0.1", "--out", str(tmp_path / "x.csv")])
     assert rc == 1
@@ -181,15 +181,17 @@ def test_spinboson_overflowing_ohmicity_is_one_error_line(tmp_path, capsys):
 
 
 def test_spinboson_quadrature_error_is_one_error_line(tmp_path, capsys, monkeypatch):
-    def failing(tau, params):
-        raise sb.QuadratureError("integral diverged")
+    # rows take the analytic route; a failure there is one line, as a
+    # quadrature failure (verify still integrates) is
+    def failing(taus, params):
+        raise ValueError("the decoherence factor at s=2 leaves the float range")
 
-    monkeypatch.setattr(sb, "chi", failing)
+    monkeypatch.setattr(sb, "decoherence_factors", failing)
     rc = main(["spinboson", "--n", "2", "--tau", "0,1", "--s", "2",
                "--temp-ratio", "0.1", "--out", str(tmp_path / "x.csv")])
     assert rc == 1
     err = capsys.readouterr().err.splitlines()
-    assert err == ["error: integral diverged"]
+    assert err == ["error: the decoherence factor at s=2 leaves the float range"]
 
 
 def test_spinboson_bad_mode(tmp_path):
@@ -227,7 +229,8 @@ def test_verify_passes(tmp_path):
     assert report["all_passed"]
     assert [s["suite"] for s in report["suites"]] == ["closed_form_agreement", "povm_validity",
         "mixed_term_vanishes", "spectrum_block_formulas", "pairwise_fidelity_half",
-        "helstrom_trace_norm", "spin_boson_limits", "taylor_pgm_agreement"]
+        "helstrom_trace_norm", "spin_boson_limits", "taylor_pgm_agreement",
+        "decoherence_routes"]
     for s in report["suites"]:
         assert s["passed"] and math.isfinite(s["worst"]) and s["worst"] <= s["bound"]
 

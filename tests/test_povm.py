@@ -21,7 +21,8 @@ from pbtlab.povm import (
 def test_noiseless_povm_is_valid(n):
     ens = SignalEnsemble.noiseless(n)
     rep = validate(noiseless_povm(n), ens)
-    assert rep.ok()
+    assert min(*rep.min_eigenvalues, rep.defect_min_eigenvalue) >= -1e-10
+    assert rep.completeness_residual <= 1e-8
     assert max(map(abs, rep.defect_support_overlaps)) < 1e-10
 
 

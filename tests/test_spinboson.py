@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -48,19 +49,22 @@ def test_phase_temperature_independent():
 
 def test_phase_computed_once_for_all_temperatures(monkeypatch):
     calls = []
-    phase = sb.phase
+    factors = sb.decoherence_factors
 
-    def counting(tau, p):
-        calls.append(tau)
-        return phase(tau, p)
+    def counting(taus, p):
+        calls.extend(taus)
+        return factors(taus, p)
 
-    monkeypatch.setattr(sb, "phase", counting)
+    monkeypatch.setattr(sb, "decoherence_factors", counting)
     taus = [0.0, 1.0, 2.5]
     cold, hot = ([pts["closed_form"] for pts in curve] for curve in sb.fidelities_vs_time(
         3, [params(th=0.1), params(th=0.9)], taus, ["closed_form"]))
-    assert calls == taus
+    # one decoherence factor per bath and tau; the phase is the same bit for bit
+    assert calls == taus + taus
     assert [p.phase for p in cold] == [p.phase for p in hot] == [
-        phase(t, params(th=0.9)) for t in taus]
+        f.phase for f in factors(taus, params(th=0.9))]
+    assert [p.phase for p in cold] == pytest.approx([sb.phase(t, params()) for t in taus],
+                                                    abs=1e-12)
     assert [p.chi for p in cold] != [p.chi for p in hot]
 
 
@@ -74,6 +78,7 @@ def test_phase_analytic_ohmicity_two():
 
     want = 0.5 * (lorentz(ell) - 0.5 * lorentz(ell + tau) - 0.5 * lorentz(ell - tau))
     assert sb.phase(tau, params()) == pytest.approx(want, abs=1e-10)
+    assert sb.decoherence_factor(tau, params()).phase == pytest.approx(want, abs=1e-13)
 
 
 def test_zero_temperature_chi_analytic_ohmicity_two():
@@ -86,6 +91,7 @@ def test_zero_temperature_chi_analytic_ohmicity_two():
 
     want = 2.0 * (c(0) - c(tau) - c(ell) + 0.5 * c(ell + tau) + 0.5 * c(ell - tau))
     assert sb.chi(tau, params(th=0.0)) == pytest.approx(want, abs=1e-9)
+    assert sb.decoherence_factor(tau, params(th=0.0)).chi == pytest.approx(want, abs=1e-13)
 
 
 def test_decoherence_factor_assembly():
@@ -100,6 +106,8 @@ def test_decoherence_factor_trivial():
     fac = sb.decoherence_factor(0.0, params())
     assert fac.gamma_abs == 1.0
     assert fac.phase == 0.0
+    zero = sb.DecoherenceFactor(0.0, 0.0)
+    assert sb.decoherence_factors([0.0, 5.0], params(ell=0.0)) == [zero, zero]
 
 
 def test_quadrature_cutoff_convergence():
@@ -111,6 +119,8 @@ def test_quadrature_cutoff_convergence():
 def test_negative_tau_rejected():
     with pytest.raises(ValueError):
         sb.chi(-1.0, params())
+    with pytest.raises(ValueError):
+        sb.decoherence_factors([0.0, -1.0], params())
 
 
 def test_fidelity_vs_time_closed_form_identity():
@@ -138,3 +148,43 @@ def test_noise_adapted_curve_below_closed_form():
     adapted = sb.fidelity_vs_time(5, params(), taus, "noise_adapted")
     for c, a in zip(closed, adapted):
         assert a.teleport_fidelity <= c.teleport_fidelity + 1e-9
+
+
+def _bath_transform_mpmath(t, s, th):
+    """G(t) of the spinboson module docstring at mpmath's working precision.
+
+    The Hurwitz zeta comes from mpmath.  At s = 2 it has a pole; there
+    2 theta_T^a zeta(a, q) is 2 theta_T / (a - 1) - 2 theta_T psi(q) + O(a - 1),
+    and the constant drops out of chi.
+    """
+    a = mpmath.mpf(s) - 1
+    z = 1 - 1j * t
+    g = mpmath.exp(mpmath.loggamma(a) - a * mpmath.log(z))
+    if th:
+        q = 1 + mpmath.mpf(th) * z
+        if a == 1:
+            g -= 2 * th * mpmath.psi(0, q)
+        else:
+            g += 2 * mpmath.exp(mpmath.loggamma(a) + a * mpmath.log(th)) * mpmath.zeta(a, q)
+    return g
+
+
+def _chi_phase_mpmath(tau, s, th, ell):
+    tau, ell = mpmath.mpf(tau), mpmath.mpf(ell)
+    g = [_bath_transform_mpmath(t, s, th) for t in (0, tau, ell, tau - ell, tau + ell)]
+    chi = 2 * mpmath.re(g[0] - g[1] - g[2] + g[3] / 2 + g[4] / 2)
+    cold = [_bath_transform_mpmath(t, s, 0) for t in (ell, ell + tau, ell - tau)]
+    return float(chi), float(mpmath.im(cold[0] - cold[1] / 2 - cold[2] / 2) / 2)
+
+
+@pytest.mark.parametrize("s", [1.2, 1.5, 2 - 1e-9, 2.0, 2 + 1e-9, 3.0, 4.5, 20.0, 100.0])
+def test_decoherence_factors_match_mpmath(s):
+    # 30 digits; the bound is 1e-12 max(1, |x|).  Measured worst: 4.4e-14
+    # (phase, s = 100), where exponents of size ~350 cost the float route digits.
+    taus, ell = [1e-3, 0.5, 3.0, 8.0, 40.0], 3.0
+    with mpmath.workdps(30):
+        for th in (0.0, 0.1, 0.9, 5.0):
+            for tau, fac in zip(taus, sb.decoherence_factors(taus, params(s, th, ell))):
+                chi, phase = _chi_phase_mpmath(tau, s, th, ell)
+                assert abs(fac.chi - chi) <= 1e-12 * max(1.0, abs(chi)), (th, tau)
+                assert abs(fac.phase - phase) <= 1e-12 * max(1.0, abs(phase)), (th, tau)
