@@ -31,8 +31,6 @@ from . import closedform, spinboson as sb
 from .ensemble import NOISELESS, DephasingParams
 from .fidelity import compare_noise_adapted
 
-DEFAULT_MAX_N = 12
-
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_IO = 2
@@ -74,15 +72,6 @@ def _parse_int_list(text: str) -> List[int]:
         return [int(p) for p in text.split(",") if p.strip()]
     except ValueError:
         raise ConfigError(f"cannot parse integer list {text!r}") from None
-
-
-def _check_cap(ns: Sequence[int], max_n: int) -> None:
-    bad = [n for n in ns if n > max_n]
-    if bad:
-        raise ConfigError(
-            f"port count {max(bad)} exceeds the cap {max_n} for PGM "
-            f"computations; raise it with --max-n-override"
-        )
 
 
 def _fmt(x) -> str:
@@ -171,7 +160,6 @@ def cmd_compare(args) -> int:
     ns = _parse_int_list(args.n)
     if not ns or min(ns) < 2:
         raise ConfigError("compare requires port counts >= 2")
-    _check_cap(ns, args.max_n_override)
     gammas = _parse_grid(args.gamma)
     rows = []
     for n in ns:
@@ -195,8 +183,6 @@ def cmd_spinboson(args) -> int:
             raise ConfigError(f"unknown povm mode {m!r}")
     if not modes:
         raise ConfigError("spinboson requires at least one povm mode")
-    if "noise_adapted" in modes:
-        _check_cap([n], args.max_n_override)
     if not math.isfinite(args.ell):
         raise ConfigError(f"--ell must be finite, got {args.ell}")
     taus = _parse_grid(args.tau)
@@ -255,15 +241,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, dense=False):
+    def common(sp):
         sp.add_argument("--n", default="9",
                         help="port count: single value, comma list, or lo:hi range")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--no-timestamp", action="store_true",
                         help="omit the timestamp comment for byte-stable output")
-        if dense:
-            sp.add_argument("--max-n-override", type=int, default=DEFAULT_MAX_N,
-                            help="raise the PGM port-count cap")
         sp.add_argument("--out", required=True, help="output file path")
 
     sp = sub.add_parser("surface", help="fidelity over a (gamma, theta) grid")
@@ -279,12 +262,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_vs_n)
 
     sp = sub.add_parser("compare", help="noiseless vs noise-adapted measurements")
-    common(sp, dense=True)
+    common(sp)
     sp.add_argument("--gamma", default="0:1:51")
     sp.set_defaults(func=cmd_compare)
 
     sp = sub.add_parser("spinboson", help="time-dependent fidelity for a thermal bath")
-    common(sp, dense=True)
+    common(sp)
     sp.add_argument("--tau", default="0:8:81")
     sp.add_argument("--s", default="2", help="bath spectral exponent(s)")
     sp.add_argument("--temp-ratio", default="0.1,0.9", dest="temp_ratio")

@@ -46,18 +46,23 @@ def phase_rotation(theta: float) -> np.ndarray:
     return np.diag([np.exp(-1j * theta), 1.0]).astype(complex)
 
 
-def decohered_bell(params: DephasingParams) -> HermitianOp:
-    """Two-qubit singlet after dephasing with factor gamma = |gamma| e^{i theta}."""
-    g, th = params.gamma_abs, params.theta
+def _bell_matrices(gamma_abs, theta) -> np.ndarray:
+    """The matrices of `decohered_bell` for arrays of |gamma| and theta, stacked on axis 0."""
+    g = np.asarray(gamma_abs, dtype=float)[:, None, None]
+    th = np.asarray(theta, dtype=float)[:, None, None]
     pm = np.outer(PSI_MINUS, PSI_MINUS.conj())
     pp = np.outer(PSI_PLUS, PSI_PLUS.conj())
     cross = np.outer(PSI_PLUS, PSI_MINUS.conj()) - np.outer(PSI_MINUS, PSI_PLUS.conj())
-    m = (
-        0.5 * (1.0 + g * math.cos(th)) * pm
-        + 0.5 * (1.0 - g * math.cos(th)) * pp
-        + 0.5j * g * math.sin(th) * cross
+    return (
+        0.5 * (1.0 + g * np.cos(th)) * pm
+        + 0.5 * (1.0 - g * np.cos(th)) * pp
+        + 0.5j * g * np.sin(th) * cross
     )
-    return HermitianOp(m, 2)
+
+
+def decohered_bell(params: DephasingParams) -> HermitianOp:
+    """Two-qubit singlet after dephasing with factor gamma = |gamma| e^{i theta}."""
+    return HermitianOp(_bell_matrices([params.gamma_abs], [params.theta])[0], 2)
 
 
 def _embed_pair_block(block: np.ndarray, i: int, n_ports: int) -> HermitianOp:

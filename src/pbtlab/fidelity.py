@@ -5,13 +5,12 @@ F = (1/4) sum_i tr(Pi_i eta_i); the average teleportation fidelity follows
 as f = (2F + 1)/3.  `ent_fidelity` works from explicit 2^(N+1)-dimensional
 operators and serves as the numerical cross-check (the small-N oracle) of
 the closed forms and of the symmetry-reduced noise-adapted PGM route,
-`pgm_fidelity_reduced`, which the comparison tables and the spin-boson
+`pgm_fidelities_reduced`, which the comparison tables and the spin-boson
 curves use.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -25,19 +24,17 @@ from .ensemble import (
     PSI_PLUS,
     DephasingParams,
     SignalEnsemble,
+    _bell_matrices,
     _embed_pair_block,
-    decohered_bell,
 )
-from .linops import DEFAULT_RANK_TOL, HermitianOp, LinopsError, trace_norm
+from .linops import DEFAULT_RANK_TOL, HermitianOp, LinopsError, _require_hermitian, trace_norm
 from .povm import Povm
 
 IMAG_RESIDUE_TOL = 1e-10
-
-# sigma_0 = I, sigma_x, sigma_y, sigma_z
-_PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
-                    [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
-# _PAULI_PAIRS[a, b] = sigma_a (x) sigma_b on (A, B)
-_PAULI_PAIRS = np.einsum("aij,bkl->abikjl", _PAULIS, _PAULIS).reshape(4, 4, 4, 4)
+# Charge blocks per np.linalg.eigh call in `pgm_fidelities_reduced`: whole rows
+# are stacked up to this many blocks, so the working memory (about 1 KiB a
+# block) stays bounded at any N.
+BLOCK_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -50,12 +47,13 @@ class FidelityResult:
     per_port_traces: tuple
 
 
-def _real_trace(a: np.ndarray, b: np.ndarray) -> float:
-    """tr(ab) for Hermitian a, b with a check on the imaginary residue."""
-    val = np.einsum("ij,ji->", a, b)
-    if abs(val.imag) > IMAG_RESIDUE_TOL * max(abs(val.real), 1.0):
-        raise LinopsError(f"trace has imaginary residue {val.imag:.3e}")
-    return float(val.real)
+def _real_trace(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """tr(ab) for Hermitian a, b (or stacks of them) with a check on each imaginary residue."""
+    val = np.asarray(np.einsum("...ij,...ji->...", a, b))
+    residue = val.imag[np.abs(val.imag) > IMAG_RESIDUE_TOL * np.maximum(np.abs(val.real), 1.0)]
+    if residue.size:
+        raise LinopsError(f"trace has imaginary residue {residue[0]:.3e}")
+    return val.real
 
 
 def ent_fidelity(povm: Povm, ensemble: SignalEnsemble) -> FidelityResult:
@@ -67,7 +65,7 @@ def ent_fidelity(povm: Povm, ensemble: SignalEnsemble) -> FidelityResult:
     if povm.dim != ensemble.average_unnormalized.dim:
         raise LinopsError("POVM and ensemble dimensions do not match")
     traces = tuple(
-        _real_trace(e.matrix, st.matrix)
+        float(_real_trace(e.matrix, st.matrix))
         for e, st in zip(povm.elements, ensemble.states)
     )
     f = 0.25 * sum(traces)
@@ -119,92 +117,114 @@ def _sector_log_weights(n: int) -> list:
     return out
 
 
-@functools.lru_cache(maxsize=16)
-def _spin_sectors(n: int) -> tuple:
-    """(d_j' / 2^(N+1), J_z, J_+) of each spin sector j' of the ports A_2..A_N.
+def _charge_blocks(n: int, bell: np.ndarray, two_j: np.ndarray, first: np.ndarray,
+                   blocks: np.ndarray) -> tuple:
+    """(2^(N+1) S on the given charge blocks, one stack per row; the sector of each block).
 
-    Basis |j', m> with m = j', j'-1, ..., -j'.  Parameter-independent, so it
-    is built once per N.
+    `bell` (rows, 2, 2) is 4 rho on span{|01>, |10>} of (A_1, B).  Block b
+    lies in the last sector whose `first` block index is <= b, at total Z
+    charge M = b - first - j'; its basis is |00>|j',M-1>, |01>|j',M>,
+    |10>|j',M>, |11>|j',M+1> on A_1 B V_j'.  A state with |m| > j' becomes a
+    zero row and column, decoupled from the rest.
     """
-    out = []
-    for two_j, log_w in _sector_log_weights(n):
-        j = two_j / 2.0
-        m = j - np.arange(two_j + 1)
-        j_plus = np.diag(np.sqrt(j * (j + 1.0) - m[1:] * (m[1:] + 1.0)), 1)
-        out.append((math.exp(log_w), np.diag(m), j_plus))
-    return tuple(out)
+    sector = np.searchsorted(first, blocks, side="right") - 1
+    j = two_j[sector] / 2.0
+    m = blocks - first[sector] - j
+    h = 0.5 * (n - 1)
+    a, b = bell[:, None, 0, 0], bell[:, None, 1, 1]
+    q, qc = bell[:, None, 0, 1], bell[:, None, 1, 0]
+    c_lo = np.sqrt(j * (j + 1.0) - (m - 1.0) * m)  # <j',M|J_+|j',M-1>
+    c_hi = np.sqrt(j * (j + 1.0) - m * (m + 1.0))  # <j',M+1|J_+|j',M>
+    s = np.zeros((len(bell), len(blocks), 4, 4), dtype=complex)
+    s[..., 0, 0] = np.where(m > -j, b * (h - m + 1.0), 0.0)
+    s[..., 1, 1] = a * (h + m + 1.0)
+    s[..., 2, 2] = b * (h - m + 1.0)
+    s[..., 3, 3] = np.where(m < j, a * (h + m + 1.0), 0.0)
+    s[..., 1, 0], s[..., 0, 1] = q * c_lo, qc * c_lo
+    s[..., 1, 2], s[..., 2, 1] = q, qc
+    s[..., 3, 2], s[..., 2, 3] = q * c_hi, qc * c_hi
+    return s, sector
 
 
-def _sector_average(n: int, rho: np.ndarray, j_z: np.ndarray,
-                    j_plus: np.ndarray) -> tuple:
-    """(2^(N+1) eta_1, 2^(N+1) S) restricted to A_1 (x) B (x) V_j'.
-
-    S = sum_i eta_i with eta_i = rho on (A_i, B); the ports i >= 2 enter as
-    sum_ab r_ab sigma_b^B (x) T_a with r_ab = tr(rho sigma_a (x) sigma_b),
-    T_0 = (N-1) I and T_a = 2 J_a.
-    """
-    d = j_z.shape[0]
-    eye = np.eye(d)
-    r = np.einsum("abij,ji->ab", _PAULI_PAIRS, rho).real
-    col = r[:, :, None, None]  # r[a, b] broadcast over V_j'
-    # 2 (r_x J_x + r_y J_y) = (r_x - i r_y) J_+ + (r_x + i r_y) J_-
-    t = ((n - 1) * col[0] * eye + 2.0 * col[3] * j_z
-         + (col[1] - 1j * col[2]) * j_plus + (col[1] + 1j * col[2]) * j_plus.T)
-    rest = np.einsum("bij,bkl->ikjl", _PAULIS, t).reshape(2 * d, 2 * d)
-    eta = np.kron(4.0 * rho, eye)
-    return eta, eta + np.kron(np.eye(2), rest)
-
-
-def pgm_fidelity_reduced(n: int, params: DephasingParams) -> float:
-    """Entanglement fidelity of the noise-adapted PGM on its own ensemble.
+def pgm_fidelities_reduced(n: int, params_seq: Sequence[DephasingParams]) -> list:
+    """Entanglement fidelity of the noise-adapted PGM on its own ensemble, per params.
 
     F = (N/4) tr(X rho_1 X rho_1) with X = S^(-1/2) on the support of the
-    ensemble average S; the same number as
-    `ent_fidelity(pgm(ens), ens)` with `ens = SignalEnsemble.build(n, params)`.
+    ensemble average S; the same number as `ent_fidelity(pgm(ens), ens)` with
+    `ens = SignalEnsemble.build(n, params)`.
 
-    S and eta_1 commute with permutations of the ports A_2..A_N, so they
-    split into one block of size 4(2j'+1) on A_1 (x) B (x) V_j' per spin
-    sector j' of those ports, each counted degeneracy(N-1, j') times.
-    Eigenvalues below DEFAULT_RANK_TOL times the largest eigenvalue over all
-    blocks are cut, as in `linops.func_on_support`; a negative eigenvalue
-    beyond the cut raises LinopsError.
+    S and eta_1 commute with permutations of the ports A_2..A_N, so they split
+    into one block per spin sector j' of those ports, counted
+    degeneracy(N-1, j') times.  The dephased singlet rho lies in
+    span{|01>, |10>}, so on (A_i, B) it conserves the Z charge, and
+    sum_{i>=2} 4 rho_(A_i B) = a (h + J_z) |1><1|_B + b (h - J_z) |0><0|_B
+    + q J_+ |1><0|_B + conj(q) J_- |0><1|_B, with h = (N-1)/2, a and b the
+    diagonal of 4 rho there and q its |01><10| entry.  Each spin block
+    therefore splits by total charge M into blocks of at most four states
+    (`_charge_blocks`).  All blocks of all rows go, BLOCK_CHUNK at a time, to
+    one batched eigh.
+
+    Eigenvalues below DEFAULT_RANK_TOL times the row's largest eigenvalue
+    over all of its blocks are cut, as in `linops.func_on_support`; a
+    negative eigenvalue beyond the cut raises LinopsError.  Rows whose blocks
+    exceed BLOCK_CHUNK are walked in pieces, the top sector j' = (N-1)/2
+    first: S is a function of the total spin J of all N ports and of B, its
+    eigenvalues are (a/2) (N + 1 +/- sqrt((2m+1)^2 + 4|gamma|^2 (J(J+1) - m(m+1))))
+    at a = b, largest at J = N/2, and J = N/2 lies only in that sector.
     """
     if n < 1:
         raise LinopsError(f"need n >= 1, got {n}")
-    rho = decohered_bell(params).matrix
-    sectors = _spin_sectors(n)
-    blocks = [_sector_average(n, rho, j_z, j_plus) for _, j_z, j_plus in sectors]
-    spectra = [np.linalg.eigh(s) for _, s in blocks]
-    cut = DEFAULT_RANK_TOL * max(w[-1] for w, _ in spectra)
-    lowest = min(w[0] for w, _ in spectra)
-    if lowest < -cut:
-        raise LinopsError(f"operator is not PSD: min eigenvalue {lowest:.3e}")
-    total = 0.0
-    for (weight, _, _), (eta, _), (w, v) in zip(sectors, blocks, spectra):
-        inv_sqrt = np.zeros_like(w)
-        on_support = w > cut
-        inv_sqrt[on_support] = 1.0 / np.sqrt(w[on_support])
-        x = (v * inv_sqrt) @ v.conj().T
-        total += weight * _real_trace(x @ eta @ x, eta)
-    return 0.25 * n * total
+    rho = _bell_matrices([p.gamma_abs for p in params_seq], [p.theta for p in params_seq])
+    _require_hermitian(rho)
+    bell = 4.0 * rho[:, 1:3, 1:3]
+    sectors = _sector_log_weights(n)
+    two_j = np.array([t for t, _ in sectors])
+    weight = np.exp([log_w for _, log_w in sectors])
+    first = np.cumsum(two_j + 1) - (two_j + 1)
+    per_row = int(np.sum(two_j + 1))
+    rows_per = max(1, BLOCK_CHUNK // per_row)
+    step = max(BLOCK_CHUNK, n)  # >= the n blocks of the top sector
+    total = np.zeros(len(bell))
+    for r0 in range(0, len(bell), rows_per):
+        rows = slice(r0, r0 + rows_per)
+        cut = None
+        for b0 in range(0, per_row, step):
+            s, sector = _charge_blocks(n, bell[rows], two_j, first,
+                                       np.arange(b0, min(b0 + step, per_row)))
+            w, v = np.linalg.eigh(s)
+            if cut is None:
+                cut = DEFAULT_RANK_TOL * w[..., -1].max(axis=1)[:, None, None]
+            below = w < -cut
+            if np.any(below):
+                raise LinopsError(f"operator is not PSD: min eigenvalue {w[below].min():.3e}")
+            on_support = w > cut
+            inv_sqrt = np.where(on_support, 1.0 / np.sqrt(np.where(on_support, w, 1.0)), 0.0)
+            # eta_1 lives on the |01>, |10> states, so only that corner of X enters
+            v_mid = v[..., 1:3, :]
+            x = (v_mid * inv_sqrt[..., None, :]) @ v_mid.conj().swapaxes(-1, -2)
+            y = bell[rows, None] @ x
+            total[rows] += (_real_trace(y, y) * weight[sector]).sum(axis=1)
+    return (0.25 * n * total).tolist()
+
+
+def pgm_fidelity_reduced(n: int, params: DephasingParams) -> float:
+    """The noise-adapted PGM fidelity at one point (see `pgm_fidelities_reduced`)."""
+    return pgm_fidelities_reduced(n, [params])[0]
 
 
 def compare_noise_adapted(n: int, gamma_grid: Sequence[float]) -> list:
     """Noiseless vs noise-adapted PGM fidelities at theta = 0, with bounds."""
-    rows = []
-    for g in gamma_grid:
-        params = DephasingParams(float(g), 0.0)
-        hel = closedform.helstrom_bound_n2(float(g)) if n == 2 else None
-        rows.append(
-            ComparisonRow(
-                float(g),
-                closedform.fidelity_noiseless_povm(n, params),
-                pgm_fidelity_reduced(n, params),
-                closedform.beigi_konig_bound(n, float(g)),
-                hel,
-            )
+    grid = [DephasingParams(float(g), 0.0) for g in gamma_grid]
+    return [
+        ComparisonRow(
+            p.gamma_abs,
+            closedform.fidelity_noiseless_povm(n, p),
+            adapted,
+            closedform.beigi_konig_bound(n, p.gamma_abs),
+            closedform.helstrom_bound_n2(p.gamma_abs) if n == 2 else None,
         )
-    return rows
+        for p, adapted in zip(grid, pgm_fidelities_reduced(n, grid))
+    ]
 
 
 def helstrom_optimal_n2(ensemble: SignalEnsemble) -> float:

@@ -21,6 +21,12 @@ class LinopsError(ValueError):
     """Domain error for invalid operator inputs."""
 
 
+def _require_hermitian(m: np.ndarray) -> None:
+    """Raise unless m (or each matrix of a stack) equals its adjoint to 1e-10."""
+    if not np.allclose(m, np.swapaxes(m, -1, -2).conj(), rtol=0.0, atol=1e-10):
+        raise LinopsError("matrix is not Hermitian within tolerance")
+
+
 @dataclass(frozen=True)
 class HermitianOp:
     """A dense Hermitian operator on a register of qubits."""
@@ -36,8 +42,7 @@ class HermitianOp:
             raise LinopsError(
                 f"matrix shape {m.shape} does not match {self.n_qubits} qubits"
             )
-        if not np.allclose(m, m.conj().T, rtol=0.0, atol=1e-10):
-            raise LinopsError("matrix is not Hermitian within tolerance")
+        _require_hermitian(m)
 
     @classmethod
     def from_matrix(cls, matrix) -> "HermitianOp":

@@ -94,17 +94,18 @@ def test_compare_columns_and_bounds(tmp_path):
         assert float(r["noise_adapted_fidelity"]) <= float(r["helstrom_bound"]) + 1e-9
 
 
-def test_compare_rejects_over_cap(tmp_path):
-    rc = main(["compare", "--n", "13", "--gamma", "0.5",
-               "--out", str(tmp_path / "x.csv")])
-    assert rc == 1
-
-
-def test_cap_override_allows_larger_n(tmp_path):
-    # only validates config acceptance; keep the actual size small via the cap value
-    rc = main(["compare", "--n", "3", "--gamma", "1", "--max-n-override", "3",
-               "--out", str(tmp_path / "x.csv"), "--no-timestamp"])
-    assert rc == 0
+def test_no_port_cap(tmp_path, capsys):
+    # the reduced PGM takes milliseconds at N = 13 and 40
+    assert main(["compare", "--n", "13", "--gamma", "0.5", "--no-timestamp",
+                 "--out", str(tmp_path / "c.csv")]) == 0
+    assert main(["spinboson", "--n", "40", "--tau", "0,1", "--s", "2",
+                 "--temp-ratio", "0.1", "--povm", "noise_adapted", "--no-timestamp",
+                 "--out", str(tmp_path / "s.csv")]) == 0
+    assert len(read_csv(tmp_path / "s.csv")[1]) == 2
+    capsys.readouterr()
+    assert main(["compare", "--n", "13", "--gamma", "0.5", "--max-n-override", "20",
+                 "--out", str(tmp_path / "x.csv")]) == 1
+    assert "--max-n-override" in capsys.readouterr().err
 
 
 def test_spinboson_rows(tmp_path):

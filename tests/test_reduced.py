@@ -2,12 +2,20 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from pbtlab import checks
 from pbtlab import closedform as cf
-from pbtlab.ensemble import DephasingParams, SignalEnsemble
-from pbtlab.fidelity import _sector_log_weights, ent_fidelity, pgm_fidelity_reduced
+from pbtlab import fidelity
+from pbtlab.ensemble import DephasingParams, SignalEnsemble, _bell_matrices
+from pbtlab.fidelity import (
+    _charge_blocks,
+    _sector_log_weights,
+    ent_fidelity,
+    pgm_fidelities_reduced,
+    pgm_fidelity_reduced,
+)
 from pbtlab.linops import LinopsError
 from pbtlab.povm import pgm
 
@@ -31,13 +39,80 @@ def test_compare_routes_match_dense(n):
     assert checks.closed_form_vs_trace((n,), GAMMAS, THETAS, TOL).ok
 
 
-@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("n", [*range(1, 13), 20, 40, 100, 300])
 def test_pure_singlet_gives_f_ih(n):
     # At |gamma| = 1 each signal state is pure and S is rank-deficient, so
     # the result depends on the rank cut; a phase on B does not change it.
+    # Beyond N = 8 this is an anchor in place of the dense oracle; measured
+    # at most 1.9e-13 (N = 300), the round-off of ~N^2/4 block traces on
+    # eigenvalues of size ~2N, within TOL.
     for th in THETAS:
         p = DephasingParams(1.0, th)
         assert abs(pgm_fidelity_reduced(n, p) - cf.f_ih(n)) <= TOL
+
+
+# Two more anchors beyond the dense oracle's N <= 8.
+# gamma = 0 gives 1/2 - 2^-(N+1): measured at most 1.7e-14 for N <= 60.
+GAMMA_ZERO_TOL = 1e-13
+# A phase on B is a unitary the adapted PGM follows: spread over theta
+# measured at most 1.0e-15 for N <= 30.
+THETA_TOL = 1e-14
+
+
+def test_fully_dephased_gives_half_minus_two_to_minus_n_plus_one():
+    for n in range(1, 61):
+        (got,) = pgm_fidelities_reduced(n, [DephasingParams(0.0, 0.0)])
+        assert abs(got - (0.5 - 2.0 ** -(n + 1))) <= GAMMA_ZERO_TOL
+
+
+def test_adapted_fidelity_does_not_depend_on_theta():
+    thetas = np.linspace(-3.0, 3.0, 7)
+    for n in range(2, 31):
+        for g in (0.2, 0.6, 0.95):
+            got = pgm_fidelities_reduced(n, [DephasingParams(g, th) for th in thetas])
+            assert max(got) - min(got) <= THETA_TOL
+
+
+MIXED_GRID = [DephasingParams(g, th) for g, th in
+              ((1.0, 0.0), (0.3, 0.5), (1.0, 2.0), (0.0, 0.0), (0.999, -1.0), (1.0, 0.7))]
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 5, 9, 20))
+def test_batched_rows_match_one_point_calls(n):
+    # the |gamma| = 1 rows are rank-deficient, the others are not: each row
+    # takes its own rank cut, so stacking rows changes no row's result; only
+    # the summation of the block traces may round differently
+    batched = pgm_fidelities_reduced(n, MIXED_GRID)
+    for p, f in zip(MIXED_GRID, batched):
+        assert abs(f - pgm_fidelity_reduced(n, p)) <= 1e-15
+    assert max(abs(f - cf.f_ih(n)) for p, f in zip(MIXED_GRID, batched)
+               if p.gamma_abs == 1.0) <= TOL
+
+
+@pytest.mark.parametrize("n", (2, 5, 9, 30))
+def test_chunked_walk_matches_one_stack(n, monkeypatch):
+    # BLOCK_CHUNK = 1 walks each row in pieces of n blocks, the top sector
+    # first, and takes the rank cut from that sector alone
+    whole = pgm_fidelities_reduced(n, MIXED_GRID)
+    monkeypatch.setattr(fidelity, "BLOCK_CHUNK", 1)
+    pieces = pgm_fidelities_reduced(n, MIXED_GRID)
+    assert max(abs(a - b) for a, b in zip(whole, pieces)) <= 1e-15
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_largest_eigenvalue_sits_in_top_sector(n):
+    # S's largest eigenvalue is N + 1 + sqrt((N-1)^2 + 4N|gamma|^2) (total
+    # spin N/2), and total spin N/2 lies only in the top sector j' = (N-1)/2,
+    # whose n charge blocks come first
+    gammas = np.array([0.0, 0.3, 0.999, 1.0, 1.0])
+    bell = 4.0 * _bell_matrices(gammas, [0.0, 1.0, -2.0, 0.0, 2.5])[:, 1:3, 1:3]
+    two_j = np.array([t for t, _ in _sector_log_weights(n)])
+    first = np.cumsum(two_j + 1) - (two_j + 1)
+    s, _ = _charge_blocks(n, bell, two_j, first, np.arange(int(np.sum(two_j + 1))))
+    top = np.linalg.eigvalsh(s)[..., -1]
+    assert np.array_equal(top.max(axis=1), top[:, :n].max(axis=1))
+    expected = n + 1 + np.sqrt((n - 1) ** 2 + 4 * n * gammas ** 2)
+    assert np.allclose(top.max(axis=1), expected, rtol=1e-14, atol=0.0)
 
 
 def test_non_psd_input_raises():
