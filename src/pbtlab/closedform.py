@@ -26,8 +26,11 @@ def _log_binom(n: int, k: int) -> float:
 
 
 def degeneracy(n: int, s) -> int:
-    """Multiplicity of the total-spin-s irrep in n spin-1/2 systems."""
-    s = Fraction(s).limit_denominator(2)
+    """Multiplicity of the total-spin-s irrep in n spin-1/2 systems.
+
+    s is taken exactly: a float is admissible only if it is a multiple of 1/2.
+    """
+    s = Fraction(s)
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     k = Fraction(n, 2) - s

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -20,6 +19,8 @@ PSI_PLUS = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / math.sqrt(2.0)
 
 P_MINUS = HermitianOp(np.outer(PSI_MINUS, PSI_MINUS.conj()), 2)
 P_PLUS = HermitianOp(np.outer(PSI_PLUS, PSI_PLUS.conj()), 2)
+# the anti-Hermitian Bell cross operator |psi+><psi-| - |psi-><psi+|
+BELL_CROSS = np.outer(PSI_PLUS, PSI_MINUS.conj()) - np.outer(PSI_MINUS, PSI_PLUS.conj())
 
 
 @dataclass(frozen=True)
@@ -50,19 +51,25 @@ def _bell_matrices(gamma_abs, theta) -> np.ndarray:
     """The matrices of `decohered_bell` for arrays of |gamma| and theta, stacked on axis 0."""
     g = np.asarray(gamma_abs, dtype=float)[:, None, None]
     th = np.asarray(theta, dtype=float)[:, None, None]
-    pm = np.outer(PSI_MINUS, PSI_MINUS.conj())
-    pp = np.outer(PSI_PLUS, PSI_PLUS.conj())
-    cross = np.outer(PSI_PLUS, PSI_MINUS.conj()) - np.outer(PSI_MINUS, PSI_PLUS.conj())
     return (
-        0.5 * (1.0 + g * np.cos(th)) * pm
-        + 0.5 * (1.0 - g * np.cos(th)) * pp
-        + 0.5j * g * np.sin(th) * cross
+        0.5 * (1.0 + g * np.cos(th)) * P_MINUS.matrix
+        + 0.5 * (1.0 - g * np.cos(th)) * P_PLUS.matrix
+        + 0.5j * g * np.sin(th) * BELL_CROSS
     )
 
 
 def decohered_bell(params: DephasingParams) -> HermitianOp:
-    """Two-qubit singlet after dephasing with factor gamma = |gamma| e^{i theta}."""
-    return HermitianOp(_bell_matrices([params.gamma_abs], [params.theta])[0], 2)
+    """Two-qubit singlet after dephasing with factor gamma = |gamma| e^{i theta}.
+
+    Raises LinopsError unless the block is PSD: every signal state is this
+    block on (A_i, B) times the maximally mixed state of the other ports, so
+    this is the ensemble's one positivity check.
+    """
+    block = HermitianOp(_bell_matrices([params.gamma_abs], [params.theta])[0], 2)
+    w = np.linalg.eigvalsh(block.matrix)
+    if w.min() < -1e-10 * max(w.max(), 1.0):
+        raise LinopsError(f"Bell block is not PSD: min eigenvalue {w.min():.3e}")
+    return block
 
 
 def _embed_pair_block(block: np.ndarray, i: int, n_ports: int) -> HermitianOp:
@@ -71,31 +78,11 @@ def _embed_pair_block(block: np.ndarray, i: int, n_ports: int) -> HermitianOp:
         raise LinopsError(f"port index {i} out of range 1..{n_ports}")
     n_rest = n_ports - 1
     m = np.kron(block, np.eye(2 ** n_rest)) / 2 ** n_rest
-    op = HermitianOp(m, n_ports + 1)
     # current layout: (A_i, B, remaining ports in ascending order)
     others = [j for j in range(n_ports) if j != i - 1]
     labels = [i - 1, n_ports] + others  # target position of each current qubit
     perm = [labels.index(t) for t in range(n_ports + 1)]
-    return permute_qubits(op, perm)
-
-
-def signal_state(kind: str, i: int, n_ports: int, params: DephasingParams | None = None) -> HermitianOp:
-    """Signal state on N+1 qubits with the Bell block sitting on (A_i, B).
-
-    kind "sigma" uses the singlet projector, "omega" the triplet |psi+>
-    projector, and "eta" the dephased singlet for the given parameters.
-    """
-    if kind == "sigma":
-        block = P_MINUS.matrix
-    elif kind == "omega":
-        block = P_PLUS.matrix
-    elif kind == "eta":
-        if params is None:
-            raise ValueError("kind 'eta' requires dephasing parameters")
-        block = decohered_bell(params).matrix
-    else:
-        raise ValueError(f"unknown signal state kind {kind!r}")
-    return _embed_pair_block(block, i, n_ports)
+    return HermitianOp(permute_qubits(m, perm), n_ports + 1)
 
 
 def rotate_b(op: HermitianOp, theta: float) -> HermitianOp:
@@ -104,33 +91,31 @@ def rotate_b(op: HermitianOp, theta: float) -> HermitianOp:
     return HermitianOp(r @ op.matrix @ r.conj().T, op.n_qubits)
 
 
-def ensemble_average(states: Sequence[HermitianOp], normalized: bool = False) -> HermitianOp:
-    """Sum of the states, optionally divided by their number."""
-    if len(states) == 0:
-        raise LinopsError("cannot average an empty ensemble")
-    dim = states[0].dim
-    if any(s.dim != dim for s in states):
-        raise LinopsError("ensemble states have mismatched dimensions")
-    total = sum(s.matrix for s in states)
-    if normalized:
-        total = total / len(states)
-    return HermitianOp(total, states[0].n_qubits)
-
-
 @dataclass(frozen=True)
 class SignalEnsemble:
-    """The N signal states on N+1 qubits plus their unnormalized average."""
+    """The N signal states on N+1 qubits plus their unnormalized average.
+
+    Both are built from (n_ports, params) alone, from one checked Bell block,
+    so those two fields decide equality and the hash.
+    """
 
     n_ports: int
     params: DephasingParams
-    states: tuple
-    average_unnormalized: HermitianOp = field(repr=False)
+    states: tuple = field(init=False, repr=False, compare=False)
+    average_unnormalized: HermitianOp = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        block = decohered_bell(self.params).matrix
+        states = tuple(_embed_pair_block(block, i, self.n_ports)
+                       for i in range(1, self.n_ports + 1))
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "average_unnormalized",
+                           HermitianOp(sum(s.matrix for s in states), self.n_ports + 1))
 
     @classmethod
-    def build(cls, n_ports: int, params: DephasingParams, kind: str = "eta") -> "SignalEnsemble":
-        states = tuple(signal_state(kind, i, n_ports, params) for i in range(1, n_ports + 1))
-        return cls(n_ports, params, states, ensemble_average(states))
+    def build(cls, n_ports: int, params: DephasingParams) -> "SignalEnsemble":
+        return cls(n_ports, params)
 
     @classmethod
     def noiseless(cls, n_ports: int) -> "SignalEnsemble":
-        return cls.build(n_ports, NOISELESS, kind="sigma")
+        return cls(n_ports, NOISELESS)

@@ -20,14 +20,13 @@ import numpy as np
 from . import closedform
 from .closedform import _log_binom
 from .ensemble import (
-    PSI_MINUS,
-    PSI_PLUS,
+    BELL_CROSS,
     DephasingParams,
     SignalEnsemble,
     _bell_matrices,
     _embed_pair_block,
 )
-from .linops import DEFAULT_RANK_TOL, HermitianOp, LinopsError, _require_hermitian, trace_norm
+from .linops import DEFAULT_RANK_TOL, LinopsError, _require_hermitian
 from .povm import Povm
 
 IMAG_RESIDUE_TOL = 1e-10
@@ -41,7 +40,6 @@ BLOCK_CHUNK = 1 << 14
 class FidelityResult:
     n_ports: int
     params: DephasingParams
-    povm_source: str
     ent_fidelity: float
     teleport_fidelity: float
     per_port_traces: tuple
@@ -72,7 +70,6 @@ def ent_fidelity(povm: Povm, ensemble: SignalEnsemble) -> FidelityResult:
     return FidelityResult(
         ensemble.n_ports,
         ensemble.params,
-        povm.source,
         f,
         closedform.teleport_fidelity(f),
         traces,
@@ -86,9 +83,8 @@ def mixed_term(povm: Povm, port: int, n: int) -> float:
     (|psi+><psi-| - |psi-><psi+|) on (A_port, B), maximally mixed elsewhere.
     For the PGM of the ideal ensemble this vanishes identically.
     """
-    cross = np.outer(PSI_PLUS, PSI_MINUS.conj()) - np.outer(PSI_MINUS, PSI_PLUS.conj())
     # embed the Hermitian operator i*K so the layout machinery applies
-    embedded = _embed_pair_block(1j * cross, port, n)
+    embedded = _embed_pair_block(1j * BELL_CROSS, port, n)
     val = np.einsum("ij,ji->", povm.elements[port - 1].matrix, embedded.matrix)
     return float(abs(val))
 
@@ -225,13 +221,3 @@ def compare_noise_adapted(n: int, gamma_grid: Sequence[float]) -> list:
         )
         for p, adapted in zip(grid, pgm_fidelities_reduced(n, grid))
     ]
-
-
-def helstrom_optimal_n2(ensemble: SignalEnsemble) -> float:
-    """Optimal two-state discrimination fidelity F = (N/4) P_succ at N = 2."""
-    if ensemble.n_ports != 2:
-        raise LinopsError(f"Helstrom evaluation needs 2 states, got {ensemble.n_ports}")
-    a, b = ensemble.states
-    diff = HermitianOp(a.matrix - b.matrix, a.n_qubits)
-    p_succ = 0.5 + 0.25 * trace_norm(diff)
-    return 0.5 * p_succ

@@ -10,7 +10,7 @@ most significant qubits and Bob's qubit B on the least significant one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -44,15 +44,6 @@ class HermitianOp:
             )
         _require_hermitian(m)
 
-    @classmethod
-    def from_matrix(cls, matrix) -> "HermitianOp":
-        matrix = np.asarray(matrix, dtype=complex)
-        dim = matrix.shape[0]
-        n = int(round(np.log2(dim))) if dim > 0 else 0
-        if 2 ** n != dim:
-            raise LinopsError(f"dimension {dim} is not a power of two")
-        return cls(matrix, n)
-
     @property
     def dim(self) -> int:
         return 2 ** self.n_qubits
@@ -68,40 +59,15 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
 
-
-def tensor(a: HermitianOp, b: HermitianOp) -> HermitianOp:
-    """Kronecker product; the left factor occupies the most significant qubits."""
-    return HermitianOp(np.kron(a.matrix, b.matrix), a.n_qubits + b.n_qubits)
-
-
-def permute_qubits(op: HermitianOp, perm: Sequence[int]) -> HermitianOp:
-    """Reorder qubits so that output position p holds input qubit perm[p]."""
-    q = op.n_qubits
-    if sorted(perm) != list(range(q)):
-        raise LinopsError(f"invalid qubit permutation {perm!r}")
-    t = op.matrix.reshape((2,) * (2 * q))
+def permute_qubits(m: np.ndarray, perm: Sequence[int]) -> np.ndarray:
+    """Reorder the qubits of a matrix so that output position p holds input qubit perm[p]."""
+    q = len(perm)
+    if sorted(perm) != list(range(q)) or m.shape != (2 ** q, 2 ** q):
+        raise LinopsError(f"invalid qubit permutation {perm!r} for shape {m.shape}")
+    t = m.reshape((2,) * (2 * q))
     axes = list(perm) + [q + p for p in perm]
-    return HermitianOp(t.transpose(axes).reshape(op.dim, op.dim), q)
-
-
-def partial_trace(op: HermitianOp, keep: Iterable[int]) -> HermitianOp:
-    """Trace out all qubits not listed in `keep` (kept qubits keep their order)."""
-    q = op.n_qubits
-    keep = sorted(set(keep))
-    if any(k < 0 or k >= q for k in keep):
-        raise LinopsError(f"keep indices {keep} out of range for {q} qubits")
-    traced = [k for k in range(q) if k not in keep]
-    t = op.matrix.reshape((2,) * (2 * q))
-    for offset, k in enumerate(traced):
-        ax = k - offset
-        nq = q - offset
-        t = np.trace(t, axis1=ax, axis2=ax + nq)
-    d = 2 ** len(keep)
-    return HermitianOp(t.reshape(d, d), len(keep))
+    return t.transpose(axes).reshape(m.shape)
 
 
 def eig_hermitian(op: HermitianOp) -> SpectralDecomposition:
@@ -114,21 +80,17 @@ def eig_hermitian(op: HermitianOp) -> SpectralDecomposition:
     return SpectralDecomposition(w[order], v[:, order])
 
 
-def func_on_support(
-    op: HermitianOp,
-    f: Callable[[np.ndarray], np.ndarray],
-    rank_tol: float = DEFAULT_RANK_TOL,
-) -> HermitianOp:
+def func_on_support(op: HermitianOp, f: Callable[[np.ndarray], np.ndarray]) -> HermitianOp:
     """Apply a scalar function to the eigenvalues on the support.
 
-    Eigenvalues below rank_tol * lambda_max (relative) map to zero; a negative
-    eigenvalue beyond that cut signals a non-PSD input and raises.
+    Eigenvalues below DEFAULT_RANK_TOL * lambda_max (relative) map to zero; a
+    negative eigenvalue beyond that cut signals a non-PSD input and raises.
     """
     dec = eig_hermitian(op)
     w = dec.eigenvalues
     lam_max = float(np.max(w, initial=0.0))
-    cut = rank_tol * max(lam_max, 0.0)
-    if np.any(w < -max(cut, rank_tol)):
+    cut = DEFAULT_RANK_TOL * max(lam_max, 0.0)
+    if np.any(w < -max(cut, DEFAULT_RANK_TOL)):
         raise LinopsError(f"operator is not PSD: min eigenvalue {w.min():.3e}")
     on_support = w > cut
     fw = np.zeros_like(w)
@@ -140,16 +102,12 @@ def func_on_support(
     return HermitianOp(out, op.n_qubits)
 
 
-def inv_sqrt_on_support(op: HermitianOp, rank_tol: float = DEFAULT_RANK_TOL) -> HermitianOp:
-    return func_on_support(op, lambda x: 1.0 / np.sqrt(x), rank_tol)
+def inv_sqrt_on_support(op: HermitianOp) -> HermitianOp:
+    return func_on_support(op, lambda x: 1.0 / np.sqrt(x))
 
 
-def sqrt_psd(op: HermitianOp, rank_tol: float = DEFAULT_RANK_TOL) -> HermitianOp:
-    return func_on_support(op, np.sqrt, rank_tol)
-
-
-def support_projector(op: HermitianOp, rank_tol: float = DEFAULT_RANK_TOL) -> HermitianOp:
-    return func_on_support(op, lambda x: np.ones_like(x), rank_tol)
+def sqrt_psd(op: HermitianOp) -> HermitianOp:
+    return func_on_support(op, np.sqrt)
 
 
 def trace_norm(a: HermitianOp) -> float:

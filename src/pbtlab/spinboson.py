@@ -42,6 +42,9 @@ from .ensemble import DephasingParams
 from .fidelity import pgm_fidelities_reduced
 
 SMALL_W = 1e-6
+# QUADPACK's absolute tolerance and subdivision limit on each panel
+QUAD_ABS_TOL = 1e-12
+QUAD_MAX_SUBDIVISIONS = 200
 # Measurements a fidelity curve can be computed for; see fidelities_vs_time.
 POVM_MODES = ("closed_form", "noise_adapted")
 
@@ -54,8 +57,6 @@ class QuadratureError(ArithmeticError):
 class QuadratureSettings:
     upper_cutoff: float = 0.0  # 0 means auto: 40 + 10 s
     rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 200
 
     def cutoff_for(self, ohmicity: float) -> float:
         if self.upper_cutoff > 0.0:
@@ -116,8 +117,7 @@ def _panel_integrate(f: Callable[[float], float], lo: float, hi: float,
     for a, b in zip(edges[:-1], edges[1:]):
         val, err = integrate.quad(
             f, a, b,
-            epsabs=quad.abs_tol, epsrel=quad.rel_tol,
-            limit=quad.max_subdivisions,
+            epsabs=QUAD_ABS_TOL, epsrel=quad.rel_tol, limit=QUAD_MAX_SUBDIVISIONS,
         )
         if not math.isfinite(val):
             raise QuadratureError(

@@ -34,6 +34,12 @@ def test_degeneracy_rejects_bad_spin():
         cf.degeneracy(2, Fraction(1, 2))
     with pytest.raises(ValueError):
         cf.degeneracy(3, 5)
+    # a float spin is taken exactly, not rounded to the nearest half
+    with pytest.raises(ValueError):
+        cf.degeneracy(3, 0.3)
+    with pytest.raises(ValueError):
+        cf.degeneracy(4, 0.9)
+    assert cf.degeneracy(3, 1.5) == 1
 
 
 def test_f_ih_landmarks():

@@ -10,13 +10,39 @@ from pbtlab.ensemble import (
     P_PLUS,
     DephasingParams,
     SignalEnsemble,
+    _embed_pair_block,
     decohered_bell,
-    ensemble_average,
     phase_rotation,
     rotate_b,
-    signal_state,
 )
-from pbtlab.linops import LinopsError, partial_trace
+from pbtlab.linops import HermitianOp, LinopsError
+
+
+def partial_trace(op: HermitianOp, keep) -> HermitianOp:
+    """Trace out all qubits not listed in `keep` (kept qubits keep their order)."""
+    q = op.n_qubits
+    keep = sorted(set(keep))
+    traced = [k for k in range(q) if k not in keep]
+    t = op.matrix.reshape((2,) * (2 * q))
+    for offset, k in enumerate(traced):
+        ax = k - offset
+        nq = q - offset
+        t = np.trace(t, axis1=ax, axis2=ax + nq)
+    d = 2 ** len(keep)
+    return HermitianOp(t.reshape(d, d), len(keep))
+
+
+def test_partial_trace_product_state():
+    a = np.array([[0.3, 0.2j], [-0.2j, 0.7]])
+    b = decohered_bell(DephasingParams(0.7, 1.2)).matrix
+    ab = HermitianOp(np.kron(a, b), 3)
+    assert np.allclose(partial_trace(ab, [0]).matrix, a)
+    assert np.allclose(partial_trace(ab, [1, 2]).matrix, b)
+
+
+def test_partial_trace_preserves_trace():
+    op = SignalEnsemble.build(2, DephasingParams(0.7, 1.2)).states[0]
+    assert partial_trace(op, [1]).trace() == pytest.approx(1.0)
 
 
 def test_bell_projectors_orthonormal():
@@ -56,7 +82,7 @@ def test_decohered_bell_phase_is_rotation():
 
 
 def test_signal_state_reduces_to_bell_block():
-    st = signal_state("sigma", 2, 3)
+    st = SignalEnsemble.noiseless(3).states[1]
     # qubits: (A1, A2, A3, B); keep (A2, B)
     block = partial_trace(st, [1, 3])
     assert np.allclose(block.matrix, P_MINUS.matrix, atol=1e-12)
@@ -65,37 +91,34 @@ def test_signal_state_reduces_to_bell_block():
 
 
 def test_signal_state_trace_one():
-    for kind in ("sigma", "omega", "eta"):
-        st = signal_state(kind, 1, 3, DephasingParams(0.4, 0.2))
-        assert st.trace() == pytest.approx(1.0)
+    for params in (NOISELESS, DephasingParams(0.4, 0.2), DephasingParams(0.0)):
+        for st in SignalEnsemble(3, params).states:
+            assert st.trace() == pytest.approx(1.0)
 
 
 def test_signal_state_bad_port():
-    with pytest.raises(LinopsError):
-        signal_state("sigma", 4, 3)
-
-
-def test_signal_state_unknown_kind():
-    with pytest.raises(ValueError):
-        signal_state("tau", 1, 3)
-
-
-def test_eta_requires_params():
-    with pytest.raises(ValueError):
-        signal_state("eta", 1, 2)
+    for port in (0, 4):
+        with pytest.raises(LinopsError):
+            _embed_pair_block(P_MINUS.matrix, port, 3)
 
 
 def test_rotate_b_inverse():
-    st = signal_state("sigma", 1, 2)
+    st = SignalEnsemble.noiseless(2).states[0]
     back = rotate_b(rotate_b(st, 0.7), -0.7)
     assert np.allclose(back.matrix, st.matrix)
 
 
 def test_ensemble_average_normalization():
     ens = SignalEnsemble.noiseless(3)
-    avg = ensemble_average(ens.states, normalized=True)
-    assert avg.trace() == pytest.approx(1.0)
-    assert np.allclose(ens.average_unnormalized.matrix, 3 * avg.matrix)
+    assert ens.average_unnormalized.trace() == pytest.approx(3.0)
+    assert np.allclose(ens.average_unnormalized.matrix, sum(s.matrix for s in ens.states))
+
+
+def test_ensemble_equality_is_by_parameters():
+    a = SignalEnsemble.build(2, DephasingParams(0.5, 0.3))
+    assert a == SignalEnsemble(2, DephasingParams(0.5, 0.3))
+    assert a != SignalEnsemble.noiseless(2)
+    assert len({a, SignalEnsemble.build(2, DephasingParams(0.5, 0.3))}) == 1
 
 
 def test_ensemble_permutation_symmetry():

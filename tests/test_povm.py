@@ -1,13 +1,10 @@
-import math
-
-import numpy as np
 import pytest
 
 from pbtlab import checks
 from pbtlab import closedform as cf
 from pbtlab.ensemble import DephasingParams, SignalEnsemble
 from pbtlab.fidelity import ent_fidelity
-from pbtlab.linops import LinopsError, HermitianOp
+from pbtlab.linops import LinopsError
 from pbtlab.povm import (
     noiseless_povm,
     pgm,
@@ -32,49 +29,23 @@ def test_noise_adapted_povm_is_valid(gamma):
 
 
 def test_pgm_elements_sum_to_identity_on_support():
+    # the elements plus the defect `validate` builds from them
     ens = SignalEnsemble.noiseless(3)
-    pov = pgm(ens)
-    total = sum(e.matrix for e in pov.elements) + pov.defect.matrix
-    assert np.allclose(total, np.eye(pov.dim), atol=1e-12)
+    assert validate(pgm(ens), ens).completeness_residual <= 1e-12
 
 
 def test_defect_gives_zero_fidelity_contribution():
     ens = SignalEnsemble.noiseless(3)
-    pov = pgm(ens)
-    for st in ens.states:
-        assert abs(np.trace(pov.defect.matrix @ st.matrix)) < 1e-12
-
-
-def test_merge_defect_zeroes_defect():
-    ens = SignalEnsemble.noiseless(2)
-    pov = pgm(ens, merge_defect=True)
-    assert np.allclose(pov.defect.matrix, 0.0)
-    total = sum(e.matrix for e in pov.elements)
-    assert np.allclose(total, np.eye(pov.dim), atol=1e-12)
-
-
-def test_merge_defect_preserves_fidelity():
-    ens = SignalEnsemble.noiseless(3)
-    f_plain = ent_fidelity(pgm(ens), ens).ent_fidelity
-    f_merged = ent_fidelity(pgm(ens, merge_defect=True), ens).ent_fidelity
-    assert f_merged == pytest.approx(f_plain, abs=1e-12)
+    assert max(map(abs, validate(pgm(ens), ens).defect_support_overlaps)) < 1e-12
 
 
 def test_pgm_rejects_non_psd_state():
-    ens = SignalEnsemble.noiseless(2)
-    bad = HermitianOp(-ens.states[0].matrix, ens.states[0].n_qubits)
-    broken = SignalEnsemble(2, ens.params, (bad, ens.states[1]),
-                            ens.average_unnormalized)
-    with pytest.raises(LinopsError):
-        pgm(broken)
-
-
-def test_povm_source_tags():
-    assert noiseless_povm(2).source == "noiseless"
-    ens = SignalEnsemble.build(2, DephasingParams(0.5, 0.0))
-    assert pgm(ens).source == "noise_adapted"
-    assert pgm_taylor(ens, 10).source == "taylor"
-    assert rotated_noiseless_povm(2, 0.3).source == "noiseless_rotated"
+    # every signal state is the Bell block on (A_i, B) times the maximally
+    # mixed state of the other ports, so one check on the block covers them all
+    bad = DephasingParams(1.0, 0.0)
+    object.__setattr__(bad, "gamma_abs", 1.5)  # Bell block eigenvalue -1/4
+    with pytest.raises(LinopsError, match="Bell block is not PSD"):
+        pgm(SignalEnsemble.build(2, bad))
 
 
 def test_rotated_povm_matches_unrotated_closed_form():
