@@ -137,7 +137,8 @@ def spin_boson(params: sb.SpinBosonParams, taus, settings, zero_bound: float,
         negative.see(-c0, f"tau={tau:g}")
         for alt in alts:
             shift.see(max(abs(sb.chi(tau, alt) - c0), abs(sb.phase(tau, alt) - p0)),
-                      f"tau={tau:g} {alt.quad}")
+                      f"tau={tau:g} upper_cutoff={alt.quad.upper_cutoff:g} "
+                      f"rel_tol={alt.quad.rel_tol:g}")
     return vanish, negative, shift
 
 

@@ -189,14 +189,13 @@ def cmd_spinboson(args) -> int:
     ohmicities = _parse_grid(args.s)
     temps = _parse_grid(args.temp_ratio)
     rows = []
-    for s in ohmicities:
-        baths = [sb.SpinBosonParams(s, th, args.ell) for th in temps]
-        for th, curve in zip(temps, sb.fidelities_vs_time(n, baths, taus, modes)):
-            for pts in curve:
-                pt = pts[modes[0]]
-                rows.append([s, th, pt.tau, pt.chi, pt.phase, pt.gamma_abs]
-                            + [pts[m].teleport_fidelity if m in pts else None
-                               for m in sb.POVM_MODES])
+    baths = [sb.SpinBosonParams(s, th, args.ell) for s in ohmicities for th in temps]
+    for bath, curve in zip(baths, sb.fidelities_vs_time(n, baths, taus, modes)):
+        for pts in curve:
+            pt = pts[modes[0]]
+            rows.append([bath.ohmicity, bath.temperature_ratio, pt.tau, pt.chi, pt.phase,
+                         pt.gamma_abs] + [pts[m].teleport_fidelity if m in pts else None
+                                          for m in sb.POVM_MODES])
     header = ["ohmicity", "temp_ratio", "tau", "chi", "phase", "gamma_abs",
               "f_closed_form", "f_noise_adapted"]
     _emit(args, header, rows, _config_echo(args, n=n))

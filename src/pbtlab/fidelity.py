@@ -30,9 +30,8 @@ from .linops import DEFAULT_RANK_TOL, LinopsError, _require_hermitian
 from .povm import Povm
 
 IMAG_RESIDUE_TOL = 1e-10
-# Charge blocks per np.linalg.eigh call in `pgm_fidelities_reduced`: whole rows
-# are stacked up to this many blocks, so the working memory (about 1 KiB a
-# block) stays bounded at any N.
+# Blocks per stack in `pgm_fidelities_reduced`, so that its working memory (a
+# few hundred bytes a block) stays bounded at any N.
 BLOCK_CHUNK = 1 << 14
 
 
@@ -45,9 +44,9 @@ class FidelityResult:
     per_port_traces: tuple
 
 
-def _real_trace(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """tr(ab) for Hermitian a, b (or stacks of them) with a check on each imaginary residue."""
-    val = np.asarray(np.einsum("...ij,...ji->...", a, b))
+def _real_trace(val) -> np.ndarray:
+    """Traces tr(ab) of Hermitian a, b, made real with a check on each imaginary residue."""
+    val = np.asarray(val)
     residue = val.imag[np.abs(val.imag) > IMAG_RESIDUE_TOL * np.maximum(np.abs(val.real), 1.0)]
     if residue.size:
         raise LinopsError(f"trace has imaginary residue {residue[0]:.3e}")
@@ -63,7 +62,7 @@ def ent_fidelity(povm: Povm, ensemble: SignalEnsemble) -> FidelityResult:
     if povm.dim != ensemble.average_unnormalized.dim:
         raise LinopsError("POVM and ensemble dimensions do not match")
     traces = tuple(
-        float(_real_trace(e.matrix, st.matrix))
+        float(_real_trace(np.einsum("ij,ji->", e.matrix, st.matrix)))
         for e, st in zip(povm.elements, ensemble.states)
     )
     f = 0.25 * sum(traces)
@@ -113,33 +112,34 @@ def _sector_log_weights(n: int) -> list:
     return out
 
 
-def _charge_blocks(n: int, bell: np.ndarray, two_j: np.ndarray, first: np.ndarray,
-                   blocks: np.ndarray) -> tuple:
-    """(2^(N+1) S on the given charge blocks, one stack per row; the sector of each block).
+def _sector_blocks(n: int, sectors: list) -> tuple:
+    """The 2x2 blocks of 2^(N+1) S that carry eta_1, in the given sectors j'.
 
-    `bell` (rows, 2, 2) is 4 rho on span{|01>, |10>} of (A_1, B).  Block b
-    lies in the last sector whose `first` block index is <= b, at total Z
-    charge M = b - first - j'; its basis is |00>|j',M-1>, |01>|j',M>,
-    |10>|j',M>, |11>|j',M+1> on A_1 B V_j'.  A state with |m| > j' becomes a
-    zero row and column, decoupled from the rest.
+    One block per sector j', charge M = -j'..j' of A_2..A_N and total spin
+    J = j' + 1/2 (row 0) or j' - 1/2 (row 1) of all ports, on |J,m>|0>_B,
+    |J,m+1>|1>_B with m = M - 1/2.  Per block: its sector's weight; ones =
+    N/2 - m, zeros = N/2 + m + 1 and hop = |<J,m+1|J_+|J,m>|^2; the squared
+    Clebsch-Gordan weights cu2 of |01>|j',M> and cd2 of |10>|j',M>; and xo =
+    -cu cd sqrt(hop).  A state that does not exist has hop 0 and no Clebsch-Gordan weight.
     """
-    sector = np.searchsorted(first, blocks, side="right") - 1
-    j = two_j[sector] / 2.0
-    m = blocks - first[sector] - j
-    h = 0.5 * (n - 1)
-    a, b = bell[:, None, 0, 0], bell[:, None, 1, 1]
-    q, qc = bell[:, None, 0, 1], bell[:, None, 1, 0]
-    c_lo = np.sqrt(j * (j + 1.0) - (m - 1.0) * m)  # <j',M|J_+|j',M-1>
-    c_hi = np.sqrt(j * (j + 1.0) - m * (m + 1.0))  # <j',M+1|J_+|j',M>
-    s = np.zeros((len(bell), len(blocks), 4, 4), dtype=complex)
-    s[..., 0, 0] = np.where(m > -j, b * (h - m + 1.0), 0.0)
-    s[..., 1, 1] = a * (h + m + 1.0)
-    s[..., 2, 2] = b * (h - m + 1.0)
-    s[..., 3, 3] = np.where(m < j, a * (h + m + 1.0), 0.0)
-    s[..., 1, 0], s[..., 0, 1] = q * c_lo, qc * c_lo
-    s[..., 1, 2], s[..., 2, 1] = q, qc
-    s[..., 3, 2], s[..., 2, 3] = q * c_hi, qc * c_hi
-    return s, sector
+    two_j = np.array([t for t, _ in sectors])
+    weight = np.repeat(np.exp([log_w for _, log_w in sectors]), two_j + 1)
+    two_m = np.concatenate([np.arange(-t, t + 1, 2) for t in two_j])
+    two_j = np.repeat(two_j, two_j + 1)
+    plus, minus = two_j + two_m, two_j - two_m  # 2 (j' + M), 2 (j' - M)
+    up, down = np.stack([plus + 2, minus]), np.stack([minus + 2, plus])
+    hop = 0.25 * up * down
+    return (weight, 0.5 * (n + 1 - two_m), 0.5 * (n + 1 + two_m), hop,
+            up / (2 * two_j + 2), down / (2 * two_j + 2),
+            np.array([[-1.0], [1.0]]) * hop / (two_j + 1))
+
+
+def _block_spectrum(a, b, qq, ones, zeros, hop) -> tuple:
+    """Diagonal, eigenvalues and their gap of [[b ones, q* sqrt(hop)], [q sqrt(hop), a zeros]]."""
+    alpha, delta = b * ones, a * zeros
+    gap = np.sqrt((alpha - delta) ** 2 + 4.0 * qq * hop)
+    top = 0.5 * (alpha + delta + gap)
+    return alpha, delta, top, (alpha * delta - qq * hop) / top, gap
 
 
 def pgm_fidelities_reduced(n: int, params_seq: Sequence[DephasingParams]) -> list:
@@ -149,57 +149,57 @@ def pgm_fidelities_reduced(n: int, params_seq: Sequence[DephasingParams]) -> lis
     ensemble average S; the same number as `ent_fidelity(pgm(ens), ens)` with
     `ens = SignalEnsemble.build(n, params)`.
 
-    S and eta_1 commute with permutations of the ports A_2..A_N, so they split
-    into one block per spin sector j' of those ports, counted
-    degeneracy(N-1, j') times.  The dephased singlet rho lies in
-    span{|01>, |10>}, so on (A_i, B) it conserves the Z charge, and
-    sum_{i>=2} 4 rho_(A_i B) = a (h + J_z) |1><1|_B + b (h - J_z) |0><0|_B
-    + q J_+ |1><0|_B + conj(q) J_- |0><1|_B, with h = (N-1)/2, a and b the
-    diagonal of 4 rho there and q its |01><10| entry.  Each spin block
-    therefore splits by total charge M into blocks of at most four states
-    (`_charge_blocks`).  All blocks of all rows go, BLOCK_CHUNK at a time, to
-    one batched eigh.
+    With a, b the diagonal of 4 rho on span{|01>, |10>} of (A_i, B) and q its
+    |01><10| entry, 2^(N+1) S = a (N/2 + J_z) |1><1|_B + b (N/2 - J_z) |0><0|_B
+    + q J_+ |1><0|_B + h.c., J the total spin of all N ports: 2x2 blocks on
+    |J,m>|0>_B, |J,m+1>|1>_B (`_block_spectrum`).  S and eta_1 commute with
+    permutations of A_2..A_N, so they split into spin sectors j' of those
+    ports, counted degeneracy(N-1, j') times.  The eta_1 states |01>|j',M>,
+    |10>|j',M> lie, by Clebsch-Gordan coupling, in the m = M - 1/2 blocks of
+    J = j' +- 1/2 (`_sector_blocks`), so their corner of X sums two blocks' X.
+    On a block X = ((tr + sqrt(l+ l-)) I - block) / (sqrt(l+ l-) (sqrt(l+) +
+    sqrt(l-))), with l- = det / l+: no eigensolver runs and nothing cancels.
 
-    Eigenvalues below DEFAULT_RANK_TOL times the row's largest eigenvalue
-    over all of its blocks are cut, as in `linops.func_on_support`; a
-    negative eigenvalue beyond the cut raises LinopsError.  Rows whose blocks
-    exceed BLOCK_CHUNK are walked in pieces, the top sector j' = (N-1)/2
-    first: S is a function of the total spin J of all N ports and of B, its
-    eigenvalues are (a/2) (N + 1 +/- sqrt((2m+1)^2 + 4|gamma|^2 (J(J+1) - m(m+1))))
-    at a = b, largest at J = N/2, and J = N/2 lies only in that sector.
+    Eigenvalues below DEFAULT_RANK_TOL times the row's largest are cut, as in
+    `linops.func_on_support` (then X = P+ / sqrt(l+)); a negative one beyond
+    the cut raises LinopsError; l+ >= (N + 1) min(a, b) / 2 is never cut.
+    The largest lies at J = N/2, m = -N/2 or N/2 - 1 (l+ grows with J at fixed
+    m and is convex in m at J = N/2).  A stack holds at most BLOCK_CHUNK
+    blocks: whole rows, or at large N one sector of a few rows.
     """
     if n < 1:
         raise LinopsError(f"need n >= 1, got {n}")
     rho = _bell_matrices([p.gamma_abs for p in params_seq], [p.theta for p in params_seq])
     _require_hermitian(rho)
     bell = 4.0 * rho[:, 1:3, 1:3]
-    sectors = _sector_log_weights(n)
-    two_j = np.array([t for t, _ in sectors])
-    weight = np.exp([log_w for _, log_w in sectors])
-    first = np.cumsum(two_j + 1) - (two_j + 1)
-    per_row = int(np.sum(two_j + 1))
-    rows_per = max(1, BLOCK_CHUNK // per_row)
-    step = max(BLOCK_CHUNK, n)  # >= the n blocks of the top sector
+    a, b = bell[:, None, None, 0, 0].real, bell[:, None, None, 1, 1].real
+    q, qc = bell[:, None, None, 0, 1], bell[:, None, None, 1, 0]
+    qq = np.abs(q) ** 2
+    largest = _block_spectrum(a, b, qq, np.array([n, 1.0]), np.array([1.0, n]), float(n))[2]
+    cut = DEFAULT_RANK_TOL * largest.max(axis=-1, keepdims=True)
     total = np.zeros(len(bell))
-    for r0 in range(0, len(bell), rows_per):
-        rows = slice(r0, r0 + rows_per)
-        cut = None
-        for b0 in range(0, per_row, step):
-            s, sector = _charge_blocks(n, bell[rows], two_j, first,
-                                       np.arange(b0, min(b0 + step, per_row)))
-            w, v = np.linalg.eigh(s)
-            if cut is None:
-                cut = DEFAULT_RANK_TOL * w[..., -1].max(axis=1)[:, None, None]
-            below = w < -cut
-            if np.any(below):
-                raise LinopsError(f"operator is not PSD: min eigenvalue {w[below].min():.3e}")
-            on_support = w > cut
-            inv_sqrt = np.where(on_support, 1.0 / np.sqrt(np.where(on_support, w, 1.0)), 0.0)
-            # eta_1 lives on the |01>, |10> states, so only that corner of X enters
-            v_mid = v[..., 1:3, :]
-            x = (v_mid * inv_sqrt[..., None, :]) @ v_mid.conj().swapaxes(-1, -2)
-            y = bell[rows, None] @ x
-            total[rows] += (_real_trace(y, y) * weight[sector]).sum(axis=1)
+    sectors = _sector_log_weights(n)
+    one_stack = sum(t + 1 for t, _ in sectors) <= BLOCK_CHUNK
+    for piece in [sectors] if one_stack else [[sector] for sector in sectors]:
+        weight, ones, zeros, hop, cu2, cd2, xo = _sector_blocks(n, piece)
+        rows_per = max(1, BLOCK_CHUNK // len(weight))
+        for r0 in range(0, len(bell), rows_per):
+            r = slice(r0, r0 + rows_per)
+            alpha, delta, lp, lm, gap = _block_spectrum(a[r], b[r], qq[r], ones, zeros, hop)
+            if np.any(lm < -cut[r]):
+                raise LinopsError(f"operator is not PSD: min eigenvalue {lm.min():.3e}")
+            on = lm > cut[r]
+            sp, sm = np.sqrt(lp), np.sqrt(np.where(on, lm, lp))
+            # X = ((alpha + delta + g) I - block) k; its corner is [[xu, q x_off], [qc x_off, xd]]
+            g = np.where(on, sp * sm, -lp)
+            k = 1.0 / np.where(on, g * (sp + sm), -sp * gap)
+            xu = (cu2 * (alpha + g) * k).sum(axis=1, keepdims=True)
+            xd = (cd2 * (delta + g) * k).sum(axis=1, keepdims=True)
+            x_off = (xo * k).sum(axis=1, keepdims=True)
+            y01, y10 = q[r] * (a[r] * x_off + xd), qc[r] * (xu + b[r] * x_off)
+            qqx = q[r] * qc[r] * x_off
+            tr_yy = (a[r] * xu + qqx) ** 2 + (qqx + b[r] * xd) ** 2 + 2.0 * y01 * y10
+            total[r] += (_real_trace(tr_yy) * weight).sum(axis=(1, 2))
     return (0.25 * n * total).tolist()
 
 

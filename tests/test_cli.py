@@ -151,6 +151,36 @@ def test_spinboson_two_modes_share_one_decoherence_factor(tmp_path, monkeypatch)
     assert [r["chi"] for r in rows] == [r["chi"] for r in single["closed_form"]]
 
 
+def test_spinboson_makes_one_reduced_call_per_run(tmp_path, monkeypatch):
+    base = ["spinboson", "--n", "4", "--tau", "0:4:9", "--temp-ratio", "0.1,0.9",
+            "--povm", "closed_form,noise_adapted", "--no-timestamp"]
+    per_s = []
+    for s in ("2", "3"):
+        out = tmp_path / f"s{s}.csv"
+        assert main(base + ["--s", s, "--out", str(out)]) == 0
+        per_s += out.read_text().splitlines(keepends=True)[1:]
+
+    calls = []
+    reduced = sb.pgm_fidelities_reduced
+    monkeypatch.setattr(sb, "pgm_fidelities_reduced",
+                        lambda n, grid: calls.append(len(grid)) or reduced(n, grid))
+    out = tmp_path / "both.csv"
+    assert main(base + ["--s", "2,3", "--out", str(out)]) == 0
+    assert out.read_text().splitlines(keepends=True)[1:] == per_s
+    assert calls == [2 * 2 * 9]
+
+
+def test_spinboson_pure_singlet_at_300_ports(tmp_path):
+    # at tau = 0 the pairs have not dephased: f_ih(300), far beyond the dense oracle
+    out = tmp_path / "sb.csv"
+    assert main(["spinboson", "--n", "300", "--povm", "noise_adapted", "--tau", "0,1",
+                 "--no-timestamp", "--out", str(out)]) == 0
+    start = [r for r in read_csv(out)[1] if float(r["tau"]) == 0.0]
+    assert len(start) == 2
+    want = cf.teleport_fidelity(cf.f_ih(300))
+    assert all(abs(float(r["f_noise_adapted"]) - want) <= 1e-12 for r in start)
+
+
 def test_spinboson_unsorted_tau_is_config_error(tmp_path):
     rc = main(["spinboson", "--n", "3", "--tau", "3,1", "--s", "2",
                "--temp-ratio", "0.1", "--out", str(tmp_path / "x.csv")])

@@ -10,7 +10,8 @@ from pbtlab import closedform as cf
 from pbtlab import fidelity
 from pbtlab.ensemble import DephasingParams, SignalEnsemble, _bell_matrices
 from pbtlab.fidelity import (
-    _charge_blocks,
+    _block_spectrum,
+    _sector_blocks,
     _sector_log_weights,
     ent_fidelity,
     pgm_fidelities_reduced,
@@ -91,28 +92,56 @@ def test_batched_rows_match_one_point_calls(n):
 
 @pytest.mark.parametrize("n", (2, 5, 9, 30))
 def test_chunked_walk_matches_one_stack(n, monkeypatch):
-    # BLOCK_CHUNK = 1 walks each row in pieces of n blocks, the top sector
-    # first, and takes the rank cut from that sector alone
+    # BLOCK_CHUNK = 1 stacks one sector of one row at a time; the rank cut is
+    # the row's own either way
     whole = pgm_fidelities_reduced(n, MIXED_GRID)
     monkeypatch.setattr(fidelity, "BLOCK_CHUNK", 1)
     pieces = pgm_fidelities_reduced(n, MIXED_GRID)
     assert max(abs(a - b) for a, b in zip(whole, pieces)) <= 1e-15
 
 
+def sector_spectrum(n, two_j, g, th):
+    """a, b and the eigenvalues l+, l- of the closed-form blocks of sector j' = two_j / 2."""
+    bell = 4.0 * _bell_matrices([g], [th])[0, 1:3, 1:3]
+    a, b, qq = bell[0, 0].real, bell[1, 1].real, abs(bell[0, 1]) ** 2
+    _, ones, zeros, hop, *_ = _sector_blocks(n, [(two_j, 0.0)])
+    return (a, b) + _block_spectrum(a, b, qq, ones, zeros, hop)[2:4]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_block_spectrum_matches_dense(n):
+    # Sector j' holds J = j' +- 1/2: the 2x2 blocks of `_sector_blocks` (at
+    # J = j' - 1/2 only those with |M| < j', the others hold a state that does
+    # not exist) and the edge states |J,-J>|1>_B, |J,J>|0>_B with eigenvalues
+    # a (N/2 - J) and b (N/2 - J); each sector counted degeneracy(N-1, j') times.
+    for g in (0.0, 0.3, 1.0):
+        spectrum = []
+        for two_j, _ in _sector_log_weights(n):
+            a, b, lp, lm = sector_spectrum(n, two_j, g, 0.7)
+            values = [lp[0], lm[0], lp[1, 1:-1], lm[1, 1:-1]]
+            edges = [two_j + 1] + ([two_j - 1] if two_j else [])  # 2J
+            values += [[a * (n - t) / 2, b * (n - t) / 2] for t in edges]
+            spectrum += list(np.concatenate(values)) * cf.degeneracy(n - 1, two_j / 2)
+        ens = SignalEnsemble.build(n, DephasingParams(g, 0.7))
+        dense = np.linalg.eigvalsh(2.0 ** (n + 1) * ens.average_unnormalized.matrix)
+        assert len(spectrum) == len(dense)
+        assert np.max(np.abs(np.sort(spectrum) - dense)) <= 1e-12
+        assert abs(max(spectrum) - (n + 1 + math.sqrt((n - 1) ** 2 + 4 * n * g ** 2))) <= 1e-12
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_largest_eigenvalue_sits_in_top_sector(n):
-    # S's largest eigenvalue is N + 1 + sqrt((N-1)^2 + 4N|gamma|^2) (total
-    # spin N/2), and total spin N/2 lies only in the top sector j' = (N-1)/2,
-    # whose n charge blocks come first
-    gammas = np.array([0.0, 0.3, 0.999, 1.0, 1.0])
-    bell = 4.0 * _bell_matrices(gammas, [0.0, 1.0, -2.0, 0.0, 2.5])[:, 1:3, 1:3]
-    two_j = np.array([t for t, _ in _sector_log_weights(n)])
-    first = np.cumsum(two_j + 1) - (two_j + 1)
-    s, _ = _charge_blocks(n, bell, two_j, first, np.arange(int(np.sum(two_j + 1))))
-    top = np.linalg.eigvalsh(s)[..., -1]
-    assert np.array_equal(top.max(axis=1), top[:, :n].max(axis=1))
-    expected = n + 1 + np.sqrt((n - 1) ** 2 + 4 * n * gammas ** 2)
-    assert np.allclose(top.max(axis=1), expected, rtol=1e-14, atol=0.0)
+    # S's largest eigenvalue is N + 1 + sqrt((N-1)^2 + 4N|gamma|^2), at total
+    # spin N/2 and m = -N/2 or N/2 - 1, where the rank cut takes it; total
+    # spin N/2 lies only in the top sector j' = (N-1)/2, row 0 of its blocks
+    for g, th in zip((0.0, 0.3, 0.999, 1.0, 1.0), (0.0, 1.0, -2.0, 0.0, 2.5)):
+        tops = [sector_spectrum(n, two_j, g, th)[2] for two_j, _ in _sector_log_weights(n)]
+        largest = tops[0][0].max()
+        assert largest == max(t.max() for t in tops)
+        # at |gamma| = 1 l+ is flat in m, so the ends tie with the rest to round-off
+        assert max(tops[0][0, 0], tops[0][0, -1]) == pytest.approx(largest, rel=1e-15, abs=0.0)
+        expected = n + 1 + math.sqrt((n - 1) ** 2 + 4 * n * g ** 2)
+        assert largest == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 def test_non_psd_input_raises():

@@ -116,6 +116,12 @@ def test_quadrature_cutoff_convergence():
     assert shift.ok
 
 
+def test_spin_boson_check_names_the_quadrature_settings():
+    wide = sb.QuadratureSettings(upper_cutoff=120.0)
+    *_, shift = checks.spin_boson(params(), (4.0,), (wide,), 1e-12, 1e-8)
+    assert shift.where == "tau=4 upper_cutoff=120 rel_tol=1e-10"
+
+
 def test_negative_tau_rejected():
     with pytest.raises(ValueError):
         sb.chi(-1.0, params())
