@@ -143,18 +143,23 @@ def spin_boson(params: sb.SpinBosonParams, taus, settings, zero_bound: float,
 
 
 def decoherence_routes(ohmicities, temps, taus, ell: float, bound: float) -> tuple:
-    """Analytic chi and phase (`decoherence_factors`) against the quadrature
-    (`chi`, `phase`), each gap relative to max(1, |quadrature value|)."""
+    """Analytic chi and phase (`decoherence_grid`, one call for the whole
+    (s, theta_T) grid) against the quadrature (`chi`, `phase`), each gap
+    relative to max(1, |quadrature value|); and QUADPACK's own error estimate
+    of those integrals, relative the same way."""
     chi_gap = Gap("|analytic - quadrature chi| / max(1, |chi|)", bound)
     phase_gap = Gap("|analytic - quadrature phase| / max(1, |phase|)", bound)
-    for s, th in itertools.product(ohmicities, temps):
-        params = sb.SpinBosonParams(s, th, ell)
-        for tau, fac in zip(taus, sb.decoherence_factors(taus, params)):
-            at = f"s={s:g} theta_T={th:g} tau={tau:g}"
-            c, p = sb.chi(tau, params), sb.phase(tau, params)
-            chi_gap.see(abs(fac.chi - c) / max(1.0, abs(c)), at)
-            phase_gap.see(abs(fac.phase - p) / max(1.0, abs(p)), at)
-    return chi_gap, phase_gap
+    estimate = Gap("QUADPACK error estimate of chi, phase / max(1, |value|)", bound)
+    baths = [sb.SpinBosonParams(s, th, ell) for s, th in itertools.product(ohmicities, temps)]
+    chis, phases = sb.decoherence_grid(taus, baths)
+    for params, chi_row, phase_row in zip(baths, chis.tolist(), phases.tolist()):
+        for tau, chi_a, phase_a in zip(taus, chi_row, phase_row):
+            at = f"s={params.ohmicity:g} theta_T={params.temperature_ratio:g} tau={tau:g}"
+            (c, c_err), (p, p_err) = sb.chi_and_error(tau, params), sb.phase_and_error(tau, params)
+            chi_gap.see(abs(chi_a - c) / max(1.0, abs(c)), at)
+            phase_gap.see(abs(phase_a - p) / max(1.0, abs(p)), at)
+            estimate.see(max(c_err / max(1.0, abs(c)), p_err / max(1.0, abs(p))), at)
+    return chi_gap, phase_gap, estimate
 
 
 def taylor_pgm_agreement(ns, gammas, order: int, bound: float) -> Gap:
@@ -183,6 +188,6 @@ SUITES = {
                                             1e-12, 1e-8),
     "taylor_pgm_agreement": lambda: (taylor_pgm_agreement((2,), (1.0,), 4000, 1e-6),),
     # 1e-9: the quadrature's own tolerance
-    "decoherence_routes": lambda: decoherence_routes((1.5, 2.0, 3.0), (0.0, 0.5),
+    "decoherence_routes": lambda: decoherence_routes((1.5, 2.0, 3.0, 10.0), (0.0, 0.5),
                                                      (0.5, 4.0, 8.0), 3.0, 1e-9),
 }

@@ -188,14 +188,15 @@ def cmd_spinboson(args) -> int:
     taus = _parse_grid(args.tau)
     ohmicities = _parse_grid(args.s)
     temps = _parse_grid(args.temp_ratio)
-    rows = []
     baths = [sb.SpinBosonParams(s, th, args.ell) for s in ohmicities for th in temps]
-    for bath, curve in zip(baths, sb.fidelities_vs_time(n, baths, taus, modes)):
-        for pts in curve:
-            pt = pts[modes[0]]
-            rows.append([bath.ohmicity, bath.temperature_ratio, pt.tau, pt.chi, pt.phase,
-                         pt.gamma_abs] + [pts[m].teleport_fidelity if m in pts else None
-                                          for m in sb.POVM_MODES])
+    curves = sb.fidelities_vs_time(n, baths, taus, modes)
+    columns = [np.repeat([b.ohmicity for b in baths], len(taus)),
+               np.repeat([b.temperature_ratio for b in baths], len(taus)),
+               np.tile(taus, len(baths)), curves.chi, curves.phase, curves.gamma_abs]
+    columns = [np.ravel(col).tolist() for col in columns] + [
+        curves.teleport_fidelity[m].ravel().tolist() if m in modes else [None] * curves.chi.size
+        for m in sb.POVM_MODES]
+    rows = list(zip(*columns))
     header = ["ohmicity", "temp_ratio", "tau", "chi", "phase", "gamma_abs",
               "f_closed_form", "f_noise_adapted"]
     _emit(args, header, rows, _config_echo(args, n=n))

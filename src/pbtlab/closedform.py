@@ -79,20 +79,36 @@ def _noiseless_terms(n: int) -> tuple:
 
 
 def fidelity_noiseless_povm(n: int, params: DephasingParams) -> float:
-    """Entanglement fidelity of the noiseless measurement on the dephased ensemble.
+    """Entanglement fidelity of the noiseless measurement on the dephased ensemble."""
+    return noiseless_fidelity(n, params.gamma_abs * math.cos(params.theta))
 
-    Affine in |gamma| cos(theta): weight (1 +/- |gamma| cos theta)/2 on the
-    singlet and triplet channels respectively.
+
+def noiseless_fidelity(n: int, overlap):
+    """`fidelity_noiseless_povm` at |gamma| cos(theta) = overlap, a float or an array.
+
+    Affine in the overlap: weight (1 +/- overlap)/2 on the singlet and
+    triplet channels respectively.
     """
     ih, corr = _noiseless_terms(n)
-    c = params.gamma_abs * math.cos(params.theta)
-    return 0.5 * (1.0 + c) * ih + 0.5 * (1.0 - c) * corr
+    return 0.5 * (1.0 + overlap) * ih + 0.5 * (1.0 - overlap) * corr
+
+
+# Rounding may carry an entanglement fidelity this far outside [0, 1].
+FIDELITY_SLACK = 1e-12
 
 
 def teleport_fidelity(ent_fid: float) -> float:
     """Average teleportation fidelity from the entanglement fidelity."""
-    if not -1e-12 <= ent_fid <= 1.0 + 1e-12:
+    if not -FIDELITY_SLACK <= ent_fid <= 1.0 + FIDELITY_SLACK:
         raise ValueError(f"entanglement fidelity {ent_fid} outside [0, 1]")
+    return (2.0 * ent_fid + 1.0) / 3.0
+
+
+def teleport_fidelities(ent_fid):
+    """`teleport_fidelity` of every entry of a numpy array, with the same range check."""
+    outside = ent_fid[~((ent_fid >= -FIDELITY_SLACK) & (ent_fid <= 1.0 + FIDELITY_SLACK))]
+    if outside.size:
+        raise ValueError(f"entanglement fidelity {outside[0]} outside [0, 1]")
     return (2.0 * ent_fid + 1.0) / 3.0
 
 

@@ -134,17 +134,14 @@ def test_spinboson_two_modes_share_one_decoherence_factor(tmp_path, monkeypatch)
         single[mode] = read_csv(out)[1]
 
     calls = []
-    factors = sb.decoherence_factors
-
-    def counting(taus, params):
-        calls.extend((tau, params) for tau in taus)
-        return factors(taus, params)
-
-    monkeypatch.setattr(sb, "decoherence_factors", counting)
+    grid = sb.decoherence_grid
+    monkeypatch.setattr(sb, "decoherence_grid",
+                        lambda taus, baths: calls.append(len(baths) * len(taus)) or grid(taus, baths))
     out = tmp_path / "both.csv"
     assert main(base + ["--povm", "closed_form,noise_adapted", "--out", str(out)]) == 0
     _, rows = read_csv(out)
-    assert len(rows) == len(calls) == 6
+    # one stacked evaluation covers every row of the run
+    assert calls == [len(rows)] == [6]
     for mode in MODES:
         col = f"f_{mode}"
         assert [r[col] for r in rows] == [r[col] for r in single[mode]]
@@ -209,15 +206,21 @@ def test_spinboson_overflowing_ohmicity_is_one_error_line(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+    # stacked with a finite bath, the overflowing one is still named
+    rc = main(["spinboson", "--n", "2", "--s", "2,1000", "--tau", "0,1",
+               "--temp-ratio", "0.1", "--out", str(tmp_path / "x.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: the decoherence factor at s=1000 leaves the float range"]
 
 
 def test_spinboson_quadrature_error_is_one_error_line(tmp_path, capsys, monkeypatch):
     # rows take the analytic route; a failure there is one line, as a
     # quadrature failure (verify still integrates) is
-    def failing(taus, params):
+    def failing(taus, baths):
         raise ValueError("the decoherence factor at s=2 leaves the float range")
 
-    monkeypatch.setattr(sb, "decoherence_factors", failing)
+    monkeypatch.setattr(sb, "decoherence_grid", failing)
     rc = main(["spinboson", "--n", "2", "--tau", "0,1", "--s", "2",
                "--temp-ratio", "0.1", "--out", str(tmp_path / "x.csv")])
     assert rc == 1

@@ -31,6 +31,16 @@ def test_chi_trivial_zeros():
     assert sb.phase(5.0, params(ell=0.0)) == 0.0
 
 
+def test_quadrature_reports_its_error_estimate():
+    p = params()
+    assert sb.chi_and_error(0.0, p) == sb.phase_and_error(0.0, p) == (0.0, 0.0)
+    for value, (got, err) in ((sb.chi(4.0, p), sb.chi_and_error(4.0, p)),
+                              (sb.phase(4.0, p), sb.phase_and_error(4.0, p))):
+        assert got == value and 0.0 < err < 1e-9
+    *_, estimate = checks.decoherence_routes((2.0,), (0.5,), (4.0,), 3.0, 1e-9)
+    assert estimate.quantity.startswith("QUADPACK error estimate") and 0.0 < estimate.worst < 1e-9
+
+
 def test_chi_nonnegative():
     assert all(g.ok for g in checks.spin_boson(params(), (0.5, 1.0, 3.0, 8.0), (), 0.0, 0.0))
 
@@ -49,23 +59,17 @@ def test_phase_temperature_independent():
 
 def test_phase_computed_once_for_all_temperatures(monkeypatch):
     calls = []
-    factors = sb.decoherence_factors
-
-    def counting(taus, p):
-        calls.extend(taus)
-        return factors(taus, p)
-
-    monkeypatch.setattr(sb, "decoherence_factors", counting)
+    grid = sb.decoherence_grid
+    monkeypatch.setattr(sb, "decoherence_grid",
+                        lambda taus, baths: calls.append(len(baths)) or grid(taus, baths))
     taus = [0.0, 1.0, 2.5]
-    cold, hot = ([pts["closed_form"] for pts in curve] for curve in sb.fidelities_vs_time(
-        3, [params(th=0.1), params(th=0.9)], taus, ["closed_form"]))
-    # one decoherence factor per bath and tau; the phase is the same bit for bit
-    assert calls == taus + taus
-    assert [p.phase for p in cold] == [p.phase for p in hot] == [
-        f.phase for f in factors(taus, params(th=0.9))]
-    assert [p.phase for p in cold] == pytest.approx([sb.phase(t, params()) for t in taus],
-                                                    abs=1e-12)
-    assert [p.chi for p in cold] != [p.chi for p in hot]
+    curves = sb.fidelities_vs_time(3, [params(th=0.1), params(th=0.9)], taus, ["closed_form"])
+    # one stacked evaluation for both baths; the phase is the same bit for bit
+    assert calls == [2]
+    cold, hot = curves.phase.tolist()
+    assert cold == hot == [f.phase for f in sb.decoherence_factors(taus, params(th=0.9))]
+    assert cold == pytest.approx([sb.phase(t, params()) for t in taus], abs=1e-12)
+    assert curves.chi[0].tolist() != curves.chi[1].tolist()
 
 
 def test_phase_analytic_ohmicity_two():
@@ -187,10 +191,32 @@ def _chi_phase_mpmath(tau, s, th, ell):
 def test_decoherence_factors_match_mpmath(s):
     # 30 digits; the bound is 1e-12 max(1, |x|).  Measured worst: 4.4e-14
     # (phase, s = 100), where exponents of size ~350 cost the float route digits.
-    taus, ell = [1e-3, 0.5, 3.0, 8.0, 40.0], 3.0
+    taus, ell, temps = [1e-3, 0.5, 3.0, 8.0, 40.0], 3.0, (0.0, 0.1, 0.9, 5.0)
+    chis, phases = sb.decoherence_grid(taus, [params(s, th, ell) for th in temps])
     with mpmath.workdps(30):
-        for th in (0.0, 0.1, 0.9, 5.0):
-            for tau, fac in zip(taus, sb.decoherence_factors(taus, params(s, th, ell))):
+        for th, chi_row, phase_row in zip(temps, chis, phases):
+            for tau, got_chi, got_phase in zip(taus, chi_row, phase_row):
                 chi, phase = _chi_phase_mpmath(tau, s, th, ell)
-                assert abs(fac.chi - chi) <= 1e-12 * max(1.0, abs(chi)), (th, tau)
-                assert abs(fac.phase - phase) <= 1e-12 * max(1.0, abs(phase)), (th, tau)
+                assert abs(got_chi - chi) <= 1e-12 * max(1.0, abs(chi)), (th, tau)
+                assert abs(got_phase - phase) <= 1e-12 * max(1.0, abs(phase)), (th, tau)
+
+
+def test_stacked_grid_matches_one_bath_calls():
+    # Every bath of a mixed list against its own one-bath evaluation, entry by
+    # entry: the stack must not mix baths' rows, separations or branches.
+    # ell = 0 and theta_T = 0 contribute no and one row; s = 2 has the
+    # alpha = 0 pole row; at s = 3 the zero-temperature row about t = 0
+    # switches from the series to the direct sum at tau = 1/4, at s = 1.5
+    # at tau = 1.
+    taus = [0.0, 0.2499, 0.2501, 0.9999, 1.0001, 3.0, 8.0, 40.0]
+    baths = [params(s, th, ell) for s in (1.5, 2 - 1e-9, 2.0, 2 + 1e-9, 3.0, 100.0)
+             for th in (0.0, 0.1, 0.9) for ell in (0.0, 0.7, 3.0)]
+    chis, phases = sb.decoherence_grid(taus, baths)
+    assert chis.shape == phases.shape == (len(baths), len(taus))
+    assert chis[:, 0].tolist() == phases[:, 0].tolist() == [0.0] * len(baths)
+    for bath, chi_row, phase_row in zip(baths, chis.tolist(), phases.tolist()):
+        if bath.separation == 0.0:
+            assert chi_row == phase_row == [0.0] * len(taus)
+        for got, fac in zip(zip(chi_row, phase_row), sb.decoherence_factors(taus, bath)):
+            for x, want in zip(got, (fac.chi, fac.phase)):
+                assert abs(x - want) <= 2e-15 * max(1.0, abs(want)), (bath, got)
