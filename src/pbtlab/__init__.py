@@ -1,7 +1,7 @@
 """Numerical laboratory for port-based teleportation under pure dephasing."""
 
-from . import closedform, ensemble, fidelity, linops, povm, spinboson
-
-__all__ = ["closedform", "ensemble", "fidelity", "linops", "povm", "spinboson"]
+# No submodule is imported here, so the CLI starts without the oracles it does not run.
+__all__ = ["closedform", "ensemble", "fidelity", "linops", "povm", "quadrature", "spectrum",
+           "spinboson"]
 
 __version__ = "0.1.0"

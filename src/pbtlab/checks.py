@@ -15,11 +15,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import closedform as cf
+from . import quadrature as qd
 from . import spinboson as sb
-from .ensemble import DephasingParams, SignalEnsemble
-from .fidelity import ent_fidelity, mixed_term
+from .ensemble import DephasingParams
 from .linops import HermitianOp, state_fidelity, trace_norm
-from .povm import noiseless_povm, pgm, pgm_taylor, validate
+from .povm import SignalEnsemble, ent_fidelity, mixed_term, noiseless_povm, pgm, pgm_taylor, validate
+from .spectrum import spin_block_spectrum
 
 
 @dataclass
@@ -83,7 +84,7 @@ def spectrum_block_formulas(ns, bound: float) -> Gap:
     gap = Gap("|dense eigenvalue - block formula|", bound)
     for n in ns:
         dense = np.sort(np.linalg.eigvalsh(SignalEnsemble.noiseless(n).average_unnormalized.matrix))
-        mult = cf.spin_block_spectrum(n).eigenvalue_multiplicities()
+        mult = spin_block_spectrum(n).eigenvalue_multiplicities()
         support = np.repeat(list(mult), list(mult.values()))
         expected = np.sort(np.concatenate([support, np.zeros(dense.size - support.size)]))
         gap.see(float(np.max(np.abs(dense - expected))), f"N={n}")
@@ -123,22 +124,21 @@ def helstrom(gammas, thetas, bound: float, slack: float) -> tuple:
 
 def spin_boson(params: sb.SpinBosonParams, taus, settings, zero_bound: float,
                shift_bound: float) -> tuple:
-    """chi and the phase vanish at tau = 0 and chi at separation 0 (to zero_bound);
-    chi >= 0; other quadrature settings move chi and the phase by <= shift_bound."""
+    """Quadrature chi and phase vanish at tau = 0 and chi at separation 0 (to
+    zero_bound); chi >= 0; each of the other quadrature settings moves chi and
+    the phase by <= shift_bound."""
     vanish = Gap("|chi|, |phase| where they vanish", zero_bound)
-    vanish.see(abs(sb.chi(0.0, params)), "chi at tau=0")
-    vanish.see(abs(sb.phase(0.0, params)), "phase at tau=0")
+    vanish.see(abs(qd.chi(0.0, params)), "chi at tau=0")
+    vanish.see(abs(qd.phase(0.0, params)), "phase at tau=0")
     negative = Gap("negative part of chi", 0.0)
     shift = Gap("shift of chi and phase", shift_bound)
-    alts = [replace(params, quad=q) for q in settings]
     for tau in taus:
-        c0, p0 = sb.chi(tau, params), sb.phase(tau, params)
-        vanish.see(abs(sb.chi(tau, replace(params, separation=0.0))), f"chi at ell=0 tau={tau:g}")
+        c0, p0 = qd.chi(tau, params), qd.phase(tau, params)
+        vanish.see(abs(qd.chi(tau, replace(params, separation=0.0))), f"chi at ell=0 tau={tau:g}")
         negative.see(-c0, f"tau={tau:g}")
-        for alt in alts:
-            shift.see(max(abs(sb.chi(tau, alt) - c0), abs(sb.phase(tau, alt) - p0)),
-                      f"tau={tau:g} upper_cutoff={alt.quad.upper_cutoff:g} "
-                      f"rel_tol={alt.quad.rel_tol:g}")
+        for q in settings:
+            shift.see(max(abs(qd.chi(tau, params, q) - c0), abs(qd.phase(tau, params, q) - p0)),
+                      f"tau={tau:g} upper_cutoff={q.upper_cutoff:g} rel_tol={q.rel_tol:g}")
     return vanish, negative, shift
 
 
@@ -155,7 +155,7 @@ def decoherence_routes(ohmicities, temps, taus, ell: float, bound: float) -> tup
     for params, chi_row, phase_row in zip(baths, chis.tolist(), phases.tolist()):
         for tau, chi_a, phase_a in zip(taus, chi_row, phase_row):
             at = f"s={params.ohmicity:g} theta_T={params.temperature_ratio:g} tau={tau:g}"
-            (c, c_err), (p, p_err) = sb.chi_and_error(tau, params), sb.phase_and_error(tau, params)
+            (c, c_err), (p, p_err) = qd.chi_and_error(tau, params), qd.phase_and_error(tau, params)
             chi_gap.see(abs(chi_a - c) / max(1.0, abs(c)), at)
             phase_gap.see(abs(phase_a - p) / max(1.0, abs(p)), at)
             estimate.see(max(c_err / max(1.0, abs(c)), p_err / max(1.0, abs(p))), at)
@@ -184,7 +184,7 @@ SUITES = {
         (3,), (0.0, 0.7, 1.0), (0.3,), 1e-9),),
     "helstrom_trace_norm": lambda: helstrom((0.0, 0.4, 1.0), (0.7,), 1e-10, 1e-9),
     "spin_boson_limits": lambda: spin_boson(sb.SpinBosonParams(2.0, 0.5, 3.0), (4.0, 5.0),
-                                            (sb.QuadratureSettings(upper_cutoff=120.0),),
+                                            (qd.QuadratureSettings(upper_cutoff=120.0),),
                                             1e-12, 1e-8),
     "taylor_pgm_agreement": lambda: (taylor_pgm_agreement((2,), (1.0,), 4000, 1e-6),),
     # 1e-9: the quadrature's own tolerance

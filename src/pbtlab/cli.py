@@ -291,7 +291,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ConfigError, ValueError, sb.QuadratureError) as exc:
+    except ValueError as exc:  # as are ConfigError and quadrature.QuadratureError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -1,12 +1,11 @@
-"""Direct-trace fidelity evaluation and measurement comparisons.
+"""The symmetry-reduced noise-adapted PGM fidelity and the comparison tables.
 
 The entanglement fidelity of the port-selection protocol is
 F = (1/4) sum_i tr(Pi_i eta_i); the average teleportation fidelity follows
-as f = (2F + 1)/3.  `ent_fidelity` works from explicit 2^(N+1)-dimensional
-operators and serves as the numerical cross-check (the small-N oracle) of
-the closed forms and of the symmetry-reduced noise-adapted PGM route,
-`pgm_fidelities_reduced`, which the comparison tables and the spin-boson
-curves use.
+as f = (2F + 1)/3.  `pgm_fidelities_reduced` evaluates it for the
+noise-adapted PGM from closed-form 2x2 total-spin blocks, at any N; the
+comparison tables and the spin-boson curves use it.  Its small-N oracle is
+the dense route of `povm` (`ent_fidelity(pgm(ens), ens)`).
 """
 
 from __future__ import annotations
@@ -19,29 +18,13 @@ import numpy as np
 
 from . import closedform
 from .closedform import _log_binom
-from .ensemble import (
-    BELL_CROSS,
-    DephasingParams,
-    SignalEnsemble,
-    _bell_matrices,
-    _embed_pair_block,
-)
-from .linops import DEFAULT_RANK_TOL, LinopsError, _require_hermitian
-from .povm import Povm
+from .ensemble import DEFAULT_RANK_TOL, DephasingParams, LinopsError, _bell_matrices
+from .ensemble import _require_hermitian
 
 IMAG_RESIDUE_TOL = 1e-10
 # Blocks per stack in `pgm_fidelities_reduced`, so that its working memory (a
 # few hundred bytes a block) stays bounded at any N.
 BLOCK_CHUNK = 1 << 14
-
-
-@dataclass(frozen=True)
-class FidelityResult:
-    n_ports: int
-    params: DephasingParams
-    ent_fidelity: float
-    teleport_fidelity: float
-    per_port_traces: tuple
 
 
 def _real_trace(val) -> np.ndarray:
@@ -51,41 +34,6 @@ def _real_trace(val) -> np.ndarray:
     if residue.size:
         raise LinopsError(f"trace has imaginary residue {residue[0]:.3e}")
     return val.real
-
-
-def ent_fidelity(povm: Povm, ensemble: SignalEnsemble) -> FidelityResult:
-    """Entanglement fidelity of a measurement against a signal ensemble."""
-    if povm.n != ensemble.n_ports:
-        raise LinopsError(
-            f"POVM has {povm.n} elements but ensemble has {ensemble.n_ports} ports"
-        )
-    if povm.dim != ensemble.average_unnormalized.dim:
-        raise LinopsError("POVM and ensemble dimensions do not match")
-    traces = tuple(
-        float(_real_trace(np.einsum("ij,ji->", e.matrix, st.matrix)))
-        for e, st in zip(povm.elements, ensemble.states)
-    )
-    f = 0.25 * sum(traces)
-    return FidelityResult(
-        ensemble.n_ports,
-        ensemble.params,
-        f,
-        closedform.teleport_fidelity(f),
-        traces,
-    )
-
-
-def mixed_term(povm: Povm, port: int, n: int) -> float:
-    """Magnitude of the cross-term trace tr(Pi_port K_port).
-
-    K_port is the anti-Hermitian Bell cross operator
-    (|psi+><psi-| - |psi-><psi+|) on (A_port, B), maximally mixed elsewhere.
-    For the PGM of the ideal ensemble this vanishes identically.
-    """
-    # embed the Hermitian operator i*K so the layout machinery applies
-    embedded = _embed_pair_block(1j * BELL_CROSS, port, n)
-    val = np.einsum("ij,ji->", povm.elements[port - 1].matrix, embedded.matrix)
-    return float(abs(val))
 
 
 @dataclass(frozen=True)
@@ -146,8 +94,8 @@ def pgm_fidelities_reduced(n: int, params_seq: Sequence[DephasingParams]) -> lis
     """Entanglement fidelity of the noise-adapted PGM on its own ensemble, per params.
 
     F = (N/4) tr(X rho_1 X rho_1) with X = S^(-1/2) on the support of the
-    ensemble average S; the same number as `ent_fidelity(pgm(ens), ens)` with
-    `ens = SignalEnsemble.build(n, params)`.
+    ensemble average S; the same number as the dense `povm.ent_fidelity(pgm(ens), ens)`
+    with `ens = SignalEnsemble.build(n, params)`.
 
     With a, b the diagonal of 4 rho on span{|01>, |10>} of (A_i, B) and q its
     |01><10| entry, 2^(N+1) S = a (N/2 + J_z) |1><1|_B + b (N/2 - J_z) |0><0|_B

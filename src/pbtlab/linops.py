@@ -14,17 +14,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-DEFAULT_RANK_TOL = 1e-12
-
-
-class LinopsError(ValueError):
-    """Domain error for invalid operator inputs."""
-
-
-def _require_hermitian(m: np.ndarray) -> None:
-    """Raise unless m (or each matrix of a stack) equals its adjoint to 1e-10."""
-    if not np.allclose(m, np.swapaxes(m, -1, -2).conj(), rtol=0.0, atol=1e-10):
-        raise LinopsError("matrix is not Hermitian within tolerance")
+# defined beside the reduced route, which must not load this module
+from .ensemble import DEFAULT_RANK_TOL, LinopsError, _require_hermitian
 
 
 @dataclass(frozen=True)

@@ -1,20 +1,97 @@
-"""Pretty-good-measurement construction and validation.
+"""The dense oracle: signal ensembles, pretty-good measurements and direct traces.
+
+Every operator is an explicit 2^(N+1)-dimensional `linops.HermitianOp`, so
+this route is for small N; it checks the closed forms and the
+symmetry-reduced noise-adapted PGM (`fidelity.pgm_fidelities_reduced`).
 
 The PGM is built from the unnormalized ensemble average S = sum_i eta_i:
 Pi_i = S^{-1/2} eta_i S^{-1/2} with the inverse taken on the support.  The
 equal priors 1/N cancel against the normalization of the average, so the
 elements sum to the support projector; `validate` builds the defect Delta
-that completes them to the identity on the kernel.
+that completes them to the identity on the kernel.  The entanglement
+fidelity of the port-selection protocol is F = (1/4) sum_i tr(Pi_i eta_i)
+(`ent_fidelity`); the average teleportation fidelity follows as f = (2F + 1)/3.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensemble import SignalEnsemble, rotate_b
-from .linops import DEFAULT_RANK_TOL, HermitianOp, inv_sqrt_on_support
+from . import closedform
+from .ensemble import BELL_CROSS, NOISELESS, DephasingParams, _bell_matrices
+from .fidelity import _real_trace
+from .linops import DEFAULT_RANK_TOL, HermitianOp, LinopsError, inv_sqrt_on_support
+from .linops import permute_qubits
+
+
+def phase_rotation(theta: float) -> np.ndarray:
+    """Single-qubit relative phase rotation diag(e^{-i theta}, 1)."""
+    return np.diag([np.exp(-1j * theta), 1.0]).astype(complex)
+
+
+def decohered_bell(params: DephasingParams) -> HermitianOp:
+    """Two-qubit singlet after dephasing with factor gamma = |gamma| e^{i theta}.
+
+    Raises LinopsError unless the block is PSD: every signal state is this
+    block on (A_i, B) times the maximally mixed state of the other ports, so
+    this is the ensemble's one positivity check.
+    """
+    block = HermitianOp(_bell_matrices([params.gamma_abs], [params.theta])[0], 2)
+    w = np.linalg.eigvalsh(block.matrix)
+    if w.min() < -1e-10 * max(w.max(), 1.0):
+        raise LinopsError(f"Bell block is not PSD: min eigenvalue {w.min():.3e}")
+    return block
+
+
+def _embed_pair_block(block: np.ndarray, i: int, n_ports: int) -> HermitianOp:
+    """Place a two-qubit block on (A_i, B), maximally mixed on the other ports."""
+    if not 1 <= i <= n_ports:
+        raise LinopsError(f"port index {i} out of range 1..{n_ports}")
+    n_rest = n_ports - 1
+    m = np.kron(block, np.eye(2 ** n_rest)) / 2 ** n_rest
+    # current layout: (A_i, B, remaining ports in ascending order)
+    others = [j for j in range(n_ports) if j != i - 1]
+    labels = [i - 1, n_ports] + others  # target position of each current qubit
+    perm = [labels.index(t) for t in range(n_ports + 1)]
+    return HermitianOp(permute_qubits(m, perm), n_ports + 1)
+
+
+def rotate_b(op: HermitianOp, theta: float) -> HermitianOp:
+    """Conjugate by the phase rotation acting on qubit B (the last qubit)."""
+    r = np.kron(np.eye(op.dim // 2), phase_rotation(theta))
+    return HermitianOp(r @ op.matrix @ r.conj().T, op.n_qubits)
+
+
+@dataclass(frozen=True)
+class SignalEnsemble:
+    """The N signal states on N+1 qubits plus their unnormalized average.
+
+    Both are built from (n_ports, params) alone, from one checked Bell block,
+    so those two fields decide equality and the hash.
+    """
+
+    n_ports: int
+    params: DephasingParams
+    states: tuple = field(init=False, repr=False, compare=False)
+    average_unnormalized: HermitianOp = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        block = decohered_bell(self.params).matrix
+        states = tuple(_embed_pair_block(block, i, self.n_ports)
+                       for i in range(1, self.n_ports + 1))
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "average_unnormalized",
+                           HermitianOp(sum(s.matrix for s in states), self.n_ports + 1))
+
+    @classmethod
+    def build(cls, n_ports: int, params: DephasingParams) -> "SignalEnsemble":
+        return cls(n_ports, params)
+
+    @classmethod
+    def noiseless(cls, n_ports: int) -> "SignalEnsemble":
+        return cls(n_ports, NOISELESS)
 
 
 @dataclass(frozen=True)
@@ -41,6 +118,15 @@ class PovmReport:
     completeness_residual: float
     defect_min_eigenvalue: float
     defect_support_overlaps: tuple
+
+
+@dataclass(frozen=True)
+class FidelityResult:
+    n_ports: int
+    params: DephasingParams
+    ent_fidelity: float
+    teleport_fidelity: float
+    per_port_traces: tuple
 
 
 def _hermitize(m: np.ndarray) -> np.ndarray:
@@ -120,3 +206,38 @@ def validate(povm: Povm, ensemble: SignalEnsemble) -> PovmReport:
         float(np.linalg.eigvalsh(defect).min()),
         tuple(float(np.trace(defect @ st.matrix).real) for st in ensemble.states),
     )
+
+
+def ent_fidelity(povm: Povm, ensemble: SignalEnsemble) -> FidelityResult:
+    """Entanglement fidelity of a measurement against a signal ensemble."""
+    if povm.n != ensemble.n_ports:
+        raise LinopsError(
+            f"POVM has {povm.n} elements but ensemble has {ensemble.n_ports} ports"
+        )
+    if povm.dim != ensemble.average_unnormalized.dim:
+        raise LinopsError("POVM and ensemble dimensions do not match")
+    traces = tuple(
+        float(_real_trace(np.einsum("ij,ji->", e.matrix, st.matrix)))
+        for e, st in zip(povm.elements, ensemble.states)
+    )
+    f = 0.25 * sum(traces)
+    return FidelityResult(
+        ensemble.n_ports,
+        ensemble.params,
+        f,
+        closedform.teleport_fidelity(f),
+        traces,
+    )
+
+
+def mixed_term(povm: Povm, port: int, n: int) -> float:
+    """Magnitude of the cross-term trace tr(Pi_port K_port).
+
+    K_port is the anti-Hermitian Bell cross operator
+    (|psi+><psi-| - |psi-><psi+|) on (A_port, B), maximally mixed elsewhere.
+    For the PGM of the ideal ensemble this vanishes identically.
+    """
+    # embed the Hermitian operator i*K so the layout machinery applies
+    embedded = _embed_pair_block(1j * BELL_CROSS, port, n)
+    val = np.einsum("ij,ji->", povm.elements[port - 1].matrix, embedded.matrix)
+    return float(abs(val))

@@ -24,56 +24,34 @@ with zeta the Hurwitz zeta (expand coth in powers of e^{-w/theta_T}):
 `decoherence_grid` evaluates these for a list of baths on a whole tau grid at
 once; the weights of each combination sum to zero, so a t-independent
 constant in G cancels.
-`chi` and `phase` integrate the frequency integrals by adaptive quadrature
-and are the independent check of that route.
+`quadrature.chi` and `quadrature.phase` integrate the frequency integrals by
+adaptive quadrature and are the independent check of that route.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy import integrate
 from scipy.special import gammaln
 
 from . import closedform
 from .ensemble import DephasingParams
 from .fidelity import pgm_fidelities_reduced
 
-SMALL_W = 1e-6
-# QUADPACK's absolute tolerance and subdivision limit on each panel
-QUAD_ABS_TOL = 1e-12
-QUAD_MAX_SUBDIVISIONS = 200
 # Measurements a fidelity curve can be computed for; see fidelities_vs_time.
 POVM_MODES = ("closed_form", "noise_adapted")
 
 
-class QuadratureError(ArithmeticError):
-    """Raised when the frequency integral fails to converge."""
-
-
-@dataclass(frozen=True)
-class QuadratureSettings:
-    upper_cutoff: float = 0.0  # 0 means auto: 40 + 10 s
-    rel_tol: float = 1e-10
-
-    def cutoff_for(self, ohmicity: float) -> float:
-        if self.upper_cutoff > 0.0:
-            return self.upper_cutoff
-        return 40.0 + 10.0 * ohmicity
-
-
 @dataclass(frozen=True)
 class SpinBosonParams:
-    """One bath and separation.  `quad` steers only the quadrature (`chi`,
-    `phase`); the analytic route that `spinboson` rows use does not read it."""
+    """One bath and separation."""
 
     ohmicity: float
     temperature_ratio: float = 0.0
     separation: float = 0.0
-    quad: QuadratureSettings = field(default_factory=QuadratureSettings)
 
     def __post_init__(self):
         if not self.ohmicity > 1.0:
@@ -84,128 +62,6 @@ class SpinBosonParams:
             raise ValueError(f"separation must be >= 0, got {self.separation}")
 
 
-@dataclass(frozen=True)
-class DecoherenceFactor:
-    chi: float
-    phase: float
-
-    @property
-    def gamma_abs(self) -> float:
-        return math.exp(-self.chi)
-
-    @property
-    def as_params(self) -> DephasingParams:
-        return DephasingParams(self.gamma_abs, math.atan2(
-            math.sin(self.phase), math.cos(self.phase)))
-
-
-def _coth_half(w: float, theta_t: float) -> float:
-    """coth(w / (2 theta_T)), with the zero-temperature limit 1."""
-    if theta_t == 0.0:
-        return 1.0
-    x = w / (2.0 * theta_t)
-    if x > 20.0:
-        return 1.0
-    return 1.0 / math.tanh(x)
-
-
-def _panel_integrate(f: Callable[[float], float], lo: float, hi: float,
-                     panel_width: float, quad: QuadratureSettings) -> tuple:
-    """Adaptive quadrature summed over panels no wider than panel_width, and
-    QUADPACK's error estimate summed over the panels."""
-    n_panels = max(1, int(math.ceil((hi - lo) / panel_width)))
-    edges = np.linspace(lo, hi, n_panels + 1)
-    total = error = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        val, err = integrate.quad(
-            f, a, b,
-            epsabs=QUAD_ABS_TOL, epsrel=quad.rel_tol, limit=QUAD_MAX_SUBDIVISIONS,
-        )
-        if not math.isfinite(val):
-            raise QuadratureError(
-                f"quadrature gave a non-finite value on panel [{a:g}, {b:g}]")
-        total += val
-        error += err
-    return total, error
-
-
-def _panel_width(tau: float, ell: float) -> float:
-    return math.pi / max(tau, ell, 1.0)
-
-
-def chi(tau: float, params: SpinBosonParams) -> float:
-    """Decay exponent chi(tau, ell) >= 0."""
-    return chi_and_error(tau, params)[0]
-
-
-def chi_and_error(tau: float, params: SpinBosonParams) -> tuple:
-    """chi and the error estimate of its quadrature (0 where chi is exactly 0)."""
-    if tau < 0.0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
-    s, th, ell = params.ohmicity, params.temperature_ratio, params.separation
-    if tau == 0.0 or ell == 0.0:
-        return 0.0, 0.0
-
-    def integrand(w: float) -> float:
-        return (
-            2.0 * w ** (s - 2.0) * math.exp(-w)
-            * (1.0 - math.cos(w * tau))
-            * _coth_half(w, th)
-            * (1.0 - math.cos(w * ell))
-        )
-
-    # Below SMALL_W the two cosine differences contribute w^4 tau^2 ell^2 / 4,
-    # and coth contributes 2 theta_T / w at finite temperature (1 at theta_T = 0),
-    # leaving an integrable power of w that we integrate analytically.
-    eps = SMALL_W
-    if th > 0.0:
-        # integrand ~ tau^2 ell^2 theta_T w^(s+1)
-        head = tau * tau * ell * ell * th * eps ** (s + 2.0) / (s + 2.0)
-    else:
-        # integrand ~ (tau^2 ell^2 / 2) w^(s+2)
-        head = 0.5 * tau * tau * ell * ell * eps ** (s + 3.0) / (s + 3.0)
-    omega_max = params.quad.cutoff_for(s)
-    tail, error = _panel_integrate(integrand, eps, omega_max,
-                                   _panel_width(tau, ell), params.quad)
-    return head + tail, error
-
-
-def phase(tau: float, params: SpinBosonParams) -> float:
-    """Phase theta(tau, ell); independent of temperature.
-
-    A reliable oracle only up to s ~ 10: the integrand is of size Gamma(s-1)
-    and the quadrature tolerances cannot resolve its cancellation beyond.
-    Against `decoherence_factors` (itself checked against mpmath) the
-    relative gap is 4e-12 at s = 10, 4e-9 at s = 15, 5e-6 at s = 20 and 0.6
-    at s = 30.
-    """
-    return phase_and_error(tau, params)[0]
-
-
-def phase_and_error(tau: float, params: SpinBosonParams) -> tuple:
-    """The phase and the error estimate of its quadrature (0 where it is exactly 0)."""
-    if tau < 0.0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
-    s, ell = params.ohmicity, params.separation
-    if tau == 0.0 or ell == 0.0:
-        return 0.0, 0.0
-
-    def integrand(w: float) -> float:
-        return (
-            0.5 * w ** (s - 2.0) * math.exp(-w)
-            * (1.0 - math.cos(w * tau))
-            * math.sin(w * ell)
-        )
-
-    # small-w: (1 - cos) sin ~ (tau^2 / 2) w^2 * ell w, so integrand ~ (tau^2 ell / 4) w^(s+1)
-    eps = SMALL_W
-    head = 0.25 * tau * tau * ell * eps ** (s + 2.0) / (s + 2.0)
-    omega_max = params.quad.cutoff_for(s)
-    tail, error = _panel_integrate(integrand, eps, omega_max,
-                                   _panel_width(tau, ell), params.quad)
-    return head + tail, error
-
-
 # The Hurwitz zeta of the thermal part is summed over ZETA_TERMS terms
 # directly and the rest by Euler-Maclaurin (DLMF 2.10.1, 25.11.5) with the
 # Bernoulli numbers B_2 .. B_20, each over (2j)!.
@@ -213,6 +69,10 @@ ZETA_TERMS = 12
 _BERNOULLI_OVER_FACTORIAL = np.array([
     1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510,
     43867 / 798, -174611 / 330]) / np.array([math.factorial(2 * j) for j in range(1, 11)])
+_LOG_BERNOULLI = np.log(np.abs(_BERNOULLI_OVER_FACTORIAL))
+_TWO_J = 2 * np.arange(1, _BERNOULLI_OVER_FACTORIAL.size + 1)
+_SIGN_BERNOULLI = np.sign(_BERNOULLI_OVER_FACTORIAL)
+_K = np.arange(1, ZETA_TERMS + 1)
 
 
 def _second_difference(c, alpha, log_coef, taus: np.ndarray) -> np.ndarray:
@@ -259,36 +119,42 @@ def _second_difference(c, alpha, log_coef, taus: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bath_terms(a: float, theta_t: float) -> tuple:
-    """G as sum_r sign_r e^(log_coef_r) (base_r - i t)^(-alpha_r) + const.
+def _bath_terms(a: np.ndarray, theta_t: np.ndarray) -> tuple:
+    """G of each bath as sum_r sign_r e^(log_coef_r) (base_r - i t)^(-alpha_r) + const.
 
-    The last row is the zero-temperature term Gamma(a) (1 - i t)^(-a).  At
-    theta_T > 0 the rows before it are the thermal part, 2 Gamma(a)
-    sum_{k>=1} (z + k/theta_T)^(-a), z = 1 - i t.  Rows k = 1..ZETA_TERMS are
-    its first terms.  With W = z + (ZETA_TERMS + 1)/theta_T, Euler-Maclaurin
-    turns the rest into 2 Gamma(a) times
+    a and theta_T hold one entry per bath.  A bath's last row is the
+    zero-temperature term Gamma(a) (1 - i t)^(-a).  At theta_T > 0 the rows
+    before it are the thermal part, 2 Gamma(a) sum_{k>=1} (z + k/theta_T)^(-a),
+    z = 1 - i t.  Rows k = 1..ZETA_TERMS are its first terms.  With
+    W = z + (ZETA_TERMS + 1)/theta_T, Euler-Maclaurin turns the rest into
+    2 Gamma(a) times
     theta_T W^(1-a)/(a-1) + W^(-a)/2 + sum_j B_2j/(2j)! (a)_(2j-1) theta_T^(1-2j) W^(1-a-2j),
     one row each.  The first row's exponent a - 1 is 0 at s = 2, where
     theta_T W^(1-a)/(a-1) is -theta_T log W up to a constant; its coefficient
     then leaves out the 1/(a-1) (see `_second_difference`).  Returned as
-    (base, alpha, log_coef, sign) arrays.
+    (base, alpha, log_coef, sign), each with the rows of every bath in turn,
+    and the number of rows of each bath, from one pass and one gammaln call; log theta_T
+    and log|a - 1| stay math.log, which numpy's log can differ from in the last bit.
     """
-    lg = gammaln(a)
-    cold = ([1.0], [a], [lg], [1.0])
-    if theta_t == 0.0:
-        return tuple(np.array(col) for col in cold)
-    k = np.arange(1, ZETA_TERMS + 1)
-    w_0 = 1.0 + (ZETA_TERMS + 1) / theta_t
-    j = np.arange(1, _BERNOULLI_OVER_FACTORIAL.size + 1)
-    log_2, log_th = math.log(2.0), math.log(theta_t)
-    pole = 0.0 if a == 1.0 else math.log(abs(a - 1.0))
-    base = (1.0 + k / theta_t, np.full(j.size + 2, w_0))
-    alpha = (np.full(k.size, a), [a - 1.0, a], a + 2 * j - 1)
-    log_coef = (
-        np.full(k.size, log_2 + lg), [log_2 + log_th + lg - pole, lg],
-        log_2 + gammaln(a + 2 * j - 1) + np.log(np.abs(_BERNOULLI_OVER_FACTORIAL)) + (1 - 2 * j) * log_th)
-    sign = (np.ones(k.size), [1.0 if a >= 1.0 else -1.0, 1.0], np.sign(_BERNOULLI_OVER_FACTORIAL))
-    return tuple(np.concatenate((*col, hot)) for col, hot in zip((base, alpha, log_coef, sign), cold))
+    hot = theta_t > 0.0
+    th = np.where(hot, theta_t, 1.0)[:, None]  # a cold bath's thermal rows are dropped
+    log_th = np.array([[math.log(t)] for t in th[:, 0]])
+    pole = np.array([[0.0 if x == 1.0 else math.log(abs(x - 1.0))] for x in a])
+    a = a[:, None]
+    a_j = a + _TWO_J - 1
+    lg = gammaln(np.concatenate((a, a_j), axis=1))
+    lg_a, log_2, z = lg[:, :1], math.log(2.0), ZETA_TERMS
+    # per bath: zeta rows 0..z-1, the W^(1-a), W^(-a) rows z, z+1, the Bernoulli rows, the cold row
+    base, alpha, log_coef, sign = terms = np.empty((4, a.size, z + _TWO_J.size + 3))
+    base[:, :z], base[:, z:-1], base[:, -1:] = 1.0 + _K / th, 1.0 + (z + 1) / th, 1.0
+    alpha[:], alpha[:, z:z + 1], alpha[:, z + 2:-1] = a, a - 1.0, a_j
+    log_coef[:], log_coef[:, :z] = lg_a, log_2 + lg_a
+    log_coef[:, z:z + 1] = log_2 + log_th + lg_a - pole
+    log_coef[:, z + 2:-1] = log_2 + lg[:, 1:] + _LOG_BERNOULLI + (1 - _TWO_J) * log_th
+    sign[:], sign[:, z:z + 1], sign[:, z + 2:-1] = 1.0, np.where(a >= 1.0, 1.0, -1.0), _SIGN_BERNOULLI
+    keep = np.ones(base.shape, dtype=bool)
+    keep[~hot, :-1] = False
+    return terms[:, keep], keep.sum(axis=1)
 
 
 def decoherence_grid(taus: Sequence[float], baths: Sequence[SpinBosonParams]) -> tuple:
@@ -312,9 +178,9 @@ def decoherence_grid(taus: Sequence[float], baths: Sequence[SpinBosonParams]) ->
     chis, phases = np.zeros((2, len(baths), taus.size))
     live = [b for b, p in enumerate(baths) if p.separation != 0.0]
     if live:
-        terms = [_bath_terms(baths[b].ohmicity - 1.0, baths[b].temperature_ratio) for b in live]
-        base, alpha, log_coef, sign = (np.concatenate(col)[:, None] for col in zip(*terms))
-        sizes = [t[0].size for t in terms]
+        terms, sizes = _bath_terms(np.array([baths[b].ohmicity for b in live]) - 1.0,
+                                   np.array([baths[b].temperature_ratio for b in live]))
+        base, alpha, log_coef, sign = terms[:, :, None]
         ell = np.repeat([baths[b].separation for b in live], sizes)[:, None]
         ends = np.cumsum(sizes)
         # an overflow shows as a non-finite chi or phase, raised below
@@ -333,27 +199,6 @@ def decoherence_grid(taus: Sequence[float], baths: Sequence[SpinBosonParams]) ->
     return chis, phases
 
 
-def decoherence_factors(taus: Sequence[float], params: SpinBosonParams) -> list:
-    """chi and the phase of one bath at every tau (see `decoherence_grid`)."""
-    chis, phases = decoherence_grid(taus, [params])
-    return [DecoherenceFactor(c, p) for c, p in zip(chis[0].tolist(), phases[0].tolist())]
-
-
-def decoherence_factor(tau: float, params: SpinBosonParams) -> DecoherenceFactor:
-    """The decoherence factor at one tau (see `decoherence_grid`)."""
-    return decoherence_factors([tau], params)[0]
-
-
-@dataclass(frozen=True)
-class FidelityCurvePoint:
-    tau: float
-    chi: float
-    phase: float
-    gamma_abs: float
-    ent_fidelity: float
-    teleport_fidelity: float
-
-
 class FidelityCurves(NamedTuple):
     """Fidelity curves of several baths along one tau grid.
 
@@ -369,15 +214,6 @@ class FidelityCurves(NamedTuple):
     teleport_fidelity: dict
 
 
-def fidelity_vs_time(n: int, params: SpinBosonParams, taus: Sequence[float],
-                     povm_mode: str = "closed_form") -> list:
-    """Teleportation fidelity along a time grid for a fixed bath (one POVM mode)."""
-    curves = fidelities_vs_time(n, [params], taus, (povm_mode,))
-    columns = (taus, curves.chi[0], curves.phase[0], curves.gamma_abs[0],
-               curves.ent_fidelity[povm_mode][0], curves.teleport_fidelity[povm_mode][0])
-    return [FidelityCurvePoint(*map(float, row)) for row in zip(*columns)]
-
-
 def fidelities_vs_time(n: int, baths: Sequence[SpinBosonParams], taus: Sequence[float],
                        povm_modes: Sequence[str]) -> FidelityCurves:
     """Teleportation fidelities of several POVM modes along one time grid, per bath.
@@ -385,7 +221,7 @@ def fidelities_vs_time(n: int, baths: Sequence[SpinBosonParams], taus: Sequence[
     chi and the phase of every bath and tau come from one `decoherence_grid`
     call, shared by all modes; baths that differ only in temperature get the
     same phase bit for bit.  |gamma| = e^(-chi), and the phase is wrapped to
-    (-pi, pi] as `DecoherenceFactor.as_params` does.
+    (-pi, pi].
     "closed_form" is the analytic fidelity of the ideal measurement, affine
     in |gamma| cos(theta) (`closedform.noiseless_fidelity`);
     "noise_adapted" is the PGM of the dephased ensemble (complex dephasing

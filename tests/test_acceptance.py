@@ -13,10 +13,11 @@ import numpy as np
 
 from pbtlab import checks
 from pbtlab import closedform as cf
+from pbtlab import quadrature as qd
 from pbtlab import spinboson as sb
-from pbtlab.ensemble import DephasingParams, SignalEnsemble
-from pbtlab.fidelity import compare_noise_adapted, ent_fidelity
-from pbtlab.povm import pgm
+from pbtlab.ensemble import DephasingParams
+from pbtlab.fidelity import compare_noise_adapted
+from pbtlab.povm import SignalEnsemble, ent_fidelity, pgm
 
 
 def report(num, desc, ok, detail=""):
@@ -165,12 +166,9 @@ def test_criterion_12_spin_boson_curves():
     want0 = cf.teleport_fidelity(cf.f_ih(9))
     for s in (2.0, 3.0):
         taus = np.linspace(0.0, 8.0, 81)
-        cold = sb.SpinBosonParams(s, 0.1, 3.0)
-        hot = sb.SpinBosonParams(s, 0.9, 3.0)
-        curve_cold = [p.teleport_fidelity
-                      for p in sb.fidelity_vs_time(9, cold, taus, "closed_form")]
-        curve_hot = [p.teleport_fidelity
-                     for p in sb.fidelity_vs_time(9, hot, taus, "closed_form")]
+        curve_cold, curve_hot = (
+            sb.fidelities_vs_time(9, [sb.SpinBosonParams(s, th, 3.0)], taus, ["closed_form"])
+            .teleport_fidelity["closed_form"][0].tolist() for th in (0.1, 0.9))
         if abs(curve_cold[0] - want0) > 1e-9:
             ok = False
             details.append(f"s={s}: f(0) off by {abs(curve_cold[0] - want0):.1e}")
@@ -183,16 +181,16 @@ def test_criterion_12_spin_boson_curves():
             ok = False
             details.append(f"s={s}: plateau ordering violated")
         for th, samples in ((0.1, (0.5, 1.5, 3.0, 5.0, 8.0)), (0.9, (3.0, 8.0))):
-            p = sb.SpinBosonParams(s, th, 3.0)
-            closed = sb.fidelity_vs_time(9, p, samples, "closed_form")
-            adapted = sb.fidelity_vs_time(9, p, samples, "noise_adapted")
-            for c, a in zip(closed, adapted):
-                if a.teleport_fidelity > c.teleport_fidelity + 1e-9:
+            curves = sb.fidelities_vs_time(9, [sb.SpinBosonParams(s, th, 3.0)], samples,
+                                           sb.POVM_MODES)
+            f = curves.teleport_fidelity
+            for tau, g, c, a in zip(samples, curves.gamma_abs[0], f["closed_form"][0],
+                                    f["noise_adapted"][0]):
+                if a > c + 1e-9:
                     ok = False
                     details.append(
-                        f"s={s}, theta_T={th}, tau={c.tau}, |gamma|={c.gamma_abs:.3f}: "
-                        f"adapted {a.teleport_fidelity:.4f} above noiseless "
-                        f"{c.teleport_fidelity:.4f}")
+                        f"s={s}, theta_T={th}, tau={tau}, |gamma|={g:.3f}: "
+                        f"adapted {a:.4f} above noiseless {c:.4f}")
     # Known discrepancy: wherever the dephasing drives |gamma| below ~0.06
     # the noise-adapted measurement genuinely beats the noiseless one at N=9
     # (the same strong-decoherence crossover seen in the static comparison),
@@ -203,7 +201,7 @@ def test_criterion_12_spin_boson_curves():
 
 
 def test_criterion_13_quadrature_robustness():
-    settings = (sb.QuadratureSettings(upper_cutoff=120.0), sb.QuadratureSettings(rel_tol=5e-11))
+    settings = (qd.QuadratureSettings(upper_cutoff=120.0), qd.QuadratureSettings(rel_tol=5e-11))
     *_, gap = checks.spin_boson(sb.SpinBosonParams(2.0, 0.1, 3.0), np.linspace(0.0, 8.0, 81),
                                 settings, 1e-12, 1e-8)
     report(13, "doubling the frequency cutoff or halving the tolerance moves "

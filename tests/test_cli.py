@@ -1,10 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pbtlab
 from pbtlab import checks
 from pbtlab import closedform as cf
+from pbtlab import quadrature as qd
 from pbtlab import spinboson as sb
 from pbtlab.cli import main
 
@@ -267,6 +273,33 @@ def test_verify_passes(tmp_path):
         "decoherence_routes"]
     for s in report["suites"]:
         assert s["passed"] and math.isfinite(s["worst"]) and s["worst"] <= s["bound"]
+
+
+def test_verify_quadrature_failure_is_one_error_line(tmp_path, capsys, monkeypatch):
+    # QuadratureError is a ValueError, so main reports it without loading the quadrature
+    monkeypatch.setattr(checks, "SUITES", {"spin_boson_limits": checks.SUITES["spin_boson_limits"]})
+    monkeypatch.setattr(qd.integrate, "quad", lambda *args, **kwargs: (math.nan, 0.0))
+    assert main(["verify", "--out", str(tmp_path / "report.json")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: quadrature gave a non-finite value")
+    assert not (tmp_path / "report.json").exists()
+
+
+# The modules that `surface`, `vs-n`, `compare` and `spinboson` run; the
+# oracles (povm, linops, quadrature, spectrum) and checks load only for verify.
+FAST_PATH = ["pbtlab", "pbtlab.cli", "pbtlab.closedform", "pbtlab.ensemble",
+             "pbtlab.fidelity", "pbtlab.spinboson"]
+
+
+def test_cli_starts_without_the_oracles():
+    code = ("import sys, pbtlab.cli; pbtlab.cli.build_parser(); "
+            "print(*sorted(m for m in sys.modules if m.startswith('pbtlab')))")
+    src = str(Path(pbtlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=path)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.split() == FAST_PATH
 
 
 def test_verify_fault_injection(tmp_path, monkeypatch):

@@ -6,17 +6,18 @@ import pytest
 from pbtlab import checks
 from pbtlab import closedform as cf
 from pbtlab.ensemble import DephasingParams
+from pbtlab.spectrum import degeneracy, spin_block_spectrum
 
 
 def test_degeneracy_small_cases():
     # multiplicity of each total-spin irrep (not weighted by its dimension)
-    assert cf.degeneracy(1, Fraction(1, 2)) == 1
-    assert cf.degeneracy(2, 0) == 1
-    assert cf.degeneracy(2, 1) == 1
-    assert cf.degeneracy(3, Fraction(1, 2)) == 2
-    assert cf.degeneracy(3, Fraction(3, 2)) == 1
-    assert cf.degeneracy(4, 0) == 2
-    assert cf.degeneracy(4, 1) == 3
+    assert degeneracy(1, Fraction(1, 2)) == 1
+    assert degeneracy(2, 0) == 1
+    assert degeneracy(2, 1) == 1
+    assert degeneracy(3, Fraction(1, 2)) == 2
+    assert degeneracy(3, Fraction(3, 2)) == 1
+    assert degeneracy(4, 0) == 2
+    assert degeneracy(4, 1) == 3
 
 
 def test_degeneracy_counts_full_space():
@@ -24,22 +25,22 @@ def test_degeneracy_counts_full_space():
         total = 0
         s = Fraction(n % 2, 2)
         while s <= Fraction(n, 2):
-            total += int(2 * s + 1) * cf.degeneracy(n, s)
+            total += int(2 * s + 1) * degeneracy(n, s)
             s += 1
         assert total == 2 ** n
 
 
 def test_degeneracy_rejects_bad_spin():
     with pytest.raises(ValueError):
-        cf.degeneracy(2, Fraction(1, 2))
+        degeneracy(2, Fraction(1, 2))
     with pytest.raises(ValueError):
-        cf.degeneracy(3, 5)
+        degeneracy(3, 5)
     # a float spin is taken exactly, not rounded to the nearest half
     with pytest.raises(ValueError):
-        cf.degeneracy(3, 0.3)
+        degeneracy(3, 0.3)
     with pytest.raises(ValueError):
-        cf.degeneracy(4, 0.9)
-    assert cf.degeneracy(3, 1.5) == 1
+        degeneracy(4, 0.9)
+    assert degeneracy(3, 1.5) == 1
 
 
 def test_f_ih_landmarks():
@@ -89,7 +90,7 @@ def test_spin_block_spectrum_matches_dense():
 
 def test_spin_block_trace_equals_n():
     for n in (2, 3, 6, 9):
-        assert cf.spin_block_spectrum(n).trace() == pytest.approx(n, abs=1e-10)
+        assert spin_block_spectrum(n).trace() == pytest.approx(n, abs=1e-10)
 
 
 def test_kim_fidelity_endpoints():

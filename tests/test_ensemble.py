@@ -4,18 +4,15 @@ import numpy as np
 import pytest
 
 from pbtlab import checks
-from pbtlab.ensemble import (
-    NOISELESS,
-    P_MINUS,
-    P_PLUS,
-    DephasingParams,
+from pbtlab.ensemble import NOISELESS, P_MINUS, P_PLUS, DephasingParams
+from pbtlab.linops import HermitianOp, LinopsError
+from pbtlab.povm import (
     SignalEnsemble,
     _embed_pair_block,
     decohered_bell,
     phase_rotation,
     rotate_b,
 )
-from pbtlab.linops import HermitianOp, LinopsError
 
 
 def partial_trace(op: HermitianOp, keep) -> HermitianOp:
@@ -46,9 +43,9 @@ def test_partial_trace_preserves_trace():
 
 
 def test_bell_projectors_orthonormal():
-    assert P_MINUS.trace() == pytest.approx(1.0)
-    assert P_PLUS.trace() == pytest.approx(1.0)
-    assert np.allclose(P_MINUS.matrix @ P_PLUS.matrix, 0.0)
+    assert np.trace(P_MINUS).real == pytest.approx(1.0)
+    assert np.trace(P_PLUS).real == pytest.approx(1.0)
+    assert np.allclose(P_MINUS @ P_PLUS, 0.0)
 
 
 def test_dephasing_params_range():
@@ -59,12 +56,12 @@ def test_dephasing_params_range():
 
 
 def test_decohered_bell_noiseless_is_singlet():
-    assert np.allclose(decohered_bell(NOISELESS).matrix, P_MINUS.matrix)
+    assert np.allclose(decohered_bell(NOISELESS).matrix, P_MINUS)
 
 
 def test_decohered_bell_zero_gamma():
     rho = decohered_bell(DephasingParams(0.0, 0.0)).matrix
-    assert np.allclose(rho, 0.5 * (P_MINUS.matrix + P_PLUS.matrix))
+    assert np.allclose(rho, 0.5 * (P_MINUS + P_PLUS))
 
 
 def test_decohered_bell_is_state():
@@ -85,7 +82,7 @@ def test_signal_state_reduces_to_bell_block():
     st = SignalEnsemble.noiseless(3).states[1]
     # qubits: (A1, A2, A3, B); keep (A2, B)
     block = partial_trace(st, [1, 3])
-    assert np.allclose(block.matrix, P_MINUS.matrix, atol=1e-12)
+    assert np.allclose(block.matrix, P_MINUS, atol=1e-12)
     rest = partial_trace(st, [0, 2])
     assert np.allclose(rest.matrix, np.eye(4) / 4, atol=1e-12)
 
@@ -99,7 +96,7 @@ def test_signal_state_trace_one():
 def test_signal_state_bad_port():
     for port in (0, 4):
         with pytest.raises(LinopsError):
-            _embed_pair_block(P_MINUS.matrix, port, 3)
+            _embed_pair_block(P_MINUS, port, 3)
 
 
 def test_rotate_b_inverse():

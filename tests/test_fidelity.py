@@ -5,14 +5,10 @@ import pytest
 
 from pbtlab import checks
 from pbtlab import closedform as cf
-from pbtlab.ensemble import DephasingParams, SignalEnsemble
-from pbtlab.fidelity import (
-    compare_noise_adapted,
-    ent_fidelity,
-    mixed_term,
-)
+from pbtlab.ensemble import DephasingParams
+from pbtlab.fidelity import compare_noise_adapted
 from pbtlab.linops import LinopsError, HermitianOp
-from pbtlab.povm import Povm, noiseless_povm
+from pbtlab.povm import Povm, SignalEnsemble, ent_fidelity, mixed_term, noiseless_povm
 
 
 def test_result_invariants():

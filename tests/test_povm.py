@@ -2,10 +2,11 @@ import pytest
 
 from pbtlab import checks
 from pbtlab import closedform as cf
-from pbtlab.ensemble import DephasingParams, SignalEnsemble
-from pbtlab.fidelity import ent_fidelity
+from pbtlab.ensemble import DephasingParams
 from pbtlab.linops import LinopsError
 from pbtlab.povm import (
+    SignalEnsemble,
+    ent_fidelity,
     noiseless_povm,
     pgm,
     pgm_taylor,

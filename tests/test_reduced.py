@@ -8,17 +8,17 @@ import pytest
 from pbtlab import checks
 from pbtlab import closedform as cf
 from pbtlab import fidelity
-from pbtlab.ensemble import DephasingParams, SignalEnsemble, _bell_matrices
+from pbtlab.ensemble import DephasingParams, _bell_matrices
 from pbtlab.fidelity import (
     _block_spectrum,
     _sector_blocks,
     _sector_log_weights,
-    ent_fidelity,
     pgm_fidelities_reduced,
     pgm_fidelity_reduced,
 )
 from pbtlab.linops import LinopsError
-from pbtlab.povm import pgm
+from pbtlab.povm import SignalEnsemble, ent_fidelity, pgm
+from pbtlab.spectrum import degeneracy
 
 GAMMAS = (0.0, 0.3, 0.999, 1.0)
 THETAS = (0.0, 1.3, 3.0)
@@ -121,7 +121,7 @@ def test_block_spectrum_matches_dense(n):
             values = [lp[0], lm[0], lp[1, 1:-1], lm[1, 1:-1]]
             edges = [two_j + 1] + ([two_j - 1] if two_j else [])  # 2J
             values += [[a * (n - t) / 2, b * (n - t) / 2] for t in edges]
-            spectrum += list(np.concatenate(values)) * cf.degeneracy(n - 1, two_j / 2)
+            spectrum += list(np.concatenate(values)) * degeneracy(n - 1, two_j / 2)
         ens = SignalEnsemble.build(n, DephasingParams(g, 0.7))
         dense = np.linalg.eigvalsh(2.0 ** (n + 1) * ens.average_unnormalized.matrix)
         assert len(spectrum) == len(dense)
@@ -159,7 +159,7 @@ def test_rejects_empty_port_set():
 @pytest.mark.parametrize("n", range(1, 21))
 def test_sector_weights_match_exact_degeneracy(n):
     for two_j, log_w in _sector_log_weights(n):
-        exact = cf.degeneracy(n - 1, two_j / 2) / 2 ** (n + 1)
+        exact = degeneracy(n - 1, two_j / 2) / 2 ** (n + 1)
         # lgamma-based logs carry ~1e-15 relative error per term
         assert math.exp(log_w) == pytest.approx(exact, rel=1e-12)
 

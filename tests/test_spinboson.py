@@ -1,17 +1,23 @@
 import math
 
 import mpmath
-import numpy as np
 import pytest
 
 from pbtlab import checks
 from pbtlab import closedform as cf
+from pbtlab import quadrature as qd
 from pbtlab import spinboson as sb
+from pbtlab.ensemble import DephasingParams
 
 
-def params(s=2.0, th=0.1, ell=3.0, **quad):
-    q = sb.QuadratureSettings(**quad) if quad else sb.QuadratureSettings()
-    return sb.SpinBosonParams(s, th, ell, q)
+def params(s=2.0, th=0.1, ell=3.0):
+    return sb.SpinBosonParams(s, th, ell)
+
+
+def one_bath(taus, bath):
+    """chi and the phase of one bath at every tau, as lists."""
+    chis, phases = sb.decoherence_grid(taus, [bath])
+    return chis[0].tolist(), phases[0].tolist()
 
 
 def test_params_validation():
@@ -25,17 +31,17 @@ def test_params_validation():
 
 def test_chi_trivial_zeros():
     p = params()
-    assert sb.chi(0.0, p) == 0.0
-    assert sb.chi(5.0, params(ell=0.0)) == 0.0
-    assert sb.phase(0.0, p) == 0.0
-    assert sb.phase(5.0, params(ell=0.0)) == 0.0
+    assert qd.chi(0.0, p) == 0.0
+    assert qd.chi(5.0, params(ell=0.0)) == 0.0
+    assert qd.phase(0.0, p) == 0.0
+    assert qd.phase(5.0, params(ell=0.0)) == 0.0
 
 
 def test_quadrature_reports_its_error_estimate():
     p = params()
-    assert sb.chi_and_error(0.0, p) == sb.phase_and_error(0.0, p) == (0.0, 0.0)
-    for value, (got, err) in ((sb.chi(4.0, p), sb.chi_and_error(4.0, p)),
-                              (sb.phase(4.0, p), sb.phase_and_error(4.0, p))):
+    assert qd.chi_and_error(0.0, p) == qd.phase_and_error(0.0, p) == (0.0, 0.0)
+    for value, (got, err) in ((qd.chi(4.0, p), qd.chi_and_error(4.0, p)),
+                              (qd.phase(4.0, p), qd.phase_and_error(4.0, p))):
         assert got == value and 0.0 < err < 1e-9
     *_, estimate = checks.decoherence_routes((2.0,), (0.5,), (4.0,), 3.0, 1e-9)
     assert estimate.quantity.startswith("QUADPACK error estimate") and 0.0 < estimate.worst < 1e-9
@@ -46,14 +52,14 @@ def test_chi_nonnegative():
 
 
 def test_chi_thermal_enhancement():
-    hot = sb.chi(8.0, params(th=0.9))
-    cold = sb.chi(8.0, params(th=0.1))
+    hot = qd.chi(8.0, params(th=0.9))
+    cold = qd.chi(8.0, params(th=0.1))
     assert hot > cold
 
 
 def test_phase_temperature_independent():
-    a = sb.phase(4.0, params(th=0.1))
-    b = sb.phase(4.0, params(th=0.9))
+    a = qd.phase(4.0, params(th=0.1))
+    b = qd.phase(4.0, params(th=0.9))
     assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -67,8 +73,8 @@ def test_phase_computed_once_for_all_temperatures(monkeypatch):
     # one stacked evaluation for both baths; the phase is the same bit for bit
     assert calls == [2]
     cold, hot = curves.phase.tolist()
-    assert cold == hot == [f.phase for f in sb.decoherence_factors(taus, params(th=0.9))]
-    assert cold == pytest.approx([sb.phase(t, params()) for t in taus], abs=1e-12)
+    assert cold == hot == one_bath(taus, params(th=0.9))[1]
+    assert cold == pytest.approx([qd.phase(t, params()) for t in taus], abs=1e-12)
     assert curves.chi[0].tolist() != curves.chi[1].tolist()
 
 
@@ -81,8 +87,8 @@ def test_phase_analytic_ohmicity_two():
         return a / (1.0 + a * a)
 
     want = 0.5 * (lorentz(ell) - 0.5 * lorentz(ell + tau) - 0.5 * lorentz(ell - tau))
-    assert sb.phase(tau, params()) == pytest.approx(want, abs=1e-10)
-    assert sb.decoherence_factor(tau, params()).phase == pytest.approx(want, abs=1e-13)
+    assert qd.phase(tau, params()) == pytest.approx(want, abs=1e-10)
+    assert one_bath([tau], params())[1][0] == pytest.approx(want, abs=1e-13)
 
 
 def test_zero_temperature_chi_analytic_ohmicity_two():
@@ -94,70 +100,67 @@ def test_zero_temperature_chi_analytic_ohmicity_two():
         return 1.0 / (1.0 + a * a)
 
     want = 2.0 * (c(0) - c(tau) - c(ell) + 0.5 * c(ell + tau) + 0.5 * c(ell - tau))
-    assert sb.chi(tau, params(th=0.0)) == pytest.approx(want, abs=1e-9)
-    assert sb.decoherence_factor(tau, params(th=0.0)).chi == pytest.approx(want, abs=1e-13)
+    assert qd.chi(tau, params(th=0.0)) == pytest.approx(want, abs=1e-9)
+    assert one_bath([tau], params(th=0.0))[0][0] == pytest.approx(want, abs=1e-13)
 
 
 def test_decoherence_factor_assembly():
-    fac = sb.decoherence_factor(3.0, params())
-    assert fac.gamma_abs == pytest.approx(math.exp(-fac.chi), abs=1e-12)
-    dp = fac.as_params
-    assert dp.gamma_abs == pytest.approx(fac.gamma_abs)
-    assert 0.0 < fac.gamma_abs <= 1.0
+    curves = sb.fidelities_vs_time(5, [params()], [3.0], ["closed_form"])
+    gamma_abs, chi = curves.gamma_abs[0, 0], curves.chi[0, 0]
+    assert gamma_abs == pytest.approx(math.exp(-chi), abs=1e-12)
+    dp = DephasingParams(gamma_abs, curves.phase[0, 0])
+    assert dp.gamma_abs == pytest.approx(gamma_abs)
+    assert 0.0 < gamma_abs <= 1.0
 
 
 def test_decoherence_factor_trivial():
-    fac = sb.decoherence_factor(0.0, params())
-    assert fac.gamma_abs == 1.0
-    assert fac.phase == 0.0
-    zero = sb.DecoherenceFactor(0.0, 0.0)
-    assert sb.decoherence_factors([0.0, 5.0], params(ell=0.0)) == [zero, zero]
+    curves = sb.fidelities_vs_time(5, [params()], [0.0], ["closed_form"])
+    assert curves.gamma_abs[0, 0] == 1.0
+    assert curves.phase[0, 0] == 0.0
+    assert one_bath([0.0, 5.0], params(ell=0.0)) == ([0.0, 0.0], [0.0, 0.0])
 
 
 def test_quadrature_cutoff_convergence():
-    wide = sb.QuadratureSettings(upper_cutoff=120.0)
+    wide = qd.QuadratureSettings(upper_cutoff=120.0)
     *_, shift = checks.spin_boson(params(), (1.0, 4.0, 8.0), (wide,), 1e-12, 1e-8)
     assert shift.ok
 
 
 def test_spin_boson_check_names_the_quadrature_settings():
-    wide = sb.QuadratureSettings(upper_cutoff=120.0)
+    wide = qd.QuadratureSettings(upper_cutoff=120.0)
     *_, shift = checks.spin_boson(params(), (4.0,), (wide,), 1e-12, 1e-8)
     assert shift.where == "tau=4 upper_cutoff=120 rel_tol=1e-10"
 
 
 def test_negative_tau_rejected():
     with pytest.raises(ValueError):
-        sb.chi(-1.0, params())
+        qd.chi(-1.0, params())
     with pytest.raises(ValueError):
-        sb.decoherence_factors([0.0, -1.0], params())
+        sb.decoherence_grid([0.0, -1.0], [params()])
 
 
-def test_fidelity_vs_time_closed_form_identity():
+def test_fidelities_vs_time_closed_form_identity():
     taus = [0.0, 1.0, 3.0]
-    pts = sb.fidelity_vs_time(5, params(), taus, "closed_form")
-    for pt in pts:
-        dp = sb.decoherence_factor(pt.tau, params()).as_params
-        assert pt.ent_fidelity == pytest.approx(
-            cf.fidelity_noiseless_povm(5, dp), abs=0.0)
-    assert pts[0].teleport_fidelity == pytest.approx(
+    curves = sb.fidelities_vs_time(5, [params()], taus, ["closed_form"])
+    for chi, phase, got in zip(*one_bath(taus, params()), curves.ent_fidelity["closed_form"][0]):
+        dp = DephasingParams(math.exp(-chi), math.atan2(math.sin(phase), math.cos(phase)))
+        assert got == pytest.approx(cf.fidelity_noiseless_povm(5, dp), abs=0.0)
+    assert curves.teleport_fidelity["closed_form"][0, 0] == pytest.approx(
         cf.teleport_fidelity(cf.f_ih(5)), abs=1e-12)
 
 
-def test_fidelity_vs_time_validates_input():
+def test_fidelities_vs_time_validates_input():
     with pytest.raises(ValueError):
-        sb.fidelity_vs_time(5, params(), [1.0, 0.5], "closed_form")
+        sb.fidelities_vs_time(5, [params()], [1.0, 0.5], ["closed_form"])
     with pytest.raises(ValueError):
-        sb.fidelity_vs_time(5, params(), [0.0], "bogus")
+        sb.fidelities_vs_time(5, [params()], [0.0], ["bogus"])
 
 
 def test_noise_adapted_curve_below_closed_form():
     # holds outside the strong-decoherence crossover region at moderate N
-    taus = [0.25, 1.0]
-    closed = sb.fidelity_vs_time(5, params(), taus, "closed_form")
-    adapted = sb.fidelity_vs_time(5, params(), taus, "noise_adapted")
-    for c, a in zip(closed, adapted):
-        assert a.teleport_fidelity <= c.teleport_fidelity + 1e-9
+    f = sb.fidelities_vs_time(5, [params()], [0.25, 1.0], sb.POVM_MODES).teleport_fidelity
+    for c, a in zip(f["closed_form"][0], f["noise_adapted"][0]):
+        assert a <= c + 1e-9
 
 
 def _bath_transform_mpmath(t, s, th):
@@ -217,6 +220,6 @@ def test_stacked_grid_matches_one_bath_calls():
     for bath, chi_row, phase_row in zip(baths, chis.tolist(), phases.tolist()):
         if bath.separation == 0.0:
             assert chi_row == phase_row == [0.0] * len(taus)
-        for got, fac in zip(zip(chi_row, phase_row), sb.decoherence_factors(taus, bath)):
-            for x, want in zip(got, (fac.chi, fac.phase)):
+        for got, wants in zip(zip(chi_row, phase_row), zip(*one_bath(taus, bath))):
+            for x, want in zip(got, wants):
                 assert abs(x - want) <= 2e-15 * max(1.0, abs(want)), (bath, got)
