@@ -17,8 +17,8 @@ import numpy as np
 from . import closedform as cf
 from . import quadrature as qd
 from . import spinboson as sb
-from .ensemble import DephasingParams
-from .linops import HermitianOp, state_fidelity, trace_norm
+from .ensemble import NOISELESS, DephasingParams
+from .linops import state_fidelity, trace_norm
 from .povm import SignalEnsemble, ent_fidelity, mixed_term, noiseless_povm, pgm, pgm_taylor, validate
 from .spectrum import spin_block_spectrum
 
@@ -48,7 +48,7 @@ def closed_form_vs_trace(ns, gammas, thetas, bound: float) -> Gap:
         base = noiseless_povm(n)
         for g, t in itertools.product(gammas, thetas):
             dp = DephasingParams(g, t)
-            got = ent_fidelity(base, SignalEnsemble.build(n, dp)).ent_fidelity
+            got = ent_fidelity(base, SignalEnsemble(n, dp))
             gap.see(abs(got - cf.fidelity_noiseless_povm(n, dp)),
                     f"N={n} gamma={g:g} theta={t:g}")
     return gap
@@ -61,7 +61,7 @@ def povm_validity(ns, gammas, theta: float, residual_bound: float,
     negative = Gap("-(smallest POVM eigenvalue)", eig_bound)
     overlap = Gap("|defect-signal overlap|", overlap_bound)
     for n, g in itertools.product(ns, gammas):
-        ens = SignalEnsemble.build(n, DephasingParams(g, theta))
+        ens = SignalEnsemble(n, DephasingParams(g, theta))
         rep, at = validate(pgm(ens), ens), f"N={n} gamma={g:g}"
         residual.see(rep.completeness_residual, at)
         negative.see(-min(*rep.min_eigenvalues, rep.defect_min_eigenvalue), at)
@@ -83,7 +83,7 @@ def spectrum_block_formulas(ns, bound: float) -> Gap:
     """Dense spectrum of the noiseless average against the spin-block formulas."""
     gap = Gap("|dense eigenvalue - block formula|", bound)
     for n in ns:
-        dense = np.sort(np.linalg.eigvalsh(SignalEnsemble.noiseless(n).average_unnormalized.matrix))
+        dense = np.sort(np.linalg.eigvalsh(SignalEnsemble(n, NOISELESS).average_unnormalized))
         mult = spin_block_spectrum(n).eigenvalue_multiplicities()
         support = np.repeat(list(mult), list(mult.values()))
         expected = np.sort(np.concatenate([support, np.zeros(dense.size - support.size)]))
@@ -95,7 +95,7 @@ def pairwise_fidelity_half(ns, gammas, thetas, bound: float) -> Gap:
     """Uhlmann fidelity of every pair of signal states against 1/2."""
     gap = Gap("|pairwise fidelity - 1/2|", bound)
     for n, g, t in itertools.product(ns, gammas, thetas):
-        states = SignalEnsemble.build(n, DephasingParams(g, t)).states
+        states = SignalEnsemble(n, DephasingParams(g, t)).states
         for i, j in itertools.combinations(range(n), 2):
             gap.see(abs(state_fidelity(states[i], states[j]) - 0.5),
                     f"N={n} gamma={g:g} theta={t:g} pair ({i},{j})")
@@ -111,14 +111,14 @@ def helstrom(gammas, thetas, bound: float, slack: float) -> tuple:
     excess = Gap("PGM fidelity above the Helstrom bound", slack)
     base = noiseless_povm(2)
     for g in gammas:
-        ens = [SignalEnsemble.build(2, DephasingParams(g, t)) for t in thetas]
-        tns = [trace_norm(HermitianOp(e.states[0].matrix - e.states[1].matrix, 3)) for e in ens]
+        ens = [SignalEnsemble(2, DephasingParams(g, t)) for t in thetas]
+        tns = [trace_norm(e.states[0] - e.states[1]) for e in ens]
         at = f"gamma={g:g} theta={thetas[0]:g}"
         norm.see(abs(tns[0] - math.sqrt(1.0 + 2.0 * g * g)), at)
         for t, tn in zip(thetas[1:], tns[1:]):
             spread.see(abs(tns[0] - tn), f"gamma={g:g} theta={t:g}")
         for pov in (base, pgm(ens[0])):
-            excess.see(ent_fidelity(pov, ens[0]).ent_fidelity - cf.helstrom_bound_n2(g), at)
+            excess.see(ent_fidelity(pov, ens[0]) - cf.helstrom_bound_n2(g), at)
     return norm, spread, excess
 
 
@@ -166,9 +166,9 @@ def taylor_pgm_agreement(ns, gammas, order: int, bound: float) -> Gap:
     """Series-expanded PGM fidelity against the eigensolver PGM at theta = 0."""
     gap = Gap(f"|Taylor (order {order}) - eigensolver PGM fidelity|", bound)
     for n, g in itertools.product(ns, gammas):
-        ens = SignalEnsemble.build(n, DephasingParams(g, 0.0))
-        f_eig = ent_fidelity(pgm(ens), ens).ent_fidelity
-        f_tay = ent_fidelity(pgm_taylor(ens, order), ens).ent_fidelity
+        ens = SignalEnsemble(n, DephasingParams(g, 0.0))
+        f_eig = ent_fidelity(pgm(ens), ens)
+        f_tay = ent_fidelity(pgm_taylor(ens, order), ens)
         gap.see(abs(f_eig - f_tay), f"N={n} gamma={g:g}")
     return gap
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 import functools
 import math
 
+import numpy as np
+
 from .ensemble import DephasingParams
 
 # The printed closed form of the correction term counts every k and its
@@ -76,18 +78,15 @@ def noiseless_fidelity(n: int, overlap):
 FIDELITY_SLACK = 1e-12
 
 
-def teleport_fidelity(ent_fid: float) -> float:
-    """Average teleportation fidelity from the entanglement fidelity."""
-    if not -FIDELITY_SLACK <= ent_fid <= 1.0 + FIDELITY_SLACK:
-        raise ValueError(f"entanglement fidelity {ent_fid} outside [0, 1]")
-    return (2.0 * ent_fid + 1.0) / 3.0
+def teleport_fidelity(ent_fid):
+    """Average teleportation fidelity from the entanglement fidelity, a float or an array.
 
-
-def teleport_fidelities(ent_fid):
-    """`teleport_fidelity` of every entry of a numpy array, with the same range check."""
-    outside = ent_fid[~((ent_fid >= -FIDELITY_SLACK) & (ent_fid <= 1.0 + FIDELITY_SLACK))]
-    if outside.size:
-        raise ValueError(f"entanglement fidelity {outside[0]} outside [0, 1]")
+    A float stays a float.  Raises ValueError if an entry lies outside [0, 1]
+    by more than FIDELITY_SLACK, or is NaN.
+    """
+    for f in ent_fid.ravel().tolist() if isinstance(ent_fid, np.ndarray) else (ent_fid,):
+        if not -FIDELITY_SLACK <= f <= 1.0 + FIDELITY_SLACK:
+            raise ValueError(f"entanglement fidelity {f} outside [0, 1]")
     return (2.0 * ent_fid + 1.0) / 3.0
 
 

@@ -95,7 +95,7 @@ def pgm_fidelities_reduced(n: int, params_seq: Sequence[DephasingParams]) -> lis
 
     F = (N/4) tr(X rho_1 X rho_1) with X = S^(-1/2) on the support of the
     ensemble average S; the same number as the dense `povm.ent_fidelity(pgm(ens), ens)`
-    with `ens = SignalEnsemble.build(n, params)`.
+    with `ens = SignalEnsemble(n, params)`.
 
     With a, b the diagonal of 4 rho on span{|01>, |10>} of (A_i, B) and q its
     |01><10| entry, 2^(N+1) S = a (N/2 + J_z) |1><1|_B + b (N/2 - J_z) |0><0|_B
@@ -149,11 +149,6 @@ def pgm_fidelities_reduced(n: int, params_seq: Sequence[DephasingParams]) -> lis
             tr_yy = (a[r] * xu + qqx) ** 2 + (qqx + b[r] * xd) ** 2 + 2.0 * y01 * y10
             total[r] += (_real_trace(tr_yy) * weight).sum(axis=(1, 2))
     return (0.25 * n * total).tolist()
-
-
-def pgm_fidelity_reduced(n: int, params: DephasingParams) -> float:
-    """The noise-adapted PGM fidelity at one point (see `pgm_fidelities_reduced`)."""
-    return pgm_fidelities_reduced(n, [params])[0]
 
 
 def compare_noise_adapted(n: int, gamma_grid: Sequence[float]) -> list:

@@ -248,4 +248,4 @@ def fidelities_vs_time(n: int, baths: Sequence[SpinBosonParams], taus: Sequence[
                                                           theta.ravel().tolist())]
             ent[mode] = np.reshape(pgm_fidelities_reduced(n, grid), chis.shape)
     return FidelityCurves(chis, phases, gamma_abs, ent,
-                          {mode: closedform.teleport_fidelities(f) for mode, f in ent.items()})
+                          {mode: closedform.teleport_fidelity(f) for mode, f in ent.items()})

@@ -36,8 +36,8 @@ def n9_sweep():
 
 @functools.lru_cache(maxsize=None)
 def adapted_fidelity(n, gamma_abs, theta):
-    ens = SignalEnsemble.build(n, DephasingParams(gamma_abs, theta))
-    return ent_fidelity(pgm(ens), ens).ent_fidelity
+    ens = SignalEnsemble(n, DephasingParams(gamma_abs, theta))
+    return ent_fidelity(pgm(ens), ens)
 
 
 def test_criterion_1_closed_form_vs_numeric():

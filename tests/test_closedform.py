@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from pbtlab import checks
@@ -79,9 +80,12 @@ def test_fidelity_noiseless_povm_endpoints():
 
 def test_teleport_fidelity_map():
     assert cf.teleport_fidelity(1.0) == pytest.approx(1.0)
+    assert type(cf.teleport_fidelity(0.25)) is float
     assert cf.teleport_fidelity(0.25) == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        cf.teleport_fidelity(1.5)
+    assert np.array_equal(cf.teleport_fidelity(np.array([[1.0], [0.25]])), [[1.0], [0.5]])
+    for bad in (1.5, math.nan, np.array([0.5, -0.1]), np.array([0.5, np.nan])):
+        with pytest.raises(ValueError, match="outside"):
+            cf.teleport_fidelity(bad)
 
 
 def test_spin_block_spectrum_matches_dense():

@@ -14,7 +14,6 @@ from pbtlab.fidelity import (
     _sector_blocks,
     _sector_log_weights,
     pgm_fidelities_reduced,
-    pgm_fidelity_reduced,
 )
 from pbtlab.linops import LinopsError
 from pbtlab.povm import SignalEnsemble, ent_fidelity, pgm
@@ -34,9 +33,9 @@ def test_compare_routes_match_dense(n):
     for g in GAMMAS:
         for th in THETAS:
             p = DephasingParams(g, th)
-            ens = SignalEnsemble.build(n, p)
-            adapted = ent_fidelity(pgm(ens), ens).ent_fidelity
-            assert abs(pgm_fidelity_reduced(n, p) - adapted) <= TOL
+            ens = SignalEnsemble(n, p)
+            adapted = ent_fidelity(pgm(ens), ens)
+            assert abs(pgm_fidelities_reduced(n, [p])[0] - adapted) <= TOL
     assert checks.closed_form_vs_trace((n,), GAMMAS, THETAS, TOL).ok
 
 
@@ -49,7 +48,7 @@ def test_pure_singlet_gives_f_ih(n):
     # eigenvalues of size ~2N, within TOL.
     for th in THETAS:
         p = DephasingParams(1.0, th)
-        assert abs(pgm_fidelity_reduced(n, p) - cf.f_ih(n)) <= TOL
+        assert abs(pgm_fidelities_reduced(n, [p])[0] - cf.f_ih(n)) <= TOL
 
 
 # Two more anchors beyond the dense oracle's N <= 8.
@@ -85,7 +84,7 @@ def test_batched_rows_match_one_point_calls(n):
     # the summation of the block traces may round differently
     batched = pgm_fidelities_reduced(n, MIXED_GRID)
     for p, f in zip(MIXED_GRID, batched):
-        assert abs(f - pgm_fidelity_reduced(n, p)) <= 1e-15
+        assert abs(f - pgm_fidelities_reduced(n, [p])[0]) <= 1e-15
     assert max(abs(f - cf.f_ih(n)) for p, f in zip(MIXED_GRID, batched)
                if p.gamma_abs == 1.0) <= TOL
 
@@ -122,8 +121,8 @@ def test_block_spectrum_matches_dense(n):
             edges = [two_j + 1] + ([two_j - 1] if two_j else [])  # 2J
             values += [[a * (n - t) / 2, b * (n - t) / 2] for t in edges]
             spectrum += list(np.concatenate(values)) * degeneracy(n - 1, two_j / 2)
-        ens = SignalEnsemble.build(n, DephasingParams(g, 0.7))
-        dense = np.linalg.eigvalsh(2.0 ** (n + 1) * ens.average_unnormalized.matrix)
+        ens = SignalEnsemble(n, DephasingParams(g, 0.7))
+        dense = np.linalg.eigvalsh(2.0 ** (n + 1) * ens.average_unnormalized)
         assert len(spectrum) == len(dense)
         assert np.max(np.abs(np.sort(spectrum) - dense)) <= 1e-12
         assert abs(max(spectrum) - (n + 1 + math.sqrt((n - 1) ** 2 + 4 * n * g ** 2))) <= 1e-12
@@ -148,12 +147,12 @@ def test_non_psd_input_raises():
     bad = DephasingParams(1.0, 0.0)
     object.__setattr__(bad, "gamma_abs", 1.5)  # Bell block eigenvalue -1/4
     with pytest.raises(LinopsError, match="not PSD"):
-        pgm_fidelity_reduced(3, bad)
+        pgm_fidelities_reduced(3, [bad])
 
 
 def test_rejects_empty_port_set():
     with pytest.raises(LinopsError):
-        pgm_fidelity_reduced(0, DephasingParams(1.0, 0.0))
+        pgm_fidelities_reduced(0, [DephasingParams(1.0, 0.0)])
 
 
 @pytest.mark.parametrize("n", range(1, 21))
