@@ -17,10 +17,10 @@ import numpy as np
 from . import closedform as cf
 from . import quadrature as qd
 from . import spinboson as sb
-from .ensemble import NOISELESS, DephasingParams
+from .ensemble import DephasingParams, _bell_matrices
+from .fidelity import _block_spectrum, _sector_blocks, _sector_log_weights
 from .linops import state_fidelity, trace_norm
 from .povm import SignalEnsemble, ent_fidelity, mixed_term, noiseless_povm, pgm, pgm_taylor, validate
-from .spectrum import spin_block_spectrum
 
 
 @dataclass
@@ -58,7 +58,7 @@ def povm_validity(ns, gammas, theta: float, residual_bound: float,
                   eig_bound: float, overlap_bound: float) -> tuple:
     """Completeness residual, most negative eigenvalue and defect overlap of the PGM."""
     residual = Gap("completeness residual", residual_bound)
-    negative = Gap("-(smallest POVM eigenvalue)", eig_bound)
+    negative = Gap("-(smallest eigenvalue of a Pi_i or of I - sum Pi_i)", eig_bound)
     overlap = Gap("|defect-signal overlap|", overlap_bound)
     for n, g in itertools.product(ns, gammas):
         ens = SignalEnsemble(n, DephasingParams(g, theta))
@@ -79,15 +79,36 @@ def mixed_term_vanishes(ns, bound: float) -> Gap:
     return gap
 
 
-def spectrum_block_formulas(ns, bound: float) -> Gap:
-    """Dense spectrum of the noiseless average against the spin-block formulas."""
-    gap = Gap("|dense eigenvalue - block formula|", bound)
-    for n in ns:
-        dense = np.sort(np.linalg.eigvalsh(SignalEnsemble(n, NOISELESS).average_unnormalized))
-        mult = spin_block_spectrum(n).eigenvalue_multiplicities()
-        support = np.repeat(list(mult), list(mult.values()))
-        expected = np.sort(np.concatenate([support, np.zeros(dense.size - support.size)]))
-        gap.see(float(np.max(np.abs(dense - expected))), f"N={n}")
+def block_spectrum(n: int, gamma_abs: float, theta: float) -> np.ndarray:
+    """Every eigenvalue of 2^(N+1) S from the reduced route's blocks, sorted.
+
+    Sector j' holds J = j' +- 1/2: the 2x2 blocks of `fidelity._sector_blocks`
+    (at J = j' - 1/2 only those with |M| < j', the others hold a state that
+    does not exist) and the edge states |J,-J>|1>_B, |J,J>|0>_B with
+    eigenvalues a (N/2 - J) and b (N/2 - J).  Each sector is counted
+    2^(N+1) times its weight from `fidelity._sector_log_weights`.
+    """
+    bell = 4.0 * _bell_matrices([gamma_abs], [theta])[0, 1:3, 1:3]
+    a, b, qq = bell[0, 0].real, bell[1, 1].real, abs(bell[0, 1]) ** 2
+    values = []
+    for two_j, log_w in _sector_log_weights(n):
+        _, ones, zeros, hop, *_ = _sector_blocks(n, [(two_j, log_w)])
+        _, _, lp, lm, _ = _block_spectrum(a, b, qq, ones, zeros, hop)
+        edges = np.array([two_j + 1] + ([two_j - 1] if two_j else []))  # 2J
+        sector = [lp[0], lm[0], lp[1, 1:-1], lm[1, 1:-1], a * (n - edges) / 2, b * (n - edges) / 2]
+        values.append(np.tile(np.concatenate(sector), round(2.0 ** (n + 1) * math.exp(log_w))))
+    return np.sort(np.concatenate(values))
+
+
+def spectrum_block_formulas(ns, gammas, thetas, bound: float) -> Gap:
+    """Dense spectrum of 2^(N+1) S against `block_spectrum`; a count mismatch is an infinite gap."""
+    gap = Gap("|dense eigenvalue - block formula| of 2^(N+1) S", bound)
+    for n, g, t in itertools.product(ns, gammas, thetas):
+        ens = SignalEnsemble(n, DephasingParams(g, t))
+        dense = np.linalg.eigvalsh(2.0 ** (n + 1) * ens.average_unnormalized)
+        blocks = block_spectrum(n, g, t)
+        gap.see(float(np.max(np.abs(dense - blocks))) if blocks.shape == dense.shape else math.inf,
+                f"N={n} gamma={g:g} theta={t:g}")
     return gap
 
 
@@ -128,16 +149,18 @@ def spin_boson(params: sb.SpinBosonParams, taus, settings, zero_bound: float,
     zero_bound); chi >= 0; each of the other quadrature settings moves chi and
     the phase by <= shift_bound."""
     vanish = Gap("|chi|, |phase| where they vanish", zero_bound)
-    vanish.see(abs(qd.chi(0.0, params)), "chi at tau=0")
-    vanish.see(abs(qd.phase(0.0, params)), "phase at tau=0")
+    vanish.see(abs(qd.chi_and_error(0.0, params)[0]), "chi at tau=0")
+    vanish.see(abs(qd.phase_and_error(0.0, params)[0]), "phase at tau=0")
     negative = Gap("negative part of chi", 0.0)
     shift = Gap("shift of chi and phase", shift_bound)
     for tau in taus:
-        c0, p0 = qd.chi(tau, params), qd.phase(tau, params)
-        vanish.see(abs(qd.chi(tau, replace(params, separation=0.0))), f"chi at ell=0 tau={tau:g}")
+        c0, p0 = qd.chi_and_error(tau, params)[0], qd.phase_and_error(tau, params)[0]
+        vanish.see(abs(qd.chi_and_error(tau, replace(params, separation=0.0))[0]),
+                   f"chi at ell=0 tau={tau:g}")
         negative.see(-c0, f"tau={tau:g}")
         for q in settings:
-            shift.see(max(abs(qd.chi(tau, params, q) - c0), abs(qd.phase(tau, params, q) - p0)),
+            shift.see(max(abs(qd.chi_and_error(tau, params, q)[0] - c0),
+                          abs(qd.phase_and_error(tau, params, q)[0] - p0)),
                       f"tau={tau:g} upper_cutoff={q.upper_cutoff:g} rel_tol={q.rel_tol:g}")
     return vanish, negative, shift
 
@@ -179,7 +202,8 @@ SUITES = {
         (2, 3, 4), (0.0, 0.5, 1.0), (0.0, math.pi / 2, math.pi), 1e-9),),
     "povm_validity": lambda: povm_validity((2, 3, 4), (0.3, 1.0), 0.4, 1e-8, 1e-10, 1e-9),
     "mixed_term_vanishes": lambda: (mixed_term_vanishes((2, 3, 4), 1e-10),),
-    "spectrum_block_formulas": lambda: (spectrum_block_formulas((2, 3, 4), 1e-10),),
+    "spectrum_block_formulas": lambda: (spectrum_block_formulas(
+        (2, 3, 4), (0.0, 0.3, 1.0), (0.7,), 1e-10),),
     "pairwise_fidelity_half": lambda: (pairwise_fidelity_half(
         (3,), (0.0, 0.7, 1.0), (0.3,), 1e-9),),
     "helstrom_trace_norm": lambda: helstrom((0.0, 0.4, 1.0), (0.7,), 1e-10, 1e-9),

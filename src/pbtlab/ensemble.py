@@ -49,10 +49,6 @@ class DephasingParams:
         if not 0.0 <= self.gamma_abs <= 1.0 + 1e-12:
             raise ValueError(f"gamma_abs must lie in [0, 1], got {self.gamma_abs}")
 
-    @property
-    def gamma(self) -> complex:
-        return self.gamma_abs * np.exp(1j * self.theta)
-
 
 NOISELESS = DephasingParams(1.0, 0.0)
 

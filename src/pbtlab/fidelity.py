@@ -48,8 +48,9 @@ class ComparisonRow:
 def _sector_log_weights(n: int) -> list:
     """(2j', log(d_j' / 2^(N+1))) for each spin sector j' of the ports A_2..A_N.
 
-    d_j' = degeneracy(N-1, j') = C(N-1, k) (2j'+1) / (N-k) with k = (N-1)/2 - j',
-    evaluated in log space so that it stays finite for any N.
+    d_j' = C(N-1, k) (2j'+1) / (N-k) with k = (N-1)/2 - j' is the number of
+    times spin j' occurs among N-1 spins 1/2, evaluated in log space so that
+    it stays finite for any N.
     """
     m = n - 1
     out = []
@@ -102,9 +103,9 @@ def pgm_fidelities_reduced(n: int, params_seq: Sequence[DephasingParams]) -> lis
     + q J_+ |1><0|_B + h.c., J the total spin of all N ports: 2x2 blocks on
     |J,m>|0>_B, |J,m+1>|1>_B (`_block_spectrum`).  S and eta_1 commute with
     permutations of A_2..A_N, so they split into spin sectors j' of those
-    ports, counted degeneracy(N-1, j') times.  The eta_1 states |01>|j',M>,
-    |10>|j',M> lie, by Clebsch-Gordan coupling, in the m = M - 1/2 blocks of
-    J = j' +- 1/2 (`_sector_blocks`), so their corner of X sums two blocks' X.
+    ports, each counted d_j' times (`_sector_log_weights`).  The eta_1 states
+    |01>|j',M>, |10>|j',M> lie, by Clebsch-Gordan coupling, in the m = M - 1/2
+    blocks of J = j' +- 1/2 (`_sector_blocks`), so their corner of X sums two blocks' X.
     On a block X = ((tr + sqrt(l+ l-)) I - block) / (sqrt(l+ l-) (sqrt(l+) +
     sqrt(l-))), with l- = det / l+: no eigensolver runs and nothing cancels.
 

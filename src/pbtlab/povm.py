@@ -91,13 +91,6 @@ def _hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + np.swapaxes(m, -1, -2).conj())
 
 
-def _clamp_psd(m: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(_hermitize(m))
-    lam_max = max(float(w.max()), 0.0)
-    w = np.where(w < DEFAULT_RANK_TOL * lam_max, 0.0, w)
-    return (v * w) @ v.conj().T
-
-
 def pgm(ensemble: SignalEnsemble) -> np.ndarray:
     """Square-root measurement of the ensemble: its (N, d, d) stack of elements."""
     t = inv_sqrt_on_support(ensemble.average_unnormalized)
@@ -141,15 +134,17 @@ def validate(elements: np.ndarray, ensemble: SignalEnsemble) -> ValidationReport
     """Minimum eigenvalues, completeness residual and defect-support overlap.
 
     The defect is I - sum_i Pi_i with eigenvalues below the rank cut clamped
-    to zero.
+    to zero; `defect_min_eigenvalue` is the smallest eigenvalue of I - sum_i Pi_i
+    before that clamp, so an overcomplete POVM shows as a negative one.
     """
     total = elements.sum(axis=0)
     eye = np.eye(total.shape[0])
-    defect = _clamp_psd(eye - total)
+    w, v = np.linalg.eigh(_hermitize(eye - total))
+    defect = (v * np.where(w < DEFAULT_RANK_TOL * max(float(w.max()), 0.0), 0.0, w)) @ v.conj().T
     return ValidationReport(
         tuple(np.linalg.eigvalsh(elements).min(axis=1).tolist()),
         float(np.linalg.norm(total + defect - eye)),
-        float(np.linalg.eigvalsh(defect).min()),
+        float(w.min()),
         tuple(np.einsum("ij,kji->k", defect, ensemble.states).real.tolist()),
     )
 

@@ -74,14 +74,10 @@ def _panel_width(tau: float, ell: float) -> float:
     return math.pi / max(tau, ell, 1.0)
 
 
-def chi(tau: float, params: SpinBosonParams, quad: QuadratureSettings = DEFAULT_QUAD) -> float:
-    """Decay exponent chi(tau, ell) >= 0."""
-    return chi_and_error(tau, params, quad)[0]
-
-
 def chi_and_error(tau: float, params: SpinBosonParams,
                   quad: QuadratureSettings = DEFAULT_QUAD) -> tuple:
-    """chi and the error estimate of its quadrature (0 where chi is exactly 0)."""
+    """Decay exponent chi(tau, ell) >= 0 and the error estimate of its quadrature
+    (0 where chi is exactly 0)."""
     if tau < 0.0:
         raise ValueError(f"tau must be >= 0, got {tau}")
     s, th, ell = params.ohmicity, params.temperature_ratio, params.separation
@@ -111,8 +107,10 @@ def chi_and_error(tau: float, params: SpinBosonParams,
     return head + tail, error
 
 
-def phase(tau: float, params: SpinBosonParams, quad: QuadratureSettings = DEFAULT_QUAD) -> float:
-    """Phase theta(tau, ell); independent of temperature.
+def phase_and_error(tau: float, params: SpinBosonParams,
+                    quad: QuadratureSettings = DEFAULT_QUAD) -> tuple:
+    """Phase theta(tau, ell), independent of temperature, and the error estimate
+    of its quadrature (0 where the phase is exactly 0).
 
     A reliable oracle only up to s ~ 10: the integrand is of size Gamma(s-1)
     and the quadrature tolerances cannot resolve its cancellation beyond.
@@ -120,12 +118,6 @@ def phase(tau: float, params: SpinBosonParams, quad: QuadratureSettings = DEFAUL
     relative gap is 4e-12 at s = 10, 4e-9 at s = 15, 5e-6 at s = 20 and 0.6
     at s = 30.
     """
-    return phase_and_error(tau, params, quad)[0]
-
-
-def phase_and_error(tau: float, params: SpinBosonParams,
-                    quad: QuadratureSettings = DEFAULT_QUAD) -> tuple:
-    """The phase and the error estimate of its quadrature (0 where it is exactly 0)."""
     if tau < 0.0:
         raise ValueError(f"tau must be >= 0, got {tau}")
     s, ell = params.ohmicity, params.separation

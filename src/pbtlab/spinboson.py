@@ -24,7 +24,7 @@ with zeta the Hurwitz zeta (expand coth in powers of e^{-w/theta_T}):
 `decoherence_grid` evaluates these for a list of baths on a whole tau grid at
 once; the weights of each combination sum to zero, so a t-independent
 constant in G cancels.
-`quadrature.chi` and `quadrature.phase` integrate the frequency integrals by
+`quadrature.chi_and_error` and `quadrature.phase_and_error` integrate the frequency integrals by
 adaptive quadrature and are the independent check of that route.
 """
 

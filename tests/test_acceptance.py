@@ -106,9 +106,9 @@ def test_criterion_6_bound_ordering():
 
 
 def test_criterion_7_spectrum():
-    gap = checks.spectrum_block_formulas(range(2, 7), 1e-10)
-    report(7, "dense spectrum of the noiseless average matches the "
-              "spin-block formulas to 1e-10 (N=2..6)", gap.ok,
+    gap = checks.spectrum_block_formulas(range(2, 7), (0.0, 0.3, 1.0), (0.0, 0.7), 1e-10)
+    report(7, "dense spectrum of 2^(N+1) S matches the reduced route's spin blocks "
+              "and sector weights to 1e-10 (N=2..6, |gamma| 0, 0.3, 1, theta 0, 0.7)", gap.ok,
            f"worst gap {gap.worst:.2e}")
 
 

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -286,7 +287,7 @@ def test_verify_quadrature_failure_is_one_error_line(tmp_path, capsys, monkeypat
 
 
 # The modules that `surface`, `vs-n`, `compare` and `spinboson` run; the
-# oracles (povm, linops, quadrature, spectrum) and checks load only for verify.
+# oracles (povm, linops, quadrature) and checks load only for verify.
 FAST_PATH = ["pbtlab", "pbtlab.cli", "pbtlab.closedform", "pbtlab.ensemble",
              "pbtlab.fidelity", "pbtlab.spinboson"]
 
@@ -300,6 +301,18 @@ def test_cli_starts_without_the_oracles():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout
     assert out.split() == FAST_PATH
+
+
+def test_every_public_module_imports():
+    # a name left in __all__ after its module is deleted breaks `from pbtlab import *`
+    for name in pbtlab.__all__:
+        importlib.import_module(f"pbtlab.{name}")
+    code = "from pbtlab import *; print(*sorted(k for k in dir() if not k.startswith('_')))"
+    src = str(Path(pbtlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    assert out.split() == sorted(pbtlab.__all__)
 
 
 def test_verify_fault_injection(tmp_path, monkeypatch):

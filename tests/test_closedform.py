@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,41 +6,6 @@ import pytest
 from pbtlab import checks
 from pbtlab import closedform as cf
 from pbtlab.ensemble import DephasingParams
-from pbtlab.spectrum import degeneracy, spin_block_spectrum
-
-
-def test_degeneracy_small_cases():
-    # multiplicity of each total-spin irrep (not weighted by its dimension)
-    assert degeneracy(1, Fraction(1, 2)) == 1
-    assert degeneracy(2, 0) == 1
-    assert degeneracy(2, 1) == 1
-    assert degeneracy(3, Fraction(1, 2)) == 2
-    assert degeneracy(3, Fraction(3, 2)) == 1
-    assert degeneracy(4, 0) == 2
-    assert degeneracy(4, 1) == 3
-
-
-def test_degeneracy_counts_full_space():
-    for n in range(1, 9):
-        total = 0
-        s = Fraction(n % 2, 2)
-        while s <= Fraction(n, 2):
-            total += int(2 * s + 1) * degeneracy(n, s)
-            s += 1
-        assert total == 2 ** n
-
-
-def test_degeneracy_rejects_bad_spin():
-    with pytest.raises(ValueError):
-        degeneracy(2, Fraction(1, 2))
-    with pytest.raises(ValueError):
-        degeneracy(3, 5)
-    # a float spin is taken exactly, not rounded to the nearest half
-    with pytest.raises(ValueError):
-        degeneracy(3, 0.3)
-    with pytest.raises(ValueError):
-        degeneracy(4, 0.9)
-    assert degeneracy(3, 1.5) == 1
 
 
 def test_f_ih_landmarks():
@@ -89,12 +53,14 @@ def test_teleport_fidelity_map():
 
 
 def test_spin_block_spectrum_matches_dense():
-    assert checks.spectrum_block_formulas(range(2, 6), 1e-10).ok
+    assert checks.spectrum_block_formulas(range(2, 6), (1.0,), (0.0,), 1e-10).ok
 
 
 def test_spin_block_trace_equals_n():
+    # tr S = N, so the block eigenvalues of 2^(N+1) S sum to N 2^(N+1)
     for n in (2, 3, 6, 9):
-        assert spin_block_spectrum(n).trace() == pytest.approx(n, abs=1e-10)
+        total = checks.block_spectrum(n, 1.0, 0.0).sum()
+        assert total == pytest.approx(n * 2 ** (n + 1), rel=1e-12)
 
 
 def test_kim_fidelity_endpoints():

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -45,8 +43,6 @@ def test_bell_projectors_orthonormal():
 def test_dephasing_params_range():
     with pytest.raises(ValueError):
         DephasingParams(1.5)
-    p = DephasingParams(0.5, math.pi / 3)
-    assert p.gamma == pytest.approx(0.5 * np.exp(1j * math.pi / 3))
 
 
 def test_decohered_bell_noiseless_is_singlet():

@@ -28,6 +28,13 @@ def test_noise_adapted_povm_is_valid(gamma):
     assert all(g.ok for g in checks.povm_validity((3,), (gamma,), 0.5, 1e-8, 1e-10, 1e-9))
 
 
+def test_overcomplete_povm_shows_a_negative_defect_eigenvalue():
+    # I - 1.1 sum_i Pi_i has eigenvalue 1 - 1.1 = -0.1 on the support
+    ens = SignalEnsemble(3, DephasingParams(0.3, 0.4))
+    rep = validate(1.1 * pgm(ens), ens)
+    assert rep.defect_min_eigenvalue == pytest.approx(-0.1, abs=1e-12)
+
+
 def test_pgm_elements_sum_to_identity_on_support():
     # the elements plus the defect `validate` builds from them
     ens = SignalEnsemble(3, NOISELESS)

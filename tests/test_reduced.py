@@ -17,7 +17,6 @@ from pbtlab.fidelity import (
 )
 from pbtlab.linops import LinopsError
 from pbtlab.povm import SignalEnsemble, ent_fidelity, pgm
-from pbtlab.spectrum import degeneracy
 
 GAMMAS = (0.0, 0.3, 0.999, 1.0)
 THETAS = (0.0, 1.3, 3.0)
@@ -99,33 +98,19 @@ def test_chunked_walk_matches_one_stack(n, monkeypatch):
     assert max(abs(a - b) for a, b in zip(whole, pieces)) <= 1e-15
 
 
-def sector_spectrum(n, two_j, g, th):
-    """a, b and the eigenvalues l+, l- of the closed-form blocks of sector j' = two_j / 2."""
+def top_eigenvalues(n, two_j, g, th):
+    """l+ of the closed-form blocks of sector j' = two_j / 2, rows J = j' +- 1/2."""
     bell = 4.0 * _bell_matrices([g], [th])[0, 1:3, 1:3]
     a, b, qq = bell[0, 0].real, bell[1, 1].real, abs(bell[0, 1]) ** 2
     _, ones, zeros, hop, *_ = _sector_blocks(n, [(two_j, 0.0)])
-    return (a, b) + _block_spectrum(a, b, qq, ones, zeros, hop)[2:4]
+    return _block_spectrum(a, b, qq, ones, zeros, hop)[2]
 
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_block_spectrum_matches_dense(n):
-    # Sector j' holds J = j' +- 1/2: the 2x2 blocks of `_sector_blocks` (at
-    # J = j' - 1/2 only those with |M| < j', the others hold a state that does
-    # not exist) and the edge states |J,-J>|1>_B, |J,J>|0>_B with eigenvalues
-    # a (N/2 - J) and b (N/2 - J); each sector counted degeneracy(N-1, j') times.
-    for g in (0.0, 0.3, 1.0):
-        spectrum = []
-        for two_j, _ in _sector_log_weights(n):
-            a, b, lp, lm = sector_spectrum(n, two_j, g, 0.7)
-            values = [lp[0], lm[0], lp[1, 1:-1], lm[1, 1:-1]]
-            edges = [two_j + 1] + ([two_j - 1] if two_j else [])  # 2J
-            values += [[a * (n - t) / 2, b * (n - t) / 2] for t in edges]
-            spectrum += list(np.concatenate(values)) * degeneracy(n - 1, two_j / 2)
-        ens = SignalEnsemble(n, DephasingParams(g, 0.7))
-        dense = np.linalg.eigvalsh(2.0 ** (n + 1) * ens.average_unnormalized)
-        assert len(spectrum) == len(dense)
-        assert np.max(np.abs(np.sort(spectrum) - dense)) <= 1e-12
-        assert abs(max(spectrum) - (n + 1 + math.sqrt((n - 1) ** 2 + 4 * n * g ** 2))) <= 1e-12
+    # every eigenvalue of 2^(N+1) S from the blocks and sector weights
+    # `pgm_fidelities_reduced` runs, against the dense spectrum
+    assert checks.spectrum_block_formulas((n,), (0.0, 0.3, 1.0), (0.7,), 1e-12).ok
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -134,7 +119,7 @@ def test_largest_eigenvalue_sits_in_top_sector(n):
     # spin N/2 and m = -N/2 or N/2 - 1, where the rank cut takes it; total
     # spin N/2 lies only in the top sector j' = (N-1)/2, row 0 of its blocks
     for g, th in zip((0.0, 0.3, 0.999, 1.0, 1.0), (0.0, 1.0, -2.0, 0.0, 2.5)):
-        tops = [sector_spectrum(n, two_j, g, th)[2] for two_j, _ in _sector_log_weights(n)]
+        tops = [top_eigenvalues(n, two_j, g, th) for two_j, _ in _sector_log_weights(n)]
         largest = tops[0][0].max()
         assert largest == max(t.max() for t in tops)
         # at |gamma| = 1 l+ is flat in m, so the ends tie with the rest to round-off
@@ -158,16 +143,18 @@ def test_rejects_empty_port_set():
 @pytest.mark.parametrize("n", range(1, 21))
 def test_sector_weights_match_exact_degeneracy(n):
     for two_j, log_w in _sector_log_weights(n):
-        exact = degeneracy(n - 1, two_j / 2) / 2 ** (n + 1)
+        k = (n - 1 - two_j) // 2
+        exact = math.comb(n - 1, k) * (two_j + 1) // (n - k) / 2 ** (n + 1)
         # lgamma-based logs carry ~1e-15 relative error per term
         assert math.exp(log_w) == pytest.approx(exact, rel=1e-12)
 
 
 def test_sector_weights_sum_to_one_at_large_n():
-    # sum_j' 4 (2j'+1) d_j' / 2^(N+1) = 4 * 2^(N-1) / 2^(N+1) = 1; 2^2001 and
-    # the largest d_j' overflow a float, their logs do not.
-    n = 2000
-    logs = _sector_log_weights(n)
-    assert all(math.isfinite(log_w) for _, log_w in logs)
-    total = math.fsum(4 * (two_j + 1) * math.exp(log_w) for two_j, log_w in logs)
-    assert abs(total - 1.0) <= 1e-12
+    # sum_j' 4 (2j'+1) d_j' / 2^(N+1) = 4 * 2^(N-1) / 2^(N+1) = 1: the sectors
+    # fill the whole space.  At N = 2000, 2^2001 and the largest d_j' overflow
+    # a float, their logs do not.
+    for n in [*range(1, 61), 2000]:
+        logs = _sector_log_weights(n)
+        assert all(math.isfinite(log_w) for _, log_w in logs)
+        total = math.fsum(4 * (two_j + 1) * math.exp(log_w) for two_j, log_w in logs)
+        assert abs(total - 1.0) <= 1e-12
