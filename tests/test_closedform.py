@@ -6,6 +6,19 @@ import pytest
 from pbtlab import checks
 from pbtlab import closedform as cf
 from pbtlab.ensemble import DephasingParams
+from pbtlab.fidelity import _sector_log_weights
+
+
+def test_degeneracy_counts_full_space():
+    # the multiplicities d_j' behind the reduced route's sector weights, with
+    # each irrep's dimension 2j'+1, count the 2^m states of m = N-1 spins 1/2
+    for m in range(1, 9):
+        total = 0
+        for two_j, log_w in _sector_log_weights(m + 1):
+            d = 2.0 ** (m + 2) * math.exp(log_w)
+            assert d == pytest.approx(round(d), abs=1e-9)
+            total += (two_j + 1) * round(d)
+        assert total == 2 ** m
 
 
 def test_f_ih_landmarks():
