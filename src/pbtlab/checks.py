@@ -17,10 +17,11 @@ import numpy as np
 from . import closedform as cf
 from . import quadrature as qd
 from . import spinboson as sb
-from .ensemble import DephasingParams, _bell_matrices
+from .ensemble import DephasingParams
 from .fidelity import _block_spectrum, _sector_blocks, _sector_log_weights
 from .linops import state_fidelity, trace_norm
-from .povm import SignalEnsemble, ent_fidelity, mixed_term, noiseless_povm, pgm, pgm_taylor, validate
+from .povm import (SignalEnsemble, ent_fidelity, mixed_term, noiseless_povm, pgm, pgm_fidelity,
+                   pgm_taylor, validate)
 
 
 @dataclass
@@ -79,23 +80,22 @@ def mixed_term_vanishes(ns, bound: float) -> Gap:
     return gap
 
 
-def block_spectrum(n: int, gamma_abs: float, theta: float) -> np.ndarray:
+def block_spectrum(n: int, gamma_abs: float) -> np.ndarray:
     """Every eigenvalue of 2^(N+1) S from the reduced route's blocks, sorted.
 
-    Sector j' holds J = j' +- 1/2: the 2x2 blocks of `fidelity._sector_blocks`
-    (at J = j' - 1/2 only those with |M| < j', the others hold a state that
-    does not exist) and the edge states |J,-J>|1>_B, |J,J>|0>_B with
-    eigenvalues a (N/2 - J) and b (N/2 - J).  Each sector is counted
-    2^(N+1) times its weight from `fidelity._sector_log_weights`.
+    The blocks take |q|^2 = 4 |gamma|^2, as in `fidelity.pgm_fidelities_reduced`;
+    the phase of gamma moves no eigenvalue.  Sector j' holds J = j' +- 1/2: the
+    2x2 blocks of `fidelity._sector_blocks` (at J = j' - 1/2 only those with
+    |M| < j', the others hold a state that does not exist) and the edge
+    states |J,-J>|1>_B, |J,J>|0>_B, each with eigenvalue N - 2J.  Each sector
+    is counted 2^(N+1) times its weight from `fidelity._sector_log_weights`.
     """
-    bell = 4.0 * _bell_matrices([gamma_abs], [theta])[0, 1:3, 1:3]
-    a, b, qq = bell[0, 0].real, bell[1, 1].real, abs(bell[0, 1]) ** 2
     values = []
     for two_j, log_w in _sector_log_weights(n):
         _, ones, zeros, hop, *_ = _sector_blocks(n, [(two_j, log_w)])
-        _, _, lp, lm, _ = _block_spectrum(a, b, qq, ones, zeros, hop)
+        _, _, lp, lm, _ = _block_spectrum(4.0 * gamma_abs ** 2, ones, zeros, hop)
         edges = np.array([two_j + 1] + ([two_j - 1] if two_j else []))  # 2J
-        sector = [lp[0], lm[0], lp[1, 1:-1], lm[1, 1:-1], a * (n - edges) / 2, b * (n - edges) / 2]
+        sector = [lp[0], lm[0], lp[1, 1:-1], lm[1, 1:-1], n - edges, n - edges]
         values.append(np.tile(np.concatenate(sector), round(2.0 ** (n + 1) * math.exp(log_w))))
     return np.sort(np.concatenate(values))
 
@@ -106,7 +106,7 @@ def spectrum_block_formulas(ns, gammas, thetas, bound: float) -> Gap:
     for n, g, t in itertools.product(ns, gammas, thetas):
         ens = SignalEnsemble(n, DephasingParams(g, t))
         dense = np.linalg.eigvalsh(2.0 ** (n + 1) * ens.average_unnormalized)
-        blocks = block_spectrum(n, g, t)
+        blocks = block_spectrum(n, g)
         gap.see(float(np.max(np.abs(dense - blocks))) if blocks.shape == dense.shape else math.inf,
                 f"N={n} gamma={g:g} theta={t:g}")
     return gap
@@ -138,8 +138,8 @@ def helstrom(gammas, thetas, bound: float, slack: float) -> tuple:
         norm.see(abs(tns[0] - math.sqrt(1.0 + 2.0 * g * g)), at)
         for t, tn in zip(thetas[1:], tns[1:]):
             spread.see(abs(tns[0] - tn), f"gamma={g:g} theta={t:g}")
-        for pov in (base, pgm(ens[0])):
-            excess.see(ent_fidelity(pov, ens[0]) - cf.helstrom_bound_n2(g), at)
+        for f in (ent_fidelity(base, ens[0]), pgm_fidelity(ens[0])):
+            excess.see(f - cf.helstrom_bound_n2(g), at)
     return norm, spread, excess
 
 
@@ -190,9 +190,8 @@ def taylor_pgm_agreement(ns, gammas, order: int, bound: float) -> Gap:
     gap = Gap(f"|Taylor (order {order}) - eigensolver PGM fidelity|", bound)
     for n, g in itertools.product(ns, gammas):
         ens = SignalEnsemble(n, DephasingParams(g, 0.0))
-        f_eig = ent_fidelity(pgm(ens), ens)
-        f_tay = ent_fidelity(pgm_taylor(ens, order), ens)
-        gap.see(abs(f_eig - f_tay), f"N={n} gamma={g:g}")
+        gap.see(abs(pgm_fidelity(ens) - ent_fidelity(pgm_taylor(ens, order), ens)),
+                f"N={n} gamma={g:g}")
     return gap
 
 

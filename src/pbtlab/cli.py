@@ -240,34 +240,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="Port-based teleportation fidelity sweeps under dephasing.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--n", default="9",
+    # the flags of every sweep, built once and copied into each subparser
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--n", default="9",
                         help="port count: single value, comma list, or lo:hi range")
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        sp.add_argument("--no-timestamp", action="store_true",
+    common.add_argument("--format", choices=("csv", "json"), default="csv")
+    common.add_argument("--no-timestamp", action="store_true",
                         help="omit the timestamp comment for byte-stable output")
-        sp.add_argument("--out", required=True, help="output file path")
+    common.add_argument("--out", required=True, help="output file path")
 
-    sp = sub.add_parser("surface", help="fidelity over a (gamma, theta) grid")
-    common(sp)
+    sp = sub.add_parser("surface", parents=[common], help="fidelity over a (gamma, theta) grid")
     sp.add_argument("--gamma", default="0:1:101", help="grid: value, list, or lo:hi:count")
     sp.add_argument("--theta", default="0:3.141592653589793:101")
     sp.set_defaults(func=cmd_surface)
 
-    sp = sub.add_parser("vs-n", help="fidelity versus port count (closed form)")
-    common(sp)
+    sp = sub.add_parser("vs-n", parents=[common], help="fidelity versus port count (closed form)")
     sp.add_argument("--gamma", default="1")
     sp.add_argument("--theta", default="0")
     sp.set_defaults(func=cmd_vs_n)
 
-    sp = sub.add_parser("compare", help="noiseless vs noise-adapted measurements")
-    common(sp)
+    sp = sub.add_parser("compare", parents=[common], help="noiseless vs noise-adapted measurements")
     sp.add_argument("--gamma", default="0:1:51")
     sp.set_defaults(func=cmd_compare)
 
-    sp = sub.add_parser("spinboson", help="time-dependent fidelity for a thermal bath")
-    common(sp)
+    sp = sub.add_parser("spinboson", parents=[common],
+                        help="time-dependent fidelity for a thermal bath")
     sp.add_argument("--tau", default="0:8:81")
     sp.add_argument("--s", default="2", help="bath spectral exponent(s)")
     sp.add_argument("--temp-ratio", default="0.1,0.9", dest="temp_ratio")

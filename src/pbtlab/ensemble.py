@@ -1,12 +1,12 @@
-"""Dephasing parameters and the dephased Bell block, on plain ndarrays.
+"""Dephasing parameters and the Bell projectors, on plain ndarrays.
 
 States live on the register (A_1, ..., A_N, B): port qubits first (most
 significant), Bob's qubit B last.  Bell conventions: |psi-> = (|01> - |10>)/sqrt(2),
-|psi+> = (|01> + |10>)/sqrt(2), with sigma_z |0> = +|0>.  The dense signal
-ensemble built from these blocks is `povm.SignalEnsemble`.
+|psi+> = (|01> + |10>)/sqrt(2), with sigma_z |0> = +|0>.  The dephased Bell
+block built from them is `povm.decohered_bell`.
 
-The operator error, rank cut and Hermiticity check live here so that the
-symmetry-reduced route uses them without loading `linops`, which re-exports them.
+The operator error and rank cut live here so that the symmetry-reduced route
+uses them without loading `linops`, which re-exports them.
 """
 
 from __future__ import annotations
@@ -21,12 +21,6 @@ DEFAULT_RANK_TOL = 1e-12
 
 class LinopsError(ValueError):
     """Domain error for invalid operator inputs."""
-
-
-def _require_hermitian(m: np.ndarray) -> None:
-    """Raise unless m (or each matrix of a stack) equals its adjoint to 1e-10."""
-    if not np.allclose(m, np.swapaxes(m, -1, -2).conj(), rtol=0.0, atol=1e-10):
-        raise LinopsError("matrix is not Hermitian within tolerance")
 
 
 PSI_MINUS = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
@@ -51,14 +45,3 @@ class DephasingParams:
 
 
 NOISELESS = DephasingParams(1.0, 0.0)
-
-
-def _bell_matrices(gamma_abs, theta) -> np.ndarray:
-    """The matrices of `povm.decohered_bell` for arrays of |gamma| and theta, stacked on axis 0."""
-    g = np.asarray(gamma_abs, dtype=float)[:, None, None]
-    th = np.asarray(theta, dtype=float)[:, None, None]
-    return (
-        0.5 * (1.0 + g * np.cos(th)) * P_MINUS
-        + 0.5 * (1.0 - g * np.cos(th)) * P_PLUS
-        + 0.5j * g * np.sin(th) * BELL_CROSS
-    )

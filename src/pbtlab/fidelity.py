@@ -3,41 +3,32 @@
 The entanglement fidelity of the port-selection protocol is
 F = (1/4) sum_i tr(Pi_i eta_i); the average teleportation fidelity follows
 as f = (2F + 1)/3.  `pgm_fidelities_reduced` evaluates it for the
-noise-adapted PGM from closed-form 2x2 total-spin blocks, at any N; the
-comparison tables and the spin-boson curves use it.  Its small-N oracle is
-the dense route of `povm` (`ent_fidelity(pgm(ens), ens)`).
+noise-adapted PGM from closed-form 2x2 total-spin blocks, at any N and in
+real float64 arithmetic; the comparison tables and the spin-boson curves use
+it.  Its small-N oracle is the dense route of `povm` (`pgm_fidelity(ens)`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import closedform
 from .closedform import _log_binom
-from .ensemble import DEFAULT_RANK_TOL, DephasingParams, LinopsError, _bell_matrices
-from .ensemble import _require_hermitian
+from .ensemble import DEFAULT_RANK_TOL, LinopsError
 
-IMAG_RESIDUE_TOL = 1e-10
 # Blocks per stack in `pgm_fidelities_reduced`, so that its working memory (a
 # few hundred bytes a block) stays bounded at any N.
 BLOCK_CHUNK = 1 << 14
 
 
-def _real_trace(val) -> np.ndarray:
-    """Traces tr(ab) of Hermitian a, b, made real with a check on each imaginary residue."""
-    val = np.asarray(val)
-    residue = val.imag[np.abs(val.imag) > IMAG_RESIDUE_TOL * np.maximum(np.abs(val.real), 1.0)]
-    if residue.size:
-        raise LinopsError(f"trace has imaginary residue {residue[0]:.3e}")
-    return val.real
+class ComparisonRow(NamedTuple):
+    """One row of `compare_noise_adapted`.  A NamedTuple, not a frozen
+    dataclass: creating one of those takes ~1 ms at import, which every CLI
+    run would pay."""
 
-
-@dataclass(frozen=True)
-class ComparisonRow:
     gamma_abs: float
     noiseless: float
     noise_adapted: float
@@ -83,23 +74,27 @@ def _sector_blocks(n: int, sectors: list) -> tuple:
             np.array([[-1.0], [1.0]]) * hop / (two_j + 1))
 
 
-def _block_spectrum(a, b, qq, ones, zeros, hop) -> tuple:
-    """Diagonal, eigenvalues and their gap of [[b ones, q* sqrt(hop)], [q sqrt(hop), a zeros]]."""
-    alpha, delta = b * ones, a * zeros
+def _block_spectrum(qq, ones, zeros, hop) -> tuple:
+    """Diagonal, eigenvalues and their gap of [[2 ones, q* sqrt(hop)], [q sqrt(hop), 2 zeros]],
+    qq = |q|^2."""
+    alpha, delta = 2.0 * ones, 2.0 * zeros
     gap = np.sqrt((alpha - delta) ** 2 + 4.0 * qq * hop)
     top = 0.5 * (alpha + delta + gap)
     return alpha, delta, top, (alpha * delta - qq * hop) / top, gap
 
 
-def pgm_fidelities_reduced(n: int, params_seq: Sequence[DephasingParams]) -> list:
-    """Entanglement fidelity of the noise-adapted PGM on its own ensemble, per params.
+def pgm_fidelities_reduced(n: int, gamma_abs) -> np.ndarray:
+    """Entanglement fidelity of the noise-adapted PGM on its own ensemble, per |gamma|.
 
     F = (N/4) tr(X rho_1 X rho_1) with X = S^(-1/2) on the support of the
-    ensemble average S; the same number as the dense `povm.ent_fidelity(pgm(ens), ens)`
-    with `ens = SignalEnsemble(n, params)`.
+    ensemble average S; the same number as the dense `povm.pgm_fidelity(ens)`
+    with `ens = SignalEnsemble(n, DephasingParams(gamma_abs, theta))` at any theta.
 
-    With a, b the diagonal of 4 rho on span{|01>, |10>} of (A_i, B) and q its
-    |01><10| entry, 2^(N+1) S = a (N/2 + J_z) |1><1|_B + b (N/2 - J_z) |0><0|_B
+    Pure dephasing leaves the |01>, |10> populations of (A_i, B) alone, so
+    4 rho there is [[2, q], [q*, 2]] with q = -2 gamma.  A phase theta of
+    gamma is the unitary diag(e^(-i theta), 1) on B, which the PGM follows,
+    so F depends on |q|^2 = 4 |gamma|^2 only and everything here is real.
+    2^(N+1) S = 2 (N/2 + J_z) |1><1|_B + 2 (N/2 - J_z) |0><0|_B
     + q J_+ |1><0|_B + h.c., J the total spin of all N ports: 2x2 blocks on
     |J,m>|0>_B, |J,m+1>|1>_B (`_block_spectrum`).  S and eta_1 commute with
     permutations of A_2..A_N, so they split into spin sectors j' of those
@@ -109,59 +104,57 @@ def pgm_fidelities_reduced(n: int, params_seq: Sequence[DephasingParams]) -> lis
     On a block X = ((tr + sqrt(l+ l-)) I - block) / (sqrt(l+ l-) (sqrt(l+) +
     sqrt(l-))), with l- = det / l+: no eigensolver runs and nothing cancels.
 
-    Eigenvalues below DEFAULT_RANK_TOL times the row's largest are cut, as in
-    `linops.func_on_support` (then X = P+ / sqrt(l+)); a negative one beyond
-    the cut raises LinopsError; l+ >= (N + 1) min(a, b) / 2 is never cut.
-    The largest lies at J = N/2, m = -N/2 or N/2 - 1 (l+ grows with J at fixed
-    m and is convex in m at J = N/2).  A stack holds at most BLOCK_CHUNK
-    blocks: whole rows, or at large N one sector of a few rows.
+    Eigenvalues below DEFAULT_RANK_TOL times the row's largest,
+    N + 1 + sqrt((N-1)^2 + 4N |gamma|^2) at J = N/2, m = -N/2 or N/2 - 1,
+    are cut, as in `linops.func_on_support` (then X = P+ / sqrt(l+)); a
+    negative one beyond the cut raises LinopsError; l+ >= N + 1 is never cut.
+    A stack holds at most BLOCK_CHUNK blocks: whole rows, or at large N one
+    sector of a few rows.  Raises ValueError for a |gamma| outside [0, 1] or NaN.
     """
     if n < 1:
         raise LinopsError(f"need n >= 1, got {n}")
-    rho = _bell_matrices([p.gamma_abs for p in params_seq], [p.theta for p in params_seq])
-    _require_hermitian(rho)
-    bell = 4.0 * rho[:, 1:3, 1:3]
-    a, b = bell[:, None, None, 0, 0].real, bell[:, None, None, 1, 1].real
-    q, qc = bell[:, None, None, 0, 1], bell[:, None, None, 1, 0]
-    qq = np.abs(q) ** 2
-    largest = _block_spectrum(a, b, qq, np.array([n, 1.0]), np.array([1.0, n]), float(n))[2]
-    cut = DEFAULT_RANK_TOL * largest.max(axis=-1, keepdims=True)
-    total = np.zeros(len(bell))
+    g = np.asarray(gamma_abs, dtype=float)
+    bad = ~((g >= 0.0) & (g <= 1.0 + 1e-12))
+    if bad.any():
+        raise ValueError(f"gamma_abs must lie in [0, 1], got {g[bad][0]}")
+    qq = 4.0 * g[:, None, None] ** 2
+    cut = DEFAULT_RANK_TOL * (n + 1 + np.sqrt((n - 1) ** 2 + n * qq))
+    total = np.zeros(len(g))
     sectors = _sector_log_weights(n)
     one_stack = sum(t + 1 for t, _ in sectors) <= BLOCK_CHUNK
     for piece in [sectors] if one_stack else [[sector] for sector in sectors]:
         weight, ones, zeros, hop, cu2, cd2, xo = _sector_blocks(n, piece)
         rows_per = max(1, BLOCK_CHUNK // len(weight))
-        for r0 in range(0, len(bell), rows_per):
+        for r0 in range(0, len(g), rows_per):
             r = slice(r0, r0 + rows_per)
-            alpha, delta, lp, lm, gap = _block_spectrum(a[r], b[r], qq[r], ones, zeros, hop)
+            alpha, delta, lp, lm, gap = _block_spectrum(qq[r], ones, zeros, hop)
             if np.any(lm < -cut[r]):
                 raise LinopsError(f"operator is not PSD: min eigenvalue {lm.min():.3e}")
             on = lm > cut[r]
             sp, sm = np.sqrt(lp), np.sqrt(np.where(on, lm, lp))
-            # X = ((alpha + delta + g) I - block) k; its corner is [[xu, q x_off], [qc x_off, xd]]
-            g = np.where(on, sp * sm, -lp)
-            k = 1.0 / np.where(on, g * (sp + sm), -sp * gap)
-            xu = (cu2 * (alpha + g) * k).sum(axis=1, keepdims=True)
-            xd = (cd2 * (delta + g) * k).sum(axis=1, keepdims=True)
+            # X = ((alpha + delta + s) I - block) k; its corner is [[xu, q x_off], [q* x_off, xd]]
+            s = np.where(on, sp * sm, -lp)
+            k = 1.0 / np.where(on, s * (sp + sm), -sp * gap)
+            xu = (cu2 * (alpha + s) * k).sum(axis=1, keepdims=True)
+            xd = (cd2 * (delta + s) * k).sum(axis=1, keepdims=True)
             x_off = (xo * k).sum(axis=1, keepdims=True)
-            y01, y10 = q[r] * (a[r] * x_off + xd), qc[r] * (xu + b[r] * x_off)
-            qqx = q[r] * qc[r] * x_off
-            tr_yy = (a[r] * xu + qqx) ** 2 + (qqx + b[r] * xd) ** 2 + 2.0 * y01 * y10
-            total[r] += (_real_trace(tr_yy) * weight).sum(axis=(1, 2))
-    return (0.25 * n * total).tolist()
+            qqx = qq[r] * x_off
+            tr_yy = ((2.0 * xu + qqx) ** 2 + (qqx + 2.0 * xd) ** 2
+                     + 2.0 * qq[r] * (2.0 * x_off + xd) * (xu + 2.0 * x_off))
+            total[r] += (tr_yy * weight).sum(axis=(1, 2))
+    return 0.25 * n * total
 
 
 def compare_noise_adapted(n: int, gamma_grid: Sequence[float]) -> list:
     """Noiseless vs noise-adapted PGM fidelities at theta = 0, with bounds."""
-    grid = [DephasingParams(float(g), 0.0) for g in gamma_grid]
+    grid = np.asarray(gamma_grid, dtype=float)
+    adapted = pgm_fidelities_reduced(n, grid).tolist()
+    noiseless = closedform.noiseless_fidelity(n, grid).tolist()
     return [
         ComparisonRow(
-            p.gamma_abs,
-            closedform.fidelity_noiseless_povm(n, p),
-            adapted,
-            closedform.beigi_konig_bound(n, p.gamma_abs),
-            closedform.helstrom_bound_n2(p.gamma_abs) if n == 2 else None,
+            g, f0, f,
+            closedform.beigi_konig_bound(n, g),
+            closedform.helstrom_bound_n2(g) if n == 2 else None,
         )
-        for p, adapted in zip(grid, pgm_fidelities_reduced(n, grid))
+        for g, f0, f in zip(grid.tolist(), noiseless, adapted)
     ]

@@ -6,28 +6,25 @@ significant index of the computational basis, i.e. the basis state
 states on the register (A_1, ..., A_N, B) this places Alice's ports on the
 most significant qubits and Bob's qubit B on the least significant one.
 
-Operators are plain complex ndarrays.  `eigh`/`eigvalsh` read one triangle
-only, so each function that calls them checks its input's Hermiticity once.
+Operators are plain ndarrays, complex or real.  `eigh`/`eigvalsh` read one
+triangle only, so each function that calls them checks its input's
+Hermiticity once (`_require_hermitian`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 # defined beside the reduced route, which must not load this module
-from .ensemble import DEFAULT_RANK_TOL, LinopsError, _require_hermitian
+from .ensemble import DEFAULT_RANK_TOL, LinopsError
 
 
-def permute_qubits(m: np.ndarray, perm: Sequence[int]) -> np.ndarray:
-    """Reorder the qubits of a matrix so that output position p holds input qubit perm[p]."""
-    q = len(perm)
-    if sorted(perm) != list(range(q)) or m.shape != (2 ** q, 2 ** q):
-        raise LinopsError(f"invalid qubit permutation {perm!r} for shape {m.shape}")
-    t = m.reshape((2,) * (2 * q))
-    axes = list(perm) + [q + p for p in perm]
-    return t.transpose(axes).reshape(m.shape)
+def _require_hermitian(m: np.ndarray) -> None:
+    """Raise unless m equals its adjoint to 1e-10."""
+    if not np.allclose(m, np.swapaxes(m, -1, -2).conj(), rtol=0.0, atol=1e-10):
+        raise LinopsError("matrix is not Hermitian within tolerance")
 
 
 def func_on_support(m: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:

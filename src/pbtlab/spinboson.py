@@ -38,7 +38,6 @@ import numpy as np
 from scipy.special import gammaln
 
 from . import closedform
-from .ensemble import DephasingParams
 from .fidelity import pgm_fidelities_reduced
 
 # Measurements a fidelity curve can be computed for; see fidelities_vs_time.
@@ -224,9 +223,9 @@ def fidelities_vs_time(n: int, baths: Sequence[SpinBosonParams], taus: Sequence[
     (-pi, pi].
     "closed_form" is the analytic fidelity of the ideal measurement, affine
     in |gamma| cos(theta) (`closedform.noiseless_fidelity`);
-    "noise_adapted" is the PGM of the dephased ensemble (complex dephasing
-    factor) at every grid point, by the symmetry-reduced route: one
-    `fidelity.pgm_fidelities_reduced` call for all baths and taus.
+    "noise_adapted" is the PGM of the dephased ensemble at every grid point,
+    by the symmetry-reduced route: one `fidelity.pgm_fidelities_reduced` call
+    for all baths and taus, on |gamma| alone (the PGM follows the phase).
     """
     taus = np.asarray(taus, dtype=float)
     if np.any(taus[1:] < taus[:-1]):
@@ -244,8 +243,6 @@ def fidelities_vs_time(n: int, baths: Sequence[SpinBosonParams], taus: Sequence[
         if mode == "closed_form":
             ent[mode] = closedform.noiseless_fidelity(n, gamma_abs * np.cos(theta))
         else:
-            grid = [DephasingParams(g, t) for g, t in zip(gamma_abs.ravel().tolist(),
-                                                          theta.ravel().tolist())]
-            ent[mode] = np.reshape(pgm_fidelities_reduced(n, grid), chis.shape)
+            ent[mode] = pgm_fidelities_reduced(n, gamma_abs.ravel()).reshape(chis.shape)
     return FidelityCurves(chis, phases, gamma_abs, ent,
                           {mode: closedform.teleport_fidelity(f) for mode, f in ent.items()})

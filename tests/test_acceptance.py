@@ -17,7 +17,7 @@ from pbtlab import quadrature as qd
 from pbtlab import spinboson as sb
 from pbtlab.ensemble import DephasingParams
 from pbtlab.fidelity import compare_noise_adapted
-from pbtlab.povm import SignalEnsemble, ent_fidelity, pgm
+from pbtlab.povm import SignalEnsemble, pgm_fidelity
 
 
 def report(num, desc, ok, detail=""):
@@ -36,8 +36,7 @@ def n9_sweep():
 
 @functools.lru_cache(maxsize=None)
 def adapted_fidelity(n, gamma_abs, theta):
-    ens = SignalEnsemble(n, DephasingParams(gamma_abs, theta))
-    return ent_fidelity(pgm(ens), ens)
+    return pgm_fidelity(SignalEnsemble(n, DephasingParams(gamma_abs, theta)))
 
 
 def test_criterion_1_closed_form_vs_numeric():

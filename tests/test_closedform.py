@@ -72,7 +72,7 @@ def test_spin_block_spectrum_matches_dense():
 def test_spin_block_trace_equals_n():
     # tr S = N, so the block eigenvalues of 2^(N+1) S sum to N 2^(N+1)
     for n in (2, 3, 6, 9):
-        total = checks.block_spectrum(n, 1.0, 0.0).sum()
+        total = checks.block_spectrum(n, 1.0).sum()
         assert total == pytest.approx(n * 2 ** (n + 1), rel=1e-12)
 
 

@@ -61,10 +61,18 @@ def test_decohered_bell_is_state():
 
 
 def test_decohered_bell_phase_is_rotation():
-    g, th = 0.6, 0.9
-    mix = decohered_bell(DephasingParams(g, 0.0))
-    r = np.kron(np.eye(2), np.diag([np.exp(-1j * th), 1.0]))  # diag(e^{-i theta}, 1) on B
-    assert np.allclose(r @ mix @ r.conj().T, decohered_bell(DephasingParams(g, th)))
+    # The reduced PGM route rests on both facts: the phase is a unitary on B,
+    # and 4 rho on span{|01>, |10>} is [[2, -2 gamma], [-2 gamma*, 2]], so
+    # only |gamma|^2 enters its blocks.
+    for g in (0.0, 0.3, 0.6, 1.0):
+        mix = decohered_bell(DephasingParams(g, 0.0))
+        for th in (-3.0, 0.0, 0.9, 1.3, 3.0):
+            block = decohered_bell(DephasingParams(g, th))
+            r = np.kron(np.eye(2), np.diag([np.exp(-1j * th), 1.0]))  # diag(e^{-i theta}, 1) on B
+            assert np.allclose(r @ mix @ r.conj().T, block)
+            gamma = g * np.exp(1j * th)
+            corner = np.array([[2.0, -2.0 * gamma], [-2.0 * np.conj(gamma), 2.0]])
+            assert np.allclose(4.0 * block[1:3, 1:3], corner, rtol=0.0, atol=1e-15)
 
 
 def test_signal_state_reduces_to_bell_block():

@@ -4,19 +4,13 @@ import pytest
 from pbtlab.linops import (
     LinopsError,
     inv_sqrt_on_support,
-    permute_qubits,
     sqrt_psd,
     state_fidelity,
     trace_norm,
 )
+from pbtlab.povm import _embed_pair_block
 
 rng = np.random.default_rng(7)
-
-
-def random_hermitian(n_qubits):
-    d = 2 ** n_qubits
-    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return m + m.conj().T
 
 
 def random_density(n_qubits):
@@ -39,23 +33,11 @@ def test_tensor_ordering():
     z, i = np.diag([1.0, -1.0]), np.eye(2)
     # qubit 0 (the left Kronecker factor) is most significant
     assert np.allclose(np.diag(np.kron(z, i)), [1, 1, -1, -1])
-    assert np.allclose(np.diag(permute_qubits(np.kron(z, i), [1, 0])), [1, -1, 1, -1])
-
-
-def test_permute_qubits_swap():
-    a = random_hermitian(1)
-    b = random_hermitian(1)
-    assert np.allclose(permute_qubits(np.kron(a, b), [1, 0]), np.kron(b, a))
-    with pytest.raises(LinopsError):
-        permute_qubits(np.kron(a, b), [0, 0])
-
-
-def test_permute_qubits_roundtrip():
-    op = random_hermitian(3)
-    perm = [2, 0, 1]
-    inv = [perm.index(k) for k in range(3)]
-    back = permute_qubits(permute_qubits(op, perm), inv)
-    assert np.allclose(back, op)
+    # a block on (A_i, B) of the register (A_1, A_2, B), maximally mixed on the other port
+    block = random_density(2)
+    assert np.allclose(_embed_pair_block(block, 2, 2), np.kron(i / 2, block))
+    p = np.kron(i, np.eye(4)[[0, 2, 1, 3]])  # swaps A_2 and B
+    assert np.allclose(_embed_pair_block(block, 1, 2), p @ np.kron(block, i / 2) @ p)
 
 
 def test_inv_sqrt_on_support_rank_deficient():
