@@ -48,9 +48,8 @@ def closed_form_vs_trace(ns, gammas, thetas, bound: float) -> Gap:
     for n in ns:
         base = noiseless_povm(n)
         for g, t in itertools.product(gammas, thetas):
-            dp = DephasingParams(g, t)
-            got = ent_fidelity(base, SignalEnsemble(n, dp))
-            gap.see(abs(got - cf.fidelity_noiseless_povm(n, dp)),
+            got = ent_fidelity(base, SignalEnsemble(n, DephasingParams(g, t)))
+            gap.see(abs(got - cf.noiseless_fidelity(n, g * math.cos(t))),
                     f"N={n} gamma={g:g} theta={t:g}")
     return gap
 

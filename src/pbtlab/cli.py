@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import gc
 import json
 import math
 import sys
@@ -28,7 +29,6 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import closedform, spinboson as sb
-from .ensemble import NOISELESS, DephasingParams
 from .fidelity import compare_noise_adapted
 
 EXIT_OK = 0
@@ -87,7 +87,7 @@ def _write_csv(path: str, header: List[str], rows: List[list],
         lines.append("# generated " + datetime.datetime.now(datetime.timezone.utc).isoformat())
     lines.append(",".join(header))
     for row in rows:
-        lines.append(",".join(_fmt(v) if not isinstance(v, str) else v for v in row))
+        lines.append(",".join(map(_fmt, row)))
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     with open(path + ".json", "w") as fh:
@@ -117,6 +117,15 @@ def _emit(args, header, rows, config) -> None:
 
 # ---------------------------------------------------------------- commands
 
+def _closed_form_grid(gamma: str, theta: str) -> tuple:
+    """The |gamma| and theta of each cell of a grid, |gamma|-major, as lists,
+    and the cells' overlaps |gamma| cos(theta) as an array."""
+    gammas, thetas = _parse_grid(gamma), np.array(_parse_grid(theta))
+    gammas = closedform.check_gamma_abs(gammas)
+    return (np.repeat(gammas, len(thetas)).tolist(), np.tile(thetas, len(gammas)).tolist(),
+            np.outer(gammas, np.cos(thetas)).ravel())
+
+
 def cmd_surface(args) -> int:
     ns = _parse_int_list(args.n)
     if len(ns) != 1:
@@ -124,13 +133,9 @@ def cmd_surface(args) -> int:
     n = ns[0]
     if n < 1:
         raise ConfigError(f"need n >= 1, got {n}")
-    gammas = _parse_grid(args.gamma)
-    thetas = _parse_grid(args.theta)
-    rows = []
-    for g in gammas:
-        for t in thetas:
-            f = closedform.fidelity_noiseless_povm(n, DephasingParams(g, t))
-            rows.append([g, t, f, closedform.teleport_fidelity(f)])
+    gammas, thetas, overlap = _closed_form_grid(args.gamma, args.theta)
+    f = closedform.noiseless_fidelity(n, overlap)
+    rows = list(zip(gammas, thetas, f.tolist(), closedform.teleport_fidelity(f).tolist()))
     header = ["gamma_abs", "theta", "ent_fidelity", "teleport_fidelity"]
     _emit(args, header, rows, _config_echo(args, n=n))
     return EXIT_OK
@@ -140,16 +145,14 @@ def cmd_vs_n(args) -> int:
     ns = _parse_int_list(args.n)
     if not ns or min(ns) < 1:
         raise ConfigError("vs-n requires positive port counts")
-    gammas = _parse_grid(args.gamma)
-    thetas = _parse_grid(args.theta)
+    gammas, thetas, overlap = _closed_form_grid(args.gamma, args.theta)
+    overlap = np.append(overlap, 1.0)  # the last cell is the noiseless reference, f_ih(n)
     rows = []
     for n in ns:
-        ref = closedform.fidelity_noiseless_povm(n, NOISELESS)  # = f_ih(n), cached per n
-        for g in gammas:
-            for t in thetas:
-                f = closedform.fidelity_noiseless_povm(n, DephasingParams(g, t))
-                rows.append([n, g, t, f, closedform.teleport_fidelity(f),
-                             closedform.teleport_fidelity(ref)])
+        f = closedform.noiseless_fidelity(n, overlap)
+        tf = closedform.teleport_fidelity(f).tolist()
+        rows += zip([n] * len(gammas), gammas, thetas, f[:-1].tolist(), tf[:-1],
+                    tf[-1:] * len(gammas))
     header = ["n", "gamma_abs", "theta", "ent_fidelity", "teleport_fidelity",
               "noiseless_teleport_fidelity"]
     _emit(args, header, rows, _config_echo(args))
@@ -161,11 +164,7 @@ def cmd_compare(args) -> int:
     if not ns or min(ns) < 2:
         raise ConfigError("compare requires port counts >= 2")
     gammas = _parse_grid(args.gamma)
-    rows = []
-    for n in ns:
-        for row in compare_noise_adapted(n, gammas):
-            rows.append([n, row.gamma_abs, row.noiseless, row.noise_adapted,
-                         row.beigi_konig, row.helstrom])
+    rows = [[n, *row] for n in ns for row in compare_noise_adapted(n, gammas)]
     header = ["n", "gamma_abs", "noiseless_fidelity", "noise_adapted_fidelity",
               "beigi_konig_bound", "helstrom_bound"]
     _emit(args, header, rows, _config_echo(args))
@@ -281,6 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    # The ~50k objects the imports leave (numpy, scipy) live until exit;
+    # frozen, no collection during the run rescans them.
+    gc.freeze()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

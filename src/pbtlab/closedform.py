@@ -6,12 +6,9 @@ stay finite for port counts in the tens of thousands.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
-
-from .ensemble import DephasingParams
 
 # The printed closed form of the correction term counts every k and its
 # mirror N-k separately and omits the 1/4 entanglement-fidelity prefactor;
@@ -53,25 +50,30 @@ def f_corr_trace(n: int) -> float:
     return CORR_TRACE_SCALE * f_corr(n)
 
 
-@functools.lru_cache(maxsize=64)
-def _noiseless_terms(n: int) -> tuple:
-    """(f_ih(n), f_corr_trace(n)): two O(n) sums, computed once per n."""
-    return f_ih(n), f_corr_trace(n)
-
-
-def fidelity_noiseless_povm(n: int, params: DephasingParams) -> float:
-    """Entanglement fidelity of the noiseless measurement on the dephased ensemble."""
-    return noiseless_fidelity(n, params.gamma_abs * math.cos(params.theta))
-
-
 def noiseless_fidelity(n: int, overlap):
-    """`fidelity_noiseless_povm` at |gamma| cos(theta) = overlap, a float or an array.
+    """Entanglement fidelity of the noiseless measurement on the dephased ensemble,
+    at overlap = |gamma| cos(theta), a float or an array.
 
     Affine in the overlap: weight (1 +/- overlap)/2 on the singlet and
-    triplet channels respectively.
+    triplet channels respectively.  Call it once per N on a whole grid: each
+    call evaluates the two O(N) sums.
     """
-    ih, corr = _noiseless_terms(n)
+    ih, corr = f_ih(n), f_corr_trace(n)
     return 0.5 * (1.0 + overlap) * ih + 0.5 * (1.0 - overlap) * corr
+
+
+# Rounding may carry |gamma| this far above 1.
+GAMMA_SLACK = 1e-12
+
+
+def check_gamma_abs(gamma_abs) -> np.ndarray:
+    """|gamma|, a float or an array, as a float array: the one domain check of |gamma|.
+    Raises ValueError for an entry outside [0, 1 + GAMMA_SLACK] or NaN."""
+    g = np.asarray(gamma_abs, dtype=float)
+    bad = ~((g >= 0.0) & (g <= 1.0 + GAMMA_SLACK))
+    if bad.any():
+        raise ValueError(f"gamma_abs must lie in [0, 1], got {g[bad][0]}")
+    return g
 
 
 # Rounding may carry an entanglement fidelity this far outside [0, 1].
@@ -92,16 +94,18 @@ def teleport_fidelity(ent_fid):
 
 def kim_fidelity(n: int, gamma_abs: float) -> float:
     """Entanglement fidelity of the composed-channel model at theta = 0."""
-    if not 0.0 <= gamma_abs <= 1.0:
-        raise ValueError(f"gamma_abs must lie in [0, 1], got {gamma_abs}")
+    check_gamma_abs(gamma_abs)
     return (2.0 * gamma_abs + 1.0) / 3.0 * f_ih(n) + (1.0 - gamma_abs) / 6.0
 
 
-def beigi_konig_bound(n: int, gamma_abs: float) -> float:
-    """Purity/rank lower bound on the PGM entanglement fidelity (may be negative)."""
+def beigi_konig_bound(n: int, gamma_abs):
+    """Purity/rank lower bound on the PGM entanglement fidelity (may be negative),
+    per |gamma|, a float or an array."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    return 0.5 * (1.0 - (1.0 + 2.0 * gamma_abs ** 2) / n)
+    # float_power is libm pow, as a float's ** 2; numpy's ** 2 multiplies,
+    # which can differ in the last bit
+    return 0.5 * (1.0 - (1.0 + 2.0 * np.float_power(gamma_abs, 2)) / n)
 
 
 def knill_barnum_bound(n: int) -> float:
@@ -111,8 +115,8 @@ def knill_barnum_bound(n: int) -> float:
     return 1.0 - (n - 1) / 4.0
 
 
-def helstrom_bound_n2(gamma_abs: float) -> float:
-    """Optimal two-state discrimination upper bound on the N=2 fidelity."""
-    if not 0.0 <= gamma_abs <= 1.0:
-        raise ValueError(f"gamma_abs must lie in [0, 1], got {gamma_abs}")
-    return 0.25 * (1.0 + 0.5 * math.sqrt(1.0 + 2.0 * gamma_abs ** 2))
+def helstrom_bound_n2(gamma_abs):
+    """Optimal two-state discrimination upper bound on the N=2 fidelity, per
+    |gamma|, a float or an array."""
+    g = check_gamma_abs(gamma_abs)
+    return 0.25 * (1.0 + 0.5 * np.sqrt(1.0 + 2.0 * np.float_power(g, 2)))  # see beigi_konig_bound

@@ -1,12 +1,12 @@
-"""Dephasing parameters and the Bell projectors, on plain ndarrays.
+"""Dephasing parameters and the Bell projectors of the dense oracle, on plain ndarrays.
 
 States live on the register (A_1, ..., A_N, B): port qubits first (most
 significant), Bob's qubit B last.  Bell conventions: |psi-> = (|01> - |10>)/sqrt(2),
 |psi+> = (|01> + |10>)/sqrt(2), with sigma_z |0> = +|0>.  The dephased Bell
 block built from them is `povm.decohered_bell`.
 
-The operator error and rank cut live here so that the symmetry-reduced route
-uses them without loading `linops`, which re-exports them.
+Only the dense route builds a `DephasingParams`; the fast path takes |gamma|
+as a float or an array, checked by the same `closedform.check_gamma_abs`.
 """
 
 from __future__ import annotations
@@ -16,12 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_RANK_TOL = 1e-12
-
-
-class LinopsError(ValueError):
-    """Domain error for invalid operator inputs."""
-
+from .closedform import check_gamma_abs
 
 PSI_MINUS = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
 PSI_PLUS = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / math.sqrt(2.0)
@@ -40,8 +35,7 @@ class DephasingParams:
     theta: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.gamma_abs <= 1.0 + 1e-12:
-            raise ValueError(f"gamma_abs must lie in [0, 1], got {self.gamma_abs}")
+        check_gamma_abs(self.gamma_abs)
 
 
 NOISELESS = DephasingParams(1.0, 0.0)

@@ -17,11 +17,18 @@ import numpy as np
 
 from . import closedform
 from .closedform import _log_binom
-from .ensemble import DEFAULT_RANK_TOL, LinopsError
+
+# Eigenvalues below this times the largest lie off the support, here and in
+# the dense `linops`, which re-exports it and LinopsError.
+DEFAULT_RANK_TOL = 1e-12
 
 # Blocks per stack in `pgm_fidelities_reduced`, so that its working memory (a
 # few hundred bytes a block) stays bounded at any N.
 BLOCK_CHUNK = 1 << 14
+
+
+class LinopsError(ValueError):
+    """Domain error for invalid operator inputs; `linops` re-exports it."""
 
 
 class ComparisonRow(NamedTuple):
@@ -106,17 +113,15 @@ def pgm_fidelities_reduced(n: int, gamma_abs) -> np.ndarray:
 
     Eigenvalues below DEFAULT_RANK_TOL times the row's largest,
     N + 1 + sqrt((N-1)^2 + 4N |gamma|^2) at J = N/2, m = -N/2 or N/2 - 1,
-    are cut, as in `linops.func_on_support` (then X = P+ / sqrt(l+)); a
-    negative one beyond the cut raises LinopsError; l+ >= N + 1 is never cut.
+    are cut, as in `linops.func_on_support` (then X = P+ / sqrt(l+)), and so
+    is an l- that rounds below zero; l+ >= N + 1 is never cut.
     A stack holds at most BLOCK_CHUNK blocks: whole rows, or at large N one
-    sector of a few rows.  Raises ValueError for a |gamma| outside [0, 1] or NaN.
+    sector of a few rows.  Raises ValueError for a |gamma| outside [0, 1] or NaN
+    (`closedform.check_gamma_abs`).
     """
     if n < 1:
         raise LinopsError(f"need n >= 1, got {n}")
-    g = np.asarray(gamma_abs, dtype=float)
-    bad = ~((g >= 0.0) & (g <= 1.0 + 1e-12))
-    if bad.any():
-        raise ValueError(f"gamma_abs must lie in [0, 1], got {g[bad][0]}")
+    g = closedform.check_gamma_abs(gamma_abs)
     qq = 4.0 * g[:, None, None] ** 2
     cut = DEFAULT_RANK_TOL * (n + 1 + np.sqrt((n - 1) ** 2 + n * qq))
     total = np.zeros(len(g))
@@ -128,8 +133,6 @@ def pgm_fidelities_reduced(n: int, gamma_abs) -> np.ndarray:
         for r0 in range(0, len(g), rows_per):
             r = slice(r0, r0 + rows_per)
             alpha, delta, lp, lm, gap = _block_spectrum(qq[r], ones, zeros, hop)
-            if np.any(lm < -cut[r]):
-                raise LinopsError(f"operator is not PSD: min eigenvalue {lm.min():.3e}")
             on = lm > cut[r]
             sp, sm = np.sqrt(lp), np.sqrt(np.where(on, lm, lp))
             # X = ((alpha + delta + s) I - block) k; its corner is [[xu, q x_off], [q* x_off, xd]]
@@ -150,11 +153,7 @@ def compare_noise_adapted(n: int, gamma_grid: Sequence[float]) -> list:
     grid = np.asarray(gamma_grid, dtype=float)
     adapted = pgm_fidelities_reduced(n, grid).tolist()
     noiseless = closedform.noiseless_fidelity(n, grid).tolist()
-    return [
-        ComparisonRow(
-            g, f0, f,
-            closedform.beigi_konig_bound(n, g),
-            closedform.helstrom_bound_n2(g) if n == 2 else None,
-        )
-        for g, f0, f in zip(grid.tolist(), noiseless, adapted)
-    ]
+    beigi_konig = closedform.beigi_konig_bound(n, grid).tolist()
+    helstrom = closedform.helstrom_bound_n2(grid).tolist() if n == 2 else [None] * len(grid)
+    return [ComparisonRow(*row)
+            for row in zip(grid.tolist(), noiseless, adapted, beigi_konig, helstrom)]

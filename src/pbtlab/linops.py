@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 # defined beside the reduced route, which must not load this module
-from .ensemble import DEFAULT_RANK_TOL, LinopsError
+from .fidelity import DEFAULT_RANK_TOL, LinopsError
 
 
 def _require_hermitian(m: np.ndarray) -> None:

@@ -234,9 +234,7 @@ def fidelities_vs_time(n: int, baths: Sequence[SpinBosonParams], taus: Sequence[
         if mode not in POVM_MODES:
             raise ValueError(f"unknown povm_mode {mode!r}")
     chis, phases = decoherence_grid(taus, baths)
-    gamma_abs = np.exp(-chis)
-    if not np.all(gamma_abs <= 1.0 + 1e-12):
-        raise ValueError(f"gamma_abs must lie in [0, 1], got {gamma_abs.max()}")
+    gamma_abs = closedform.check_gamma_abs(np.exp(-chis))
     theta = np.arctan2(np.sin(phases), np.cos(phases))
     ent = {}
     for mode in povm_modes:

@@ -143,7 +143,7 @@ def test_criterion_11_composed_channel_comparison():
         gaps = []
         for g in np.linspace(0.0, 1.0, 21):
             k = cf.kim_fidelity(n, float(g))
-            f = cf.fidelity_noiseless_povm(n, DephasingParams(float(g), 0.0))
+            f = cf.noiseless_fidelity(n, float(g))
             gaps.append(k - f)
         if min(gaps) < -1e-12:
             ok = False

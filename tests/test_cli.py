@@ -42,11 +42,45 @@ def test_surface_grid_and_corner(tmp_path):
 
 
 def test_surface_computes_closed_form_terms_once(tmp_path, monkeypatch):
+    # one closed-form call per N on the whole grid, the vs-n reference column included
     calls = []
     monkeypatch.setattr(cf, "f_ih", lambda n, f_ih=cf.f_ih: calls.append(n) or f_ih(n))
-    cf._noiseless_terms.cache_clear()
     assert main(["surface", "--n", "4", "--gamma", "0:1:3", "--out", str(tmp_path / "s.csv")]) == 0
     assert calls == [4]
+    calls.clear()
+    assert main(["vs-n", "--n", "2,5", "--gamma", "0:1:3", "--theta", "0,1",
+                 "--out", str(tmp_path / "v.csv")]) == 0
+    assert calls == [2, 5]
+
+
+# Every closed-form sweep takes |gamma| in [0, 1] through one check, which
+# lets rounding carry it up to 1e-12 above 1.
+@pytest.mark.parametrize("argv", [["surface", "--n", "3"], ["vs-n", "--n", "3"],
+                                  ["compare", "--n", "2"], ["compare", "--n", "3"]])
+def test_gamma_range_is_one_check(tmp_path, capsys, argv):
+    out = ["--out", str(tmp_path / "x.csv")]
+    for bad in ("1.5", "-0.1"):
+        assert main(argv + ["--gamma", bad] + out) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: gamma_abs must lie in [0, 1], got {bad}"]
+    assert main(argv + ["--gamma", "1.0000000000005"] + out) == 0
+
+
+# Outputs of the closed-form and reduced routes, generated before those sweeps
+# went array-first.  spinboson has none: its rows go through numpy's exp,
+# sin and cos, which may differ in the last bit from one CPU to another.
+GOLDEN = {
+    "surface.csv": ["surface", "--n", "3", "--gamma", "0:1:7", "--theta", "0:6.3:9"],
+    "vs_n.csv": ["vs-n", "--n", "1:12", "--gamma", "0:1:5", "--theta", "0,1.3,3.1"],
+    "compare.csv": ["compare", "--n", "2,3,7", "--gamma", "0:1:11"],
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_output_matches_golden_bytes(tmp_path, name):
+    out = tmp_path / name
+    assert main(GOLDEN[name] + ["--no-timestamp", "--out", str(out)]) == 0
+    assert out.read_bytes() == (Path(__file__).parent / "golden" / name).read_bytes()
 
 
 def test_surface_writes_json_sidecar(tmp_path):
@@ -287,9 +321,9 @@ def test_verify_quadrature_failure_is_one_error_line(tmp_path, capsys, monkeypat
 
 
 # The modules that `surface`, `vs-n`, `compare` and `spinboson` run; the
-# oracles (povm, linops, quadrature) and checks load only for verify.
-FAST_PATH = ["pbtlab", "pbtlab.cli", "pbtlab.closedform", "pbtlab.ensemble",
-             "pbtlab.fidelity", "pbtlab.spinboson"]
+# oracles (ensemble, povm, linops, quadrature) and checks load only for verify.
+FAST_PATH = ["pbtlab", "pbtlab.cli", "pbtlab.closedform", "pbtlab.fidelity",
+             "pbtlab.spinboson"]
 
 
 def test_cli_starts_without_the_oracles():

@@ -5,7 +5,6 @@ import pytest
 
 from pbtlab import checks
 from pbtlab import closedform as cf
-from pbtlab.ensemble import DephasingParams
 from pbtlab.fidelity import _sector_log_weights
 
 
@@ -50,8 +49,9 @@ def test_f_corr_trace_scale():
 
 def test_fidelity_noiseless_povm_endpoints():
     for n in (2, 4, 7):
-        assert cf.fidelity_noiseless_povm(n, DephasingParams(1.0, 0.0)) == pytest.approx(cf.f_ih(n))
-        assert cf.fidelity_noiseless_povm(n, DephasingParams(1.0, math.pi)) == pytest.approx(
+        # overlap |gamma| cos(theta) = 1 at theta = 0 and -1 at theta = pi
+        assert cf.noiseless_fidelity(n, 1.0) == pytest.approx(cf.f_ih(n))
+        assert cf.noiseless_fidelity(n, -1.0) == pytest.approx(
             cf.f_corr_trace(n))
 
 
@@ -87,3 +87,13 @@ def test_bounds_sanity():
     assert cf.knill_barnum_bound(2) == pytest.approx(0.75)
     assert cf.helstrom_bound_n2(1.0) == pytest.approx(0.25 * (1 + math.sqrt(3) / 2))
     assert cf.helstrom_bound_n2(0.0) == pytest.approx(0.375)
+
+
+def test_bound_columns_match_the_float_formulas_bit_for_bit():
+    # compare computes each bound column in one array call; the per-row float
+    # formulas are the reference.  numpy's ** 2 would move 12 of these bits.
+    g = np.random.default_rng(0).random(100_000)
+    assert cf.beigi_konig_bound(5, g).tolist() == [
+        0.5 * (1.0 - (1.0 + 2.0 * x ** 2) / 5) for x in g.tolist()]
+    assert cf.helstrom_bound_n2(g).tolist() == [
+        0.25 * (1.0 + 0.5 * math.sqrt(1.0 + 2.0 * x ** 2)) for x in g.tolist()]

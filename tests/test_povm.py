@@ -64,7 +64,7 @@ def test_rotated_povm_matches_unrotated_closed_form():
     for n in (2, 3, 4):
         pov = pgm(SignalEnsemble(n, DephasingParams(1.0, th)))
         got = ent_fidelity(pov, SignalEnsemble(n, DephasingParams(0.7, th)))
-        want = cf.fidelity_noiseless_povm(n, DephasingParams(0.7, 0.0))
+        want = cf.noiseless_fidelity(n, 0.7)
         assert got == pytest.approx(want, abs=1e-9)
 
 

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from pbtlab import checks
@@ -9,6 +10,7 @@ from pbtlab import closedform as cf
 from pbtlab import fidelity
 from pbtlab.ensemble import DephasingParams
 from pbtlab.fidelity import (
+    DEFAULT_RANK_TOL,
     _block_spectrum,
     _sector_blocks,
     _sector_log_weights,
@@ -114,6 +116,19 @@ def test_non_psd_input_raises():
     for bad in (1.5, math.nan, -0.1):
         with pytest.raises(ValueError, match=rf"gamma_abs must lie in \[0, 1\], got {bad}$"):
             pgm_fidelities_reduced(3, [0.5, bad])
+
+
+def test_smallest_eigenvalue_stays_above_minus_the_cut():
+    # pgm_fidelities_reduced drops every l- below its cut and has no guard for
+    # a negative one beyond it.  The largest |gamma| the shared check accepts
+    # tips the blocks that are singular at |gamma| = 1 below zero, by at most
+    # half the cut: measured -0.5001 cut (N = 55) over these N.
+    qq = 4.0 * np.array([1.0 + cf.GAMMA_SLACK]) ** 2  # as pgm_fidelities_reduced forms it
+    for n in [*range(1, 61), 100, 300, 1000]:
+        _, ones, zeros, hop, *_ = _sector_blocks(n, _sector_log_weights(n))
+        lm = _block_spectrum(qq, ones, zeros, hop)[3]
+        cut = DEFAULT_RANK_TOL * (n + 1 + np.sqrt((n - 1) ** 2 + n * qq))
+        assert (lm / cut).min() >= -1.0, n
 
 
 def test_rejects_empty_port_set():

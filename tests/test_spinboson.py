@@ -142,8 +142,8 @@ def test_fidelities_vs_time_closed_form_identity():
     taus = [0.0, 1.0, 3.0]
     curves = sb.fidelities_vs_time(5, [params()], taus, ["closed_form"])
     for chi, phase, got in zip(*one_bath(taus, params()), curves.ent_fidelity["closed_form"][0]):
-        dp = DephasingParams(math.exp(-chi), math.atan2(math.sin(phase), math.cos(phase)))
-        assert got == pytest.approx(cf.fidelity_noiseless_povm(5, dp), abs=0.0)
+        g, t = math.exp(-chi), math.atan2(math.sin(phase), math.cos(phase))
+        assert got == pytest.approx(cf.noiseless_fidelity(5, g * math.cos(t)), abs=0.0)
     assert curves.teleport_fidelity["closed_form"][0, 0] == pytest.approx(
         cf.teleport_fidelity(cf.f_ih(5)), abs=1e-12)
 
