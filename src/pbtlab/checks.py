@@ -17,11 +17,10 @@ import numpy as np
 from . import closedform as cf
 from . import quadrature as qd
 from . import spinboson as sb
-from .ensemble import DephasingParams
-from .fidelity import _block_spectrum, _sector_blocks, _sector_log_weights
+from .ensemble import signal_states
+from .fidelity import _block_spectrum, _sector_blocks, _sector_log_weights, pgm_fidelities_reduced
 from .linops import state_fidelity, trace_norm
-from .povm import (SignalEnsemble, ent_fidelity, mixed_term, noiseless_povm, pgm, pgm_fidelity,
-                   pgm_taylor, validate)
+from .povm import ent_fidelity, mixed_term, pgm, pgm_fidelity, pgm_taylor, validate
 
 
 @dataclass
@@ -42,16 +41,21 @@ class Gap:
         return self.worst <= self.bound
 
 
-def closed_form_vs_trace(ns, gammas, thetas, bound: float) -> Gap:
-    """Direct-trace fidelity of the noiseless PGM against the closed form."""
-    gap = Gap("|direct trace - closed form|", bound)
+def closed_form_vs_trace(ns, gammas, thetas, bound: float) -> tuple:
+    """compare's two columns against the dense route on the same states: the noiseless
+    PGM's direct trace against the closed form, and the dense noise-adapted PGM against
+    the reduced route (one call per N, without theta, which must drop out)."""
+    closed = Gap("|direct trace - closed form|", bound)
+    reduced = Gap("|dense - reduced noise-adapted PGM fidelity|", bound)
     for n in ns:
-        base = noiseless_povm(n)
-        for g, t in itertools.product(gammas, thetas):
-            got = ent_fidelity(base, SignalEnsemble(n, DephasingParams(g, t)))
-            gap.see(abs(got - cf.noiseless_fidelity(n, g * math.cos(t))),
-                    f"N={n} gamma={g:g} theta={t:g}")
-    return gap
+        base = pgm(signal_states(n, 1.0))
+        adapted = pgm_fidelities_reduced(n, gammas).tolist()
+        for (g, f_reduced), t in itertools.product(zip(gammas, adapted), thetas):
+            states, at = signal_states(n, g, t), f"N={n} gamma={g:g} theta={t:g}"
+            f_closed = cf.noiseless_fidelity(n, g * math.cos(t))
+            closed.see(abs(ent_fidelity(base, states) - f_closed), at)
+            reduced.see(abs(pgm_fidelity(states) - f_reduced), at)
+    return closed, reduced
 
 
 def povm_validity(ns, gammas, theta: float, residual_bound: float,
@@ -61,8 +65,8 @@ def povm_validity(ns, gammas, theta: float, residual_bound: float,
     negative = Gap("-(smallest eigenvalue of a Pi_i or of I - sum Pi_i)", eig_bound)
     overlap = Gap("|defect-signal overlap|", overlap_bound)
     for n, g in itertools.product(ns, gammas):
-        ens = SignalEnsemble(n, DephasingParams(g, theta))
-        rep, at = validate(pgm(ens), ens), f"N={n} gamma={g:g}"
+        states = signal_states(n, g, theta)
+        rep, at = validate(pgm(states), states), f"N={n} gamma={g:g}"
         residual.see(rep.completeness_residual, at)
         negative.see(-min(*rep.min_eigenvalues, rep.defect_min_eigenvalue), at)
         overlap.see(max(map(abs, rep.defect_support_overlaps)), at)
@@ -73,9 +77,9 @@ def mixed_term_vanishes(ns, bound: float) -> Gap:
     """Bell cross-term trace of the noiseless PGM at every port."""
     gap = Gap("|tr(Pi_i K_i)|", bound)
     for n in ns:
-        pov = noiseless_povm(n)
+        pov = pgm(signal_states(n, 1.0))
         for i in range(1, n + 1):
-            gap.see(mixed_term(pov, i, n), f"N={n} port {i}")
+            gap.see(mixed_term(pov, i), f"N={n} port {i}")
     return gap
 
 
@@ -103,8 +107,7 @@ def spectrum_block_formulas(ns, gammas, thetas, bound: float) -> Gap:
     """Dense spectrum of 2^(N+1) S against `block_spectrum`; a count mismatch is an infinite gap."""
     gap = Gap("|dense eigenvalue - block formula| of 2^(N+1) S", bound)
     for n, g, t in itertools.product(ns, gammas, thetas):
-        ens = SignalEnsemble(n, DephasingParams(g, t))
-        dense = np.linalg.eigvalsh(2.0 ** (n + 1) * ens.average_unnormalized)
+        dense = np.linalg.eigvalsh(2.0 ** (n + 1) * signal_states(n, g, t).sum(axis=0))
         blocks = block_spectrum(n, g)
         gap.see(float(np.max(np.abs(dense - blocks))) if blocks.shape == dense.shape else math.inf,
                 f"N={n} gamma={g:g} theta={t:g}")
@@ -115,7 +118,7 @@ def pairwise_fidelity_half(ns, gammas, thetas, bound: float) -> Gap:
     """Uhlmann fidelity of every pair of signal states against 1/2."""
     gap = Gap("|pairwise fidelity - 1/2|", bound)
     for n, g, t in itertools.product(ns, gammas, thetas):
-        states = SignalEnsemble(n, DephasingParams(g, t)).states
+        states = signal_states(n, g, t)
         for i, j in itertools.combinations(range(n), 2):
             gap.see(abs(state_fidelity(states[i], states[j]) - 0.5),
                     f"N={n} gamma={g:g} theta={t:g} pair ({i},{j})")
@@ -129,10 +132,10 @@ def helstrom(gammas, thetas, bound: float, slack: float) -> tuple:
     norm = Gap("|trace norm - sqrt(1 + 2|gamma|^2)|", bound)
     spread = Gap("theta dependence of the trace norm", bound)
     excess = Gap("PGM fidelity above the Helstrom bound", slack)
-    base = noiseless_povm(2)
+    base = pgm(signal_states(2, 1.0))
     for g in gammas:
-        ens = [SignalEnsemble(2, DephasingParams(g, t)) for t in thetas]
-        tns = [trace_norm(e.states[0] - e.states[1]) for e in ens]
+        ens = [signal_states(2, g, t) for t in thetas]
+        tns = [trace_norm(states[0] - states[1]) for states in ens]
         at = f"gamma={g:g} theta={thetas[0]:g}"
         norm.see(abs(tns[0] - math.sqrt(1.0 + 2.0 * g * g)), at)
         for t, tn in zip(thetas[1:], tns[1:]):
@@ -188,16 +191,16 @@ def taylor_pgm_agreement(ns, gammas, order: int, bound: float) -> Gap:
     """Series-expanded PGM fidelity against the eigensolver PGM at theta = 0."""
     gap = Gap(f"|Taylor (order {order}) - eigensolver PGM fidelity|", bound)
     for n, g in itertools.product(ns, gammas):
-        ens = SignalEnsemble(n, DephasingParams(g, 0.0))
-        gap.see(abs(pgm_fidelity(ens) - ent_fidelity(pgm_taylor(ens, order), ens)),
+        states = signal_states(n, g, 0.0)
+        gap.see(abs(pgm_fidelity(states) - ent_fidelity(pgm_taylor(states, order), states)),
                 f"N={n} gamma={g:g}")
     return gap
 
 
 # verify's suites in report order, each on a small grid.
 SUITES = {
-    "closed_form_agreement": lambda: (closed_form_vs_trace(
-        (2, 3, 4), (0.0, 0.5, 1.0), (0.0, math.pi / 2, math.pi), 1e-9),),
+    "closed_form_agreement": lambda: closed_form_vs_trace(
+        (2, 3, 4), (0.0, 0.5, 1.0), (0.0, math.pi / 2, math.pi), 1e-9),
     "povm_validity": lambda: povm_validity((2, 3, 4), (0.3, 1.0), 0.4, 1e-8, 1e-10, 1e-9),
     "mixed_term_vanishes": lambda: (mixed_term_vanishes((2, 3, 4), 1e-10),),
     "spectrum_block_formulas": lambda: (spectrum_block_formulas(

@@ -5,7 +5,7 @@ F = (1/4) sum_i tr(Pi_i eta_i); the average teleportation fidelity follows
 as f = (2F + 1)/3.  `pgm_fidelities_reduced` evaluates it for the
 noise-adapted PGM from closed-form 2x2 total-spin blocks, at any N and in
 real float64 arithmetic; the comparison tables and the spin-boson curves use
-it.  Its small-N oracle is the dense route of `povm` (`pgm_fidelity(ens)`).
+it.  Its small-N oracle is the dense `povm.pgm_fidelity(signal_states(...))`.
 """
 
 from __future__ import annotations
@@ -94,8 +94,8 @@ def pgm_fidelities_reduced(n: int, gamma_abs) -> np.ndarray:
     """Entanglement fidelity of the noise-adapted PGM on its own ensemble, per |gamma|.
 
     F = (N/4) tr(X rho_1 X rho_1) with X = S^(-1/2) on the support of the
-    ensemble average S; the same number as the dense `povm.pgm_fidelity(ens)`
-    with `ens = SignalEnsemble(n, DephasingParams(gamma_abs, theta))` at any theta.
+    ensemble average S; the same number as the dense
+    `povm.pgm_fidelity(ensemble.signal_states(n, gamma_abs, theta))` at any theta.
 
     Pure dephasing leaves the |01>, |10> populations of (A_i, B) alone, so
     4 rho there is [[2, q], [q*, 2]] with q = -2 gamma.  A phase theta of

@@ -232,7 +232,7 @@ def fidelities_vs_time(n: int, baths: Sequence[SpinBosonParams], taus: Sequence[
         raise ValueError("tau grid must be sorted ascending")
     for mode in povm_modes:
         if mode not in POVM_MODES:
-            raise ValueError(f"unknown povm_mode {mode!r}")
+            raise ValueError(f"unknown povm mode {mode!r}")
     chis, phases = decoherence_grid(taus, baths)
     gamma_abs = closedform.check_gamma_abs(np.exp(-chis))
     theta = np.arctan2(np.sin(phases), np.cos(phases))

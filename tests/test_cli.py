@@ -269,10 +269,11 @@ def test_spinboson_quadrature_error_is_one_error_line(tmp_path, capsys, monkeypa
     assert err == ["error: the decoherence factor at s=2 leaves the float range"]
 
 
-def test_spinboson_bad_mode(tmp_path):
+def test_spinboson_bad_mode(tmp_path, capsys):
     rc = main(["spinboson", "--n", "4", "--povm", "bogus",
                "--out", str(tmp_path / "x.csv")])
     assert rc == 1
+    assert capsys.readouterr().err == "error: unknown povm mode 'bogus'\n"
 
 
 def test_invalid_grid_is_config_error(tmp_path):

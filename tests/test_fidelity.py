@@ -5,45 +5,43 @@ import pytest
 
 from pbtlab import checks
 from pbtlab import closedform as cf
-from pbtlab.ensemble import NOISELESS, DephasingParams
+from pbtlab.ensemble import signal_states
 from pbtlab.fidelity import compare_noise_adapted
 from pbtlab.linops import LinopsError
-from pbtlab.povm import SignalEnsemble, ent_fidelity, mixed_term, noiseless_povm
+from pbtlab.povm import ent_fidelity, mixed_term, pgm
 
 
-def per_port_traces(elements, ens):
-    return np.einsum("kij,kji->k", elements, ens.states).real
+def per_port_traces(elements, states):
+    return np.einsum("kij,kji->k", elements, states).real
 
 
 def test_result_invariants():
-    ens, pov = SignalEnsemble(3, DephasingParams(0.6, 0.2)), noiseless_povm(3)
-    f = ent_fidelity(pov, ens)
-    assert f == pytest.approx(0.25 * per_port_traces(pov, ens).sum(), abs=1e-12)
+    states, pov = signal_states(3, 0.6, 0.2), pgm(signal_states(3, 1.0))
+    f = ent_fidelity(pov, states)
+    assert f == pytest.approx(0.25 * per_port_traces(pov, states).sum(), abs=1e-12)
     assert 0.0 <= f <= 1.0
 
 
 def test_per_port_traces_equal():
-    ens = SignalEnsemble(4, DephasingParams(0.4, 0.9))
-    traces = per_port_traces(noiseless_povm(4), ens)
+    traces = per_port_traces(pgm(signal_states(4, 1.0)), signal_states(4, 0.4, 0.9))
     assert np.allclose(traces, traces[0], atol=1e-9)
 
 
 def test_dimension_mismatch_raises():
-    ens = SignalEnsemble(3, NOISELESS)
     with pytest.raises(LinopsError):
-        ent_fidelity(noiseless_povm(2), ens)
+        ent_fidelity(pgm(signal_states(2, 1.0)), signal_states(3, 1.0))
 
 
 def test_noiseless_matches_f_ih():
     for n in (2, 3, 4, 5):
-        f = ent_fidelity(noiseless_povm(n), SignalEnsemble(n, NOISELESS))
+        states = signal_states(n, 1.0)
+        f = ent_fidelity(pgm(states), states)
         assert f == pytest.approx(cf.f_ih(n), abs=1e-10)
 
 
 def test_theta_pi_matches_f_corr_trace():
     for n in (2, 3, 4):
-        ens = SignalEnsemble(n, DephasingParams(1.0, math.pi))
-        f = ent_fidelity(noiseless_povm(n), ens)
+        f = ent_fidelity(pgm(signal_states(n, 1.0)), signal_states(n, 1.0, math.pi))
         assert f == pytest.approx(cf.f_corr_trace(n), abs=1e-9)
 
 
@@ -59,7 +57,7 @@ def test_mixed_term_nonzero_for_generic_povm():
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     g = a @ a.conj().T
     g = g / np.linalg.eigvalsh(g).max()
-    assert mixed_term(np.stack([g, np.eye(dim) - g]), 1, n) > 1e-6
+    assert mixed_term(np.stack([g, np.eye(dim) - g]), 1) > 1e-6
 
 
 def test_compare_noise_adapted_n2():

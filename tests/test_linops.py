@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pbtlab.ensemble import _embed_pair_block
 from pbtlab.linops import (
     LinopsError,
     inv_sqrt_on_support,
@@ -8,7 +9,6 @@ from pbtlab.linops import (
     state_fidelity,
     trace_norm,
 )
-from pbtlab.povm import _embed_pair_block
 
 rng = np.random.default_rng(7)
 

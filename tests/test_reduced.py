@@ -8,7 +8,6 @@ import pytest
 from pbtlab import checks
 from pbtlab import closedform as cf
 from pbtlab import fidelity
-from pbtlab.ensemble import DephasingParams
 from pbtlab.fidelity import (
     DEFAULT_RANK_TOL,
     _block_spectrum,
@@ -17,7 +16,6 @@ from pbtlab.fidelity import (
     pgm_fidelities_reduced,
 )
 from pbtlab.linops import LinopsError
-from pbtlab.povm import SignalEnsemble, pgm_fidelity
 
 GAMMAS = (0.0, 0.3, 0.999, 1.0)
 THETAS = (0.0, 1.3, 3.0)
@@ -29,13 +27,11 @@ TOL = 1e-12
 @pytest.mark.parametrize("n", range(2, 9))
 def test_compare_routes_match_dense(n):
     # compare's two columns: the reduced noise-adapted PGM and the noiseless
-    # closed form, each against its dense 2^(N+1)-dimensional counterpart.
-    # The reduced route takes no theta: the dense PGM at every theta checks
-    # that a phase on B does not change the adapted fidelity.
-    for g, reduced in zip(GAMMAS, pgm_fidelities_reduced(n, GAMMAS).tolist()):
-        for th in THETAS:
-            assert abs(reduced - pgm_fidelity(SignalEnsemble(n, DephasingParams(g, th)))) <= TOL
-    assert checks.closed_form_vs_trace((n,), GAMMAS, THETAS, TOL).ok
+    # closed form, each against its dense 2^(N+1)-dimensional counterpart,
+    # each state stack built once.  The reduced route takes no theta: the
+    # dense PGM at every theta checks that a phase on B does not change the
+    # adapted fidelity.
+    assert all(gap.ok for gap in checks.closed_form_vs_trace((n,), GAMMAS, THETAS, TOL))
 
 
 @pytest.mark.parametrize("n", [*range(1, 13), 20, 40, 100, 300])

@@ -7,7 +7,6 @@ from pbtlab import checks
 from pbtlab import closedform as cf
 from pbtlab import quadrature as qd
 from pbtlab import spinboson as sb
-from pbtlab.ensemble import DephasingParams
 
 
 def params(s=2.0, th=0.1, ell=3.0):
@@ -107,8 +106,6 @@ def test_decoherence_factor_assembly():
     curves = sb.fidelities_vs_time(5, [params()], [3.0], ["closed_form"])
     gamma_abs, chi = curves.gamma_abs[0, 0], curves.chi[0, 0]
     assert gamma_abs == pytest.approx(math.exp(-chi), abs=1e-12)
-    dp = DephasingParams(gamma_abs, curves.phase[0, 0])
-    assert dp.gamma_abs == pytest.approx(gamma_abs)
     assert 0.0 < gamma_abs <= 1.0
 
 
