@@ -29,16 +29,12 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import closedform, spinboson as sb
-from .fidelity import compare_noise_adapted
+from .fidelity import pgm_fidelities_reduced
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_IO = 2
 EXIT_VERIFY = 3
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def _parse_grid(text: str) -> List[float]:
@@ -59,7 +55,7 @@ def _parse_grid(text: str) -> List[float]:
             raise ValueError
         return values
     except ValueError:
-        raise ConfigError(f"cannot parse grid specification {text!r}") from None
+        raise ValueError(f"cannot parse grid specification {text!r}") from None
 
 
 def _parse_int_list(text: str) -> List[int]:
@@ -71,7 +67,7 @@ def _parse_int_list(text: str) -> List[int]:
             return list(range(lo, hi + 1))
         return [int(p) for p in text.split(",") if p.strip()]
     except ValueError:
-        raise ConfigError(f"cannot parse integer list {text!r}") from None
+        raise ValueError(f"cannot parse integer list {text!r}") from None
 
 
 def _fmt(x) -> str:
@@ -80,39 +76,24 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _write_csv(path: str, header: List[str], rows: List[list],
-               config: dict, timestamp: bool) -> None:
-    lines = []
-    if timestamp:
-        lines.append("# generated " + datetime.datetime.now(datetime.timezone.utc).isoformat())
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(map(_fmt, row)))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    with open(path + ".json", "w") as fh:
-        json.dump({"config": config, "columns": header, "rows": len(rows)},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _write_json(path: str, header: List[str], rows: List[list],
-                config: dict) -> None:
-    payload = {
-        "config": config,
-        "columns": header,
-        "rows": [[None if v is None else float(v) for v in row] for row in rows],
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _emit(args, header, rows, config) -> None:
+def _emit(args, header: List[str], rows: List[list], config: dict) -> None:
+    """Write the table to args.out: CSV with a JSON sidecar (its "rows" the row
+    count), or JSON (its "rows" the rows, None as null).  Both dump the same
+    {config, columns, rows} object."""
+    table = {"config": config, "columns": header, "rows": len(rows)}
+    json_path = args.out + ".json"
     if args.format == "json":
-        _write_json(args.out, header, rows, config)
+        table["rows"] = [[None if v is None else float(v) for v in row] for row in rows]
+        json_path = args.out
     else:
-        _write_csv(args.out, header, rows, config, timestamp=not args.no_timestamp)
+        lines = [",".join(header)] + [",".join(map(_fmt, row)) for row in rows]
+        if not args.no_timestamp:
+            lines.insert(0, "# generated " + datetime.datetime.now(datetime.timezone.utc).isoformat())
+        with open(args.out, "w", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
+    with open(json_path, "w") as fh:
+        json.dump(table, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 # ---------------------------------------------------------------- commands
@@ -129,10 +110,10 @@ def _closed_form_grid(gamma: str, theta: str) -> tuple:
 def cmd_surface(args) -> int:
     ns = _parse_int_list(args.n)
     if len(ns) != 1:
-        raise ConfigError("surface requires a single --n value")
+        raise ValueError("surface requires a single --n value")
     n = ns[0]
     if n < 1:
-        raise ConfigError(f"need n >= 1, got {n}")
+        raise ValueError(f"need n >= 1, got {n}")
     gammas, thetas, overlap = _closed_form_grid(args.gamma, args.theta)
     f = closedform.noiseless_fidelity(n, overlap)
     rows = list(zip(gammas, thetas, f.tolist(), closedform.teleport_fidelity(f).tolist()))
@@ -144,7 +125,7 @@ def cmd_surface(args) -> int:
 def cmd_vs_n(args) -> int:
     ns = _parse_int_list(args.n)
     if not ns or min(ns) < 1:
-        raise ConfigError("vs-n requires positive port counts")
+        raise ValueError("vs-n requires positive port counts")
     gammas, thetas, overlap = _closed_form_grid(args.gamma, args.theta)
     overlap = np.append(overlap, 1.0)  # the last cell is the noiseless reference, f_ih(n)
     rows = []
@@ -162,9 +143,16 @@ def cmd_vs_n(args) -> int:
 def cmd_compare(args) -> int:
     ns = _parse_int_list(args.n)
     if not ns or min(ns) < 2:
-        raise ConfigError("compare requires port counts >= 2")
-    gammas = _parse_grid(args.gamma)
-    rows = [[n, *row] for n in ns for row in compare_noise_adapted(n, gammas)]
+        raise ValueError("compare requires port counts >= 2")
+    gammas = closedform.check_gamma_abs(_parse_grid(args.gamma))
+    rows = []
+    for n in ns:
+        helstrom = (closedform.helstrom_bound_n2(gammas).tolist() if n == 2
+                    else [None] * len(gammas))
+        rows += zip([n] * len(gammas), gammas.tolist(),
+                    closedform.noiseless_fidelity(n, gammas).tolist(),
+                    pgm_fidelities_reduced(n, gammas).tolist(),
+                    closedform.beigi_konig_bound(n, gammas).tolist(), helstrom)
     header = ["n", "gamma_abs", "noiseless_fidelity", "noise_adapted_fidelity",
               "beigi_konig_bound", "helstrom_bound"]
     _emit(args, header, rows, _config_echo(args))
@@ -174,13 +162,11 @@ def cmd_compare(args) -> int:
 def cmd_spinboson(args) -> int:
     ns = _parse_int_list(args.n)
     if len(ns) != 1:
-        raise ConfigError("spinboson requires a single --n value")
+        raise ValueError("spinboson requires a single --n value")
     n = ns[0]
     modes = [m.strip() for m in args.povm.split(",") if m.strip()]
     if not modes:
-        raise ConfigError("spinboson requires at least one povm mode")
-    if not math.isfinite(args.ell):
-        raise ConfigError(f"--ell must be finite, got {args.ell}")
+        raise ValueError("spinboson requires at least one povm mode")
     taus = _parse_grid(args.tau)
     ohmicities = _parse_grid(args.s)
     temps = _parse_grid(args.temp_ratio)
@@ -287,7 +273,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except ValueError as exc:  # as are ConfigError and quadrature.QuadratureError
+    except ValueError as exc:  # every configuration and domain error of the package
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

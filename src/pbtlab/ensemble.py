@@ -17,7 +17,6 @@ import math
 import numpy as np
 
 from .closedform import check_gamma_abs
-from .fidelity import LinopsError
 
 PSI_MINUS = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
 PSI_PLUS = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / math.sqrt(2.0)
@@ -46,7 +45,7 @@ def decohered_bell(gamma_abs: float, theta: float = 0.0) -> np.ndarray:
 def _embed_pair_block(block: np.ndarray, i: int, n_ports: int) -> np.ndarray:
     """Place a two-qubit block on (A_i, B), maximally mixed on the other ports."""
     if not 1 <= i <= n_ports:
-        raise LinopsError(f"port index {i} out of range 1..{n_ports}")
+        raise ValueError(f"port index {i} out of range 1..{n_ports}")
     # row and column index: (A_1..A_(i-1), A_i, A_(i+1)..A_N, B)
     before, after = 2 ** (i - 1), 2 ** (n_ports - i)
     m = np.zeros((before, 2, after, 2) * 2, dtype=block.dtype)

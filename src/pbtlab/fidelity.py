@@ -1,17 +1,16 @@
-"""The symmetry-reduced noise-adapted PGM fidelity and the comparison tables.
+"""The symmetry-reduced noise-adapted PGM fidelity.
 
 The entanglement fidelity of the port-selection protocol is
 F = (1/4) sum_i tr(Pi_i eta_i); the average teleportation fidelity follows
 as f = (2F + 1)/3.  `pgm_fidelities_reduced` evaluates it for the
 noise-adapted PGM from closed-form 2x2 total-spin blocks, at any N and in
-real float64 arithmetic; the comparison tables and the spin-boson curves use
-it.  Its small-N oracle is the dense `povm.pgm_fidelity(signal_states(...))`.
+real float64 arithmetic; `compare` and the spin-boson curves use it.  Its
+small-N oracle is the dense `povm.pgm_fidelity(signal_states(...))`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -19,28 +18,12 @@ from . import closedform
 from .closedform import _log_binom
 
 # Eigenvalues below this times the largest lie off the support, here and in
-# the dense `linops`, which re-exports it and LinopsError.
+# the dense `linops`, which imports it from here.
 DEFAULT_RANK_TOL = 1e-12
 
 # Blocks per stack in `pgm_fidelities_reduced`, so that its working memory (a
 # few hundred bytes a block) stays bounded at any N.
 BLOCK_CHUNK = 1 << 14
-
-
-class LinopsError(ValueError):
-    """Domain error for invalid operator inputs; `linops` re-exports it."""
-
-
-class ComparisonRow(NamedTuple):
-    """One row of `compare_noise_adapted`.  A NamedTuple, not a frozen
-    dataclass: creating one of those takes ~1 ms at import, which every CLI
-    run would pay."""
-
-    gamma_abs: float
-    noiseless: float
-    noise_adapted: float
-    beigi_konig: float
-    helstrom: float | None
 
 
 def _sector_log_weights(n: int) -> list:
@@ -91,7 +74,8 @@ def _block_spectrum(qq, ones, zeros, hop) -> tuple:
 
 
 def pgm_fidelities_reduced(n: int, gamma_abs) -> np.ndarray:
-    """Entanglement fidelity of the noise-adapted PGM on its own ensemble, per |gamma|.
+    """Entanglement fidelity of the noise-adapted PGM on its own ensemble, per |gamma|,
+    in the shape of gamma_abs (a float or an array).
 
     F = (N/4) tr(X rho_1 X rho_1) with X = S^(-1/2) on the support of the
     ensemble average S; the same number as the dense
@@ -120,8 +104,9 @@ def pgm_fidelities_reduced(n: int, gamma_abs) -> np.ndarray:
     (`closedform.check_gamma_abs`).
     """
     if n < 1:
-        raise LinopsError(f"need n >= 1, got {n}")
+        raise ValueError(f"need n >= 1, got {n}")
     g = closedform.check_gamma_abs(gamma_abs)
+    shape, g = g.shape, g.ravel()
     qq = 4.0 * g[:, None, None] ** 2
     cut = DEFAULT_RANK_TOL * (n + 1 + np.sqrt((n - 1) ** 2 + n * qq))
     total = np.zeros(len(g))
@@ -145,15 +130,5 @@ def pgm_fidelities_reduced(n: int, gamma_abs) -> np.ndarray:
             tr_yy = ((2.0 * xu + qqx) ** 2 + (qqx + 2.0 * xd) ** 2
                      + 2.0 * qq[r] * (2.0 * x_off + xd) * (xu + 2.0 * x_off))
             total[r] += (tr_yy * weight).sum(axis=(1, 2))
-    return 0.25 * n * total
+    return (0.25 * n * total).reshape(shape)[()]
 
-
-def compare_noise_adapted(n: int, gamma_grid: Sequence[float]) -> list:
-    """Noiseless vs noise-adapted PGM fidelities at theta = 0, with bounds."""
-    grid = np.asarray(gamma_grid, dtype=float)
-    adapted = pgm_fidelities_reduced(n, grid).tolist()
-    noiseless = closedform.noiseless_fidelity(n, grid).tolist()
-    beigi_konig = closedform.beigi_konig_bound(n, grid).tolist()
-    helstrom = closedform.helstrom_bound_n2(grid).tolist() if n == 2 else [None] * len(grid)
-    return [ComparisonRow(*row)
-            for row in zip(grid.tolist(), noiseless, adapted, beigi_konig, helstrom)]

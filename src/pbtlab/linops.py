@@ -8,7 +8,7 @@ most significant qubits and Bob's qubit B on the least significant one.
 
 Operators are plain ndarrays, complex or real.  `eigh`/`eigvalsh` read one
 triangle only, so each function that calls them checks its input's
-Hermiticity once (`_require_hermitian`).
+Hermiticity once (`_require_hermitian`).  A failed check raises ValueError.
 """
 
 from __future__ import annotations
@@ -18,13 +18,13 @@ from typing import Callable
 import numpy as np
 
 # defined beside the reduced route, which must not load this module
-from .fidelity import DEFAULT_RANK_TOL, LinopsError
+from .fidelity import DEFAULT_RANK_TOL
 
 
 def _require_hermitian(m: np.ndarray) -> None:
     """Raise unless m equals its adjoint to 1e-10."""
     if not np.allclose(m, np.swapaxes(m, -1, -2).conj(), rtol=0.0, atol=1e-10):
-        raise LinopsError("matrix is not Hermitian within tolerance")
+        raise ValueError("matrix is not Hermitian within tolerance")
 
 
 def func_on_support(m: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
@@ -38,7 +38,7 @@ def func_on_support(m: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.
     lam_max = float(np.max(w, initial=0.0))
     cut = DEFAULT_RANK_TOL * max(lam_max, 0.0)
     if np.any(w < -max(cut, DEFAULT_RANK_TOL)):
-        raise LinopsError(f"operator is not PSD: min eigenvalue {w.min():.3e}")
+        raise ValueError(f"operator is not PSD: min eigenvalue {w.min():.3e}")
     on_support = w > cut
     fw = np.zeros_like(w)
     if np.any(on_support):

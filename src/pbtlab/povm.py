@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensemble import BELL_CROSS, _embed_pair_block
-from .linops import DEFAULT_RANK_TOL, LinopsError, inv_sqrt_on_support
+from .linops import DEFAULT_RANK_TOL, inv_sqrt_on_support
 
 IMAG_RESIDUE_TOL = 1e-10
 
@@ -35,7 +35,7 @@ def _real_trace(val) -> np.ndarray:
     val = np.asarray(val)
     residue = val.imag[np.abs(val.imag) > IMAG_RESIDUE_TOL * np.maximum(np.abs(val.real), 1.0)]
     if residue.size:
-        raise LinopsError(f"trace has imaginary residue {residue[0]:.3e}")
+        raise ValueError(f"trace has imaginary residue {residue[0]:.3e}")
     return val.real
 
 
@@ -117,8 +117,8 @@ def ent_fidelity(elements: np.ndarray, states: np.ndarray) -> float:
     """Entanglement fidelity F = (1/4) sum_i tr(Pi_i eta_i) of a measurement
     against the signal states."""
     if elements.shape != states.shape:
-        raise LinopsError(f"POVM elements {elements.shape} do not match the "
-                          f"states {states.shape}")
+        raise ValueError(f"POVM elements {elements.shape} do not match the "
+                         f"states {states.shape}")
     traces = _real_trace(np.einsum("kij,kji->k", elements, states))
     return 0.25 * sum(traces.tolist())
 

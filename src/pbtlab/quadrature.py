@@ -21,11 +21,6 @@ QUAD_ABS_TOL = 1e-12
 QUAD_MAX_SUBDIVISIONS = 200
 
 
-class QuadratureError(ArithmeticError, ValueError):
-    """Raised when the frequency integral fails to converge.  A ValueError
-    too, so that `cli.main` reports it without loading this module."""
-
-
 @dataclass(frozen=True)
 class QuadratureSettings:
     upper_cutoff: float = 0.0  # 0 means auto: 40 + 10 s
@@ -63,8 +58,7 @@ def _panel_integrate(f: Callable[[float], float], lo: float, hi: float,
             epsabs=QUAD_ABS_TOL, epsrel=quad.rel_tol, limit=QUAD_MAX_SUBDIVISIONS,
         )
         if not math.isfinite(val):
-            raise QuadratureError(
-                f"quadrature gave a non-finite value on panel [{a:g}, {b:g}]")
+            raise ValueError(f"quadrature gave a non-finite value on panel [{a:g}, {b:g}]")
         total += val
         error += err
     return total, error

@@ -53,12 +53,13 @@ class SpinBosonParams:
     separation: float = 0.0
 
     def __post_init__(self):
-        if not self.ohmicity > 1.0:
-            raise ValueError(f"ohmicity must exceed 1, got {self.ohmicity}")
-        if self.temperature_ratio < 0.0:
-            raise ValueError(f"temperature ratio must be >= 0, got {self.temperature_ratio}")
-        if self.separation < 0.0:
-            raise ValueError(f"separation must be >= 0, got {self.separation}")
+        if not 1.0 < self.ohmicity < math.inf:
+            raise ValueError(f"ohmicity must be finite and exceed 1, got {self.ohmicity}")
+        if not 0.0 <= self.temperature_ratio < math.inf:
+            raise ValueError(f"temperature ratio must be finite and >= 0, "
+                             f"got {self.temperature_ratio}")
+        if not 0.0 <= self.separation < math.inf:
+            raise ValueError(f"separation must be finite and >= 0, got {self.separation}")
 
 
 # The Hurwitz zeta of the thermal part is summed over ZETA_TERMS terms
@@ -219,8 +220,8 @@ def fidelities_vs_time(n: int, baths: Sequence[SpinBosonParams], taus: Sequence[
 
     chi and the phase of every bath and tau come from one `decoherence_grid`
     call, shared by all modes; baths that differ only in temperature get the
-    same phase bit for bit.  |gamma| = e^(-chi), and the phase is wrapped to
-    (-pi, pi].
+    same phase bit for bit.  |gamma| = e^(-chi); the phase is returned as
+    computed, not wrapped.
     "closed_form" is the analytic fidelity of the ideal measurement, affine
     in |gamma| cos(theta) (`closedform.noiseless_fidelity`);
     "noise_adapted" is the PGM of the dephased ensemble at every grid point,
@@ -235,12 +236,11 @@ def fidelities_vs_time(n: int, baths: Sequence[SpinBosonParams], taus: Sequence[
             raise ValueError(f"unknown povm mode {mode!r}")
     chis, phases = decoherence_grid(taus, baths)
     gamma_abs = closedform.check_gamma_abs(np.exp(-chis))
-    theta = np.arctan2(np.sin(phases), np.cos(phases))
     ent = {}
     for mode in povm_modes:
         if mode == "closed_form":
-            ent[mode] = closedform.noiseless_fidelity(n, gamma_abs * np.cos(theta))
+            ent[mode] = closedform.noiseless_fidelity(n, gamma_abs * np.cos(phases))
         else:
-            ent[mode] = pgm_fidelities_reduced(n, gamma_abs.ravel()).reshape(chis.shape)
+            ent[mode] = pgm_fidelities_reduced(n, gamma_abs)
     return FidelityCurves(chis, phases, gamma_abs, ent,
                           {mode: closedform.teleport_fidelity(f) for mode, f in ent.items()})

@@ -201,7 +201,7 @@ def test_spinboson_makes_one_reduced_call_per_run(tmp_path, monkeypatch):
     calls = []
     reduced = sb.pgm_fidelities_reduced
     monkeypatch.setattr(sb, "pgm_fidelities_reduced",
-                        lambda n, grid: calls.append(len(grid)) or reduced(n, grid))
+                        lambda n, grid: calls.append(grid.size) or reduced(n, grid))
     out = tmp_path / "both.csv"
     assert main(base + ["--s", "2,3", "--out", str(out)]) == 0
     assert out.read_text().splitlines(keepends=True)[1:] == per_s
@@ -288,14 +288,25 @@ def test_io_error_exit_code(tmp_path):
     assert rc == 2
 
 
-def test_json_format(tmp_path):
-    out = tmp_path / "surf.json"
-    rc = main(["surface", "--n", "3", "--gamma", "0:1:3", "--theta", "0",
-               "--format", "json", "--out", str(out)])
-    assert rc == 0
-    payload = json.loads(out.read_text())
-    assert payload["columns"][0] == "gamma_abs"
-    assert len(payload["rows"]) == 3
+# compare's helstrom_bound at N = 3 and spinboson's f_noise_adapted are empty
+# cells in CSV and null in JSON
+@pytest.mark.parametrize("argv, count", [
+    (["surface", "--n", "3", "--gamma", "0:1:3", "--theta", "0"], 3),
+    (["compare", "--n", "2,3", "--gamma", "0:1:3"], 6),
+    (["spinboson", "--n", "3", "--tau", "0:2:3", "--s", "2", "--temp-ratio", "0.1",
+      "--povm", "closed_form"], 3),
+], ids=["surface", "compare", "spinboson"])
+def test_json_format(tmp_path, argv, count):
+    csv_out, json_out = tmp_path / "t.csv", tmp_path / "t.json"
+    assert main(argv + ["--no-timestamp", "--out", str(csv_out)]) == 0
+    assert main(argv + ["--format", "json", "--out", str(json_out)]) == 0
+    header, rows = read_csv(csv_out)
+    payload = json.loads(json_out.read_text())
+    assert payload["columns"] == header
+    assert len(payload["rows"]) == count
+    assert payload["rows"] == [[float(r[h]) if r[h] else None for h in header] for r in rows]
+    if argv[0] != "surface":
+        assert None in payload["rows"][-1]
 
 
 def test_verify_passes(tmp_path):
@@ -312,7 +323,7 @@ def test_verify_passes(tmp_path):
 
 
 def test_verify_quadrature_failure_is_one_error_line(tmp_path, capsys, monkeypatch):
-    # QuadratureError is a ValueError, so main reports it without loading the quadrature
+    # the quadrature raises ValueError, so main reports it without loading the quadrature
     monkeypatch.setattr(checks, "SUITES", {"spin_boson_limits": checks.SUITES["spin_boson_limits"]})
     monkeypatch.setattr(qd.integrate, "quad", lambda *args, **kwargs: (math.nan, 0.0))
     assert main(["verify", "--out", str(tmp_path / "report.json")]) == 1

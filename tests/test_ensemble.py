@@ -3,7 +3,6 @@ import pytest
 
 from pbtlab import checks
 from pbtlab.ensemble import P_MINUS, P_PLUS, _embed_pair_block, decohered_bell, signal_states
-from pbtlab.linops import LinopsError
 
 
 def partial_trace(op: np.ndarray, keep) -> np.ndarray:
@@ -95,7 +94,7 @@ def test_signal_state_trace_one():
 
 def test_signal_state_bad_port():
     for port in (0, 4):
-        with pytest.raises(LinopsError):
+        with pytest.raises(ValueError, match=rf"^port index {port} out of range 1\.\.3$"):
             _embed_pair_block(P_MINUS, port, 3)
 
 

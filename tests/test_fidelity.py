@@ -6,8 +6,7 @@ import pytest
 from pbtlab import checks
 from pbtlab import closedform as cf
 from pbtlab.ensemble import signal_states
-from pbtlab.fidelity import compare_noise_adapted
-from pbtlab.linops import LinopsError
+from pbtlab.fidelity import pgm_fidelities_reduced
 from pbtlab.povm import ent_fidelity, mixed_term, pgm
 
 
@@ -28,7 +27,8 @@ def test_per_port_traces_equal():
 
 
 def test_dimension_mismatch_raises():
-    with pytest.raises(LinopsError):
+    with pytest.raises(ValueError, match=r"^POVM elements \(2, 8, 8\) do not match the "
+                                         r"states \(3, 16, 16\)$"):
         ent_fidelity(pgm(signal_states(2, 1.0)), signal_states(3, 1.0))
 
 
@@ -60,28 +60,30 @@ def test_mixed_term_nonzero_for_generic_povm():
     assert mixed_term(np.stack([g, np.eye(dim) - g]), 1) > 1e-6
 
 
-def test_compare_noise_adapted_n2():
-    rows = compare_noise_adapted(2, [0.0, 0.2, 1.0])
-    by_gamma = {r.gamma_abs: r for r in rows}
-    r1 = by_gamma[1.0]
-    assert r1.noiseless == pytest.approx(cf.f_ih(2), abs=1e-9)
-    assert r1.noise_adapted == pytest.approx(cf.f_ih(2), abs=1e-9)
-    assert r1.helstrom == pytest.approx(cf.helstrom_bound_n2(1.0), abs=1e-9)
+def compare_columns(n, grid):
+    """compare's noiseless, noise-adapted and Beigi-Konig columns at theta = 0."""
+    return (cf.noiseless_fidelity(n, grid), pgm_fidelities_reduced(n, grid),
+            cf.beigi_konig_bound(n, grid))
+
+
+def test_noiseless_vs_adapted_n2():
+    grid = np.array([0.0, 0.2, 1.0])
+    noiseless, adapted, beigi_konig = compare_columns(2, grid)
+    helstrom = cf.helstrom_bound_n2(grid)
+    assert noiseless[2] == pytest.approx(cf.f_ih(2), abs=1e-9)
+    assert adapted[2] == pytest.approx(cf.f_ih(2), abs=1e-9)
+    assert helstrom[2] == pytest.approx(cf.helstrom_bound_n2(1.0), abs=1e-9)
     # strong-decoherence region: adapting to the noise wins
-    r0 = by_gamma[0.2]
-    assert r0.noise_adapted >= r0.noiseless
-    for r in rows:
-        assert r.noiseless <= r.helstrom + 1e-9
-        assert r.noise_adapted <= r.helstrom + 1e-9
-        assert r.noise_adapted >= r.beigi_konig - 1e-9
+    assert adapted[1] >= noiseless[1]
+    assert np.all(noiseless <= helstrom + 1e-9)
+    assert np.all(adapted <= helstrom + 1e-9)
+    assert np.all(adapted >= beigi_konig - 1e-9)
 
 
-def test_compare_noise_adapted_larger_n():
-    rows = compare_noise_adapted(5, [0.5, 0.8])
-    for r in rows:
-        assert r.helstrom is None
-        assert r.noiseless >= r.noise_adapted - 1e-9
-        assert r.noise_adapted >= r.beigi_konig - 1e-9
+def test_noiseless_vs_adapted_larger_n():
+    noiseless, adapted, beigi_konig = compare_columns(5, np.array([0.5, 0.8]))
+    assert np.all(noiseless >= adapted - 1e-9)
+    assert np.all(adapted >= beigi_konig - 1e-9)
 
 
 def test_helstrom_optimal_matches_closed_form():

@@ -15,7 +15,6 @@ from pbtlab.fidelity import (
     _sector_log_weights,
     pgm_fidelities_reduced,
 )
-from pbtlab.linops import LinopsError
 
 GAMMAS = (0.0, 0.3, 0.999, 1.0)
 THETAS = (0.0, 1.3, 3.0)
@@ -65,7 +64,13 @@ def test_batched_rows_match_one_point_calls(n):
     batched = pgm_fidelities_reduced(n, MIXED_GRID)
     for g, f in zip(MIXED_GRID, batched):
         assert abs(f - pgm_fidelities_reduced(n, [g])[0]) <= 1e-15
+        # a float gives a scalar, as the other |gamma| functions do
+        one = pgm_fidelities_reduced(n, g)
+        assert np.ndim(one) == 0 and abs(one - f) <= 1e-15
     assert max(abs(f - cf.f_ih(n)) for g, f in zip(MIXED_GRID, batched) if g == 1.0) <= TOL
+    # a 2-D grid keeps its shape, row-major as the flat one
+    square = pgm_fidelities_reduced(n, np.reshape(MIXED_GRID, (2, 3)))
+    assert square.shape == (2, 3) and np.array_equal(square.ravel(), batched)
 
 
 @pytest.mark.parametrize("n", (2, 5, 9, 30))
@@ -128,7 +133,7 @@ def test_smallest_eigenvalue_stays_above_minus_the_cut():
 
 
 def test_rejects_empty_port_set():
-    with pytest.raises(LinopsError):
+    with pytest.raises(ValueError, match=r"^need n >= 1, got 0$"):
         pgm_fidelities_reduced(0, [1.0])
 
 

@@ -26,6 +26,14 @@ def test_params_validation():
         sb.SpinBosonParams(2.0, -0.1)
     with pytest.raises(ValueError):
         sb.SpinBosonParams(2.0, 0.1, -1.0)
+    # NaN and inf are rejected too: a NaN temperature once passed as a cold bath
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="^ohmicity must be finite and exceed 1"):
+            sb.SpinBosonParams(bad)
+        with pytest.raises(ValueError, match="^temperature ratio must be finite and >= 0"):
+            sb.SpinBosonParams(2.0, bad, 3.0)
+        with pytest.raises(ValueError, match="^separation must be finite and >= 0"):
+            sb.SpinBosonParams(2.0, 0.1, bad)
 
 
 def test_chi_trivial_zeros():
@@ -139,8 +147,8 @@ def test_fidelities_vs_time_closed_form_identity():
     taus = [0.0, 1.0, 3.0]
     curves = sb.fidelities_vs_time(5, [params()], taus, ["closed_form"])
     for chi, phase, got in zip(*one_bath(taus, params()), curves.ent_fidelity["closed_form"][0]):
-        g, t = math.exp(-chi), math.atan2(math.sin(phase), math.cos(phase))
-        assert got == pytest.approx(cf.noiseless_fidelity(5, g * math.cos(t)), abs=0.0)
+        g = math.exp(-chi)
+        assert got == pytest.approx(cf.noiseless_fidelity(5, g * math.cos(phase)), abs=0.0)
     assert curves.teleport_fidelity["closed_form"][0, 0] == pytest.approx(
         cf.teleport_fidelity(cf.f_ih(5)), abs=1e-12)
 
