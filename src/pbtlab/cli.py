@@ -36,6 +36,9 @@ EXIT_CONFIG = 1
 EXIT_IO = 2
 EXIT_VERIFY = 3
 
+# The measurements `spinboson` fills a column for, in column order.
+POVM_MODES = ("closed_form", "noise_adapted")
+
 
 def _parse_grid(text: str) -> List[float]:
     """Parse 'a', 'a,b,c' or 'min:max:count' into a list of floats."""
@@ -171,13 +174,26 @@ def cmd_spinboson(args) -> int:
     ohmicities = _parse_grid(args.s)
     temps = _parse_grid(args.temp_ratio)
     baths = [sb.SpinBosonParams(s, th, args.ell) for s in ohmicities for th in temps]
-    curves = sb.fidelities_vs_time(n, baths, taus, modes)
+    if taus != sorted(taus):
+        raise ValueError("tau grid must be sorted ascending")
+    for mode in modes:
+        if mode not in POVM_MODES:
+            raise ValueError(f"unknown povm mode {mode!r}")
+    # one stacked evaluation for every bath and tau, shared by both measurements
+    chis, phases = sb.decoherence_grid(taus, baths)
+    gamma_abs = closedform.check_gamma_abs(np.exp(-chis))
     columns = [np.repeat([b.ohmicity for b in baths], len(taus)),
                np.repeat([b.temperature_ratio for b in baths], len(taus)),
-               np.tile(taus, len(baths)), curves.chi, curves.phase, curves.gamma_abs]
-    columns = [np.ravel(col).tolist() for col in columns] + [
-        curves.teleport_fidelity[m].ravel().tolist() if m in modes else [None] * curves.chi.size
-        for m in sb.POVM_MODES]
+               np.tile(taus, len(baths)), chis, phases, gamma_abs]
+    columns = [np.ravel(col).tolist() for col in columns]
+    for mode in POVM_MODES:  # each requested route runs once, on the whole grid
+        if mode not in modes:
+            columns.append([None] * chis.size)
+            continue
+        # the closed form takes |gamma| cos(phase); the PGM's fidelity takes |gamma| alone
+        f = (closedform.noiseless_fidelity(n, gamma_abs * np.cos(phases)) if mode == "closed_form"
+             else pgm_fidelities_reduced(n, gamma_abs))
+        columns.append(closedform.teleport_fidelity(f).ravel().tolist())
     rows = list(zip(*columns))
     header = ["ohmicity", "temp_ratio", "tau", "chi", "phase", "gamma_abs",
               "f_closed_form", "f_noise_adapted"]
@@ -252,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--temp-ratio", default="0.1,0.9", dest="temp_ratio")
     sp.add_argument("--ell", type=float, default=3.0)
     sp.add_argument("--povm", default="closed_form",
-                    help=f"comma list from {{{', '.join(sb.POVM_MODES)}}}")
+                    help=f"comma list from {{{', '.join(POVM_MODES)}}}")
     sp.set_defaults(func=cmd_spinboson)
 
     sp = sub.add_parser("verify", help="run the internal consistency suites")

@@ -103,9 +103,10 @@ def beigi_konig_bound(n: int, gamma_abs):
     per |gamma|, a float or an array."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    g = check_gamma_abs(gamma_abs)
     # float_power is libm pow, as a float's ** 2; numpy's ** 2 multiplies,
     # which can differ in the last bit
-    return 0.5 * (1.0 - (1.0 + 2.0 * np.float_power(gamma_abs, 2)) / n)
+    return 0.5 * (1.0 - (1.0 + 2.0 * np.float_power(g, 2)) / n)
 
 
 def knill_barnum_bound(n: int) -> float:

@@ -26,22 +26,19 @@ once; the weights of each combination sum to zero, so a t-independent
 constant in G cancels.
 `quadrature.chi_and_error` and `quadrature.phase_and_error` integrate the frequency integrals by
 adaptive quadrature and are the independent check of that route.
+
+The module is the bath alone: it imports no fidelity route.  `cli.cmd_spinboson`
+turns |gamma| = e^(-chi) and the phase into each measurement's fidelity.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import gammaln
-
-from . import closedform
-from .fidelity import pgm_fidelities_reduced
-
-# Measurements a fidelity curve can be computed for; see fidelities_vs_time.
-POVM_MODES = ("closed_form", "noise_adapted")
 
 
 @dataclass(frozen=True)
@@ -169,12 +166,14 @@ def decoherence_grid(taus: Sequence[float], baths: Sequence[SpinBosonParams]) ->
     grid and a bath's chi sums its own rows.  The phase takes each bath's
     zero-temperature row at t = ell only, so baths that differ only in
     temperature get bit-for-bit the same phases.  tau = 0 and ell = 0 give
-    exactly 0.  A chi or phase outside the float range (s above about 172)
-    raises ValueError naming the first such bath.
+    exactly 0.  A tau that is negative or not finite raises ValueError, and
+    so does a chi or phase outside the float range (s above about 172),
+    naming the first such bath.
     """
     taus = np.asarray(taus, dtype=float)
-    if np.any(taus < 0.0):
-        raise ValueError(f"tau must be >= 0, got {taus.min()}")
+    bad = ~((taus >= 0.0) & (taus < math.inf))
+    if bad.any():
+        raise ValueError(f"tau must be finite and >= 0, got {taus[bad][0]}")
     chis, phases = np.zeros((2, len(baths), taus.size))
     live = [b for b, p in enumerate(baths) if p.separation != 0.0]
     if live:
@@ -197,50 +196,3 @@ def decoherence_grid(taus: Sequence[float], baths: Sequence[SpinBosonParams]) ->
             s = baths[int(np.argmax(bad))].ohmicity
             raise ValueError(f"the decoherence factor at s={s:g} leaves the float range")
     return chis, phases
-
-
-class FidelityCurves(NamedTuple):
-    """Fidelity curves of several baths along one tau grid.
-
-    Every array has shape (baths, taus); the fidelities map each POVM mode to
-    its array.  A NamedTuple, not a frozen dataclass: creating one of those
-    takes ~1.5 ms at import, which every CLI run would pay.
-    """
-
-    chi: np.ndarray
-    phase: np.ndarray
-    gamma_abs: np.ndarray
-    ent_fidelity: dict
-    teleport_fidelity: dict
-
-
-def fidelities_vs_time(n: int, baths: Sequence[SpinBosonParams], taus: Sequence[float],
-                       povm_modes: Sequence[str]) -> FidelityCurves:
-    """Teleportation fidelities of several POVM modes along one time grid, per bath.
-
-    chi and the phase of every bath and tau come from one `decoherence_grid`
-    call, shared by all modes; baths that differ only in temperature get the
-    same phase bit for bit.  |gamma| = e^(-chi); the phase is returned as
-    computed, not wrapped.
-    "closed_form" is the analytic fidelity of the ideal measurement, affine
-    in |gamma| cos(theta) (`closedform.noiseless_fidelity`);
-    "noise_adapted" is the PGM of the dephased ensemble at every grid point,
-    by the symmetry-reduced route: one `fidelity.pgm_fidelities_reduced` call
-    for all baths and taus, on |gamma| alone (the PGM follows the phase).
-    """
-    taus = np.asarray(taus, dtype=float)
-    if np.any(taus[1:] < taus[:-1]):
-        raise ValueError("tau grid must be sorted ascending")
-    for mode in povm_modes:
-        if mode not in POVM_MODES:
-            raise ValueError(f"unknown povm mode {mode!r}")
-    chis, phases = decoherence_grid(taus, baths)
-    gamma_abs = closedform.check_gamma_abs(np.exp(-chis))
-    ent = {}
-    for mode in povm_modes:
-        if mode == "closed_form":
-            ent[mode] = closedform.noiseless_fidelity(n, gamma_abs * np.cos(phases))
-        else:
-            ent[mode] = pgm_fidelities_reduced(n, gamma_abs)
-    return FidelityCurves(chis, phases, gamma_abs, ent,
-                          {mode: closedform.teleport_fidelity(f) for mode, f in ent.items()})

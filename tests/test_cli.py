@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import pbtlab
-from pbtlab import checks
+from pbtlab import checks, cli
 from pbtlab import closedform as cf
 from pbtlab import quadrature as qd
 from pbtlab import spinboson as sb
@@ -190,8 +190,9 @@ def test_spinboson_two_modes_share_one_decoherence_factor(tmp_path, monkeypatch)
 
 
 def test_spinboson_makes_one_reduced_call_per_run(tmp_path, monkeypatch):
+    # a mode named twice still runs its route once
     base = ["spinboson", "--n", "4", "--tau", "0:4:9", "--temp-ratio", "0.1,0.9",
-            "--povm", "closed_form,noise_adapted", "--no-timestamp"]
+            "--povm", "closed_form,noise_adapted,noise_adapted", "--no-timestamp"]
     per_s = []
     for s in ("2", "3"):
         out = tmp_path / f"s{s}.csv"
@@ -199,8 +200,8 @@ def test_spinboson_makes_one_reduced_call_per_run(tmp_path, monkeypatch):
         per_s += out.read_text().splitlines(keepends=True)[1:]
 
     calls = []
-    reduced = sb.pgm_fidelities_reduced
-    monkeypatch.setattr(sb, "pgm_fidelities_reduced",
+    reduced = cli.pgm_fidelities_reduced
+    monkeypatch.setattr(cli, "pgm_fidelities_reduced",
                         lambda n, grid: calls.append(grid.size) or reduced(n, grid))
     out = tmp_path / "both.csv"
     assert main(base + ["--s", "2,3", "--out", str(out)]) == 0
@@ -219,10 +220,11 @@ def test_spinboson_pure_singlet_at_300_ports(tmp_path):
     assert all(abs(float(r["f_noise_adapted"]) - want) <= 1e-12 for r in start)
 
 
-def test_spinboson_unsorted_tau_is_config_error(tmp_path):
+def test_spinboson_unsorted_tau_is_config_error(tmp_path, capsys):
     rc = main(["spinboson", "--n", "3", "--tau", "3,1", "--s", "2",
                "--temp-ratio", "0.1", "--out", str(tmp_path / "x.csv")])
     assert rc == 1
+    assert capsys.readouterr().err == "error: tau grid must be sorted ascending\n"
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -334,19 +336,22 @@ def test_verify_quadrature_failure_is_one_error_line(tmp_path, capsys, monkeypat
 
 # The modules that `surface`, `vs-n`, `compare` and `spinboson` run; the
 # oracles (ensemble, povm, linops, quadrature) and checks load only for verify.
+# The bath model imports no fidelity route.
 FAST_PATH = ["pbtlab", "pbtlab.cli", "pbtlab.closedform", "pbtlab.fidelity",
              "pbtlab.spinboson"]
 
 
 def test_cli_starts_without_the_oracles():
-    code = ("import sys, pbtlab.cli; pbtlab.cli.build_parser(); "
-            "print(*sorted(m for m in sys.modules if m.startswith('pbtlab')))")
     src = str(Path(pbtlab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=path)
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60).stdout
-    assert out.split() == FAST_PATH
+    for imports, loaded in (("import pbtlab.cli; pbtlab.cli.build_parser()", FAST_PATH),
+                            ("import pbtlab.spinboson", ["pbtlab", "pbtlab.spinboson"])):
+        code = (f"import sys; {imports}; "
+                "print(*sorted(m for m in sys.modules if m.startswith('pbtlab')))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60).stdout
+        assert out.split() == loaded, imports
 
 
 def test_every_public_module_imports():

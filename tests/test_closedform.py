@@ -87,6 +87,11 @@ def test_bounds_sanity():
     assert cf.knill_barnum_bound(2) == pytest.approx(0.75)
     assert cf.helstrom_bound_n2(1.0) == pytest.approx(0.25 * (1 + math.sqrt(3) / 2))
     assert cf.helstrom_bound_n2(0.0) == pytest.approx(0.375)
+    # every bound that takes |gamma| runs the one domain check
+    for bad in (2.0, math.nan, np.array([0.5, -0.1])):
+        for bound in (cf.beigi_konig_bound, cf.kim_fidelity, lambda n, g: cf.helstrom_bound_n2(g)):
+            with pytest.raises(ValueError, match=r"^gamma_abs must lie in \[0, 1\], got "):
+                bound(9, bad)
 
 
 def test_bound_columns_match_the_float_formulas_bit_for_bit():

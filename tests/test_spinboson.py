@@ -1,3 +1,4 @@
+import json
 import math
 
 import mpmath
@@ -7,6 +8,7 @@ from pbtlab import checks
 from pbtlab import closedform as cf
 from pbtlab import quadrature as qd
 from pbtlab import spinboson as sb
+from pbtlab.cli import main
 
 
 def params(s=2.0, th=0.1, ell=3.0):
@@ -17,6 +19,16 @@ def one_bath(taus, bath):
     """chi and the phase of one bath at every tau, as lists."""
     chis, phases = sb.decoherence_grid(taus, [bath])
     return chis[0].tolist(), phases[0].tolist()
+
+
+def cli_rows(tmp_path, taus, povm="closed_form"):
+    """The rows of `pbtlab spinboson` at N = 5 for params() along taus, as dicts."""
+    out = tmp_path / "sb.json"
+    assert main(["spinboson", "--n", "5", "--tau", ",".join(map(repr, taus)), "--s", "2",
+                 "--temp-ratio", "0.1", "--ell", "3", "--povm", povm, "--format", "json",
+                 "--out", str(out)]) == 0
+    table = json.loads(out.read_text())
+    return [dict(zip(table["columns"], row)) for row in table["rows"]]
 
 
 def test_params_validation():
@@ -69,19 +81,14 @@ def test_phase_temperature_independent():
     assert a == pytest.approx(b, abs=1e-12)
 
 
-def test_phase_computed_once_for_all_temperatures(monkeypatch):
-    calls = []
-    grid = sb.decoherence_grid
-    monkeypatch.setattr(sb, "decoherence_grid",
-                        lambda taus, baths: calls.append(len(baths)) or grid(taus, baths))
+def test_phase_computed_once_for_all_temperatures():
     taus = [0.0, 1.0, 2.5]
-    curves = sb.fidelities_vs_time(3, [params(th=0.1), params(th=0.9)], taus, ["closed_form"])
+    chis, phases = sb.decoherence_grid(taus, [params(th=0.1), params(th=0.9)])
     # one stacked evaluation for both baths; the phase is the same bit for bit
-    assert calls == [2]
-    cold, hot = curves.phase.tolist()
+    cold, hot = phases.tolist()
     assert cold == hot == one_bath(taus, params(th=0.9))[1]
     assert cold == pytest.approx([qd.phase_and_error(t, params())[0] for t in taus], abs=1e-12)
-    assert curves.chi[0].tolist() != curves.chi[1].tolist()
+    assert chis[0].tolist() != chis[1].tolist()
 
 
 def test_phase_analytic_ohmicity_two():
@@ -110,17 +117,16 @@ def test_zero_temperature_chi_analytic_ohmicity_two():
     assert one_bath([tau], params(th=0.0))[0][0] == pytest.approx(want, abs=1e-13)
 
 
-def test_decoherence_factor_assembly():
-    curves = sb.fidelities_vs_time(5, [params()], [3.0], ["closed_form"])
-    gamma_abs, chi = curves.gamma_abs[0, 0], curves.chi[0, 0]
-    assert gamma_abs == pytest.approx(math.exp(-chi), abs=1e-12)
-    assert 0.0 < gamma_abs <= 1.0
+def test_decoherence_factor_assembly(tmp_path):
+    [row] = cli_rows(tmp_path, [3.0])
+    assert row["gamma_abs"] == pytest.approx(math.exp(-row["chi"]), abs=1e-12)
+    assert 0.0 < row["gamma_abs"] <= 1.0
 
 
-def test_decoherence_factor_trivial():
-    curves = sb.fidelities_vs_time(5, [params()], [0.0], ["closed_form"])
-    assert curves.gamma_abs[0, 0] == 1.0
-    assert curves.phase[0, 0] == 0.0
+def test_decoherence_factor_trivial(tmp_path):
+    [row] = cli_rows(tmp_path, [0.0])
+    assert row["gamma_abs"] == 1.0
+    assert row["phase"] == 0.0
     assert one_bath([0.0, 5.0], params(ell=0.0)) == ([0.0, 0.0], [0.0, 0.0])
 
 
@@ -139,32 +145,25 @@ def test_spin_boson_check_names_the_quadrature_settings():
 def test_negative_tau_rejected():
     with pytest.raises(ValueError):
         qd.chi_and_error(-1.0, params())
-    with pytest.raises(ValueError):
-        sb.decoherence_grid([0.0, -1.0], [params()])
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"^tau must be finite and >= 0, got {bad}$"):
+            sb.decoherence_grid([0.0, bad], [params()])
 
 
-def test_fidelities_vs_time_closed_form_identity():
+def test_closed_form_column_identity(tmp_path):
     taus = [0.0, 1.0, 3.0]
-    curves = sb.fidelities_vs_time(5, [params()], taus, ["closed_form"])
-    for chi, phase, got in zip(*one_bath(taus, params()), curves.ent_fidelity["closed_form"][0]):
-        g = math.exp(-chi)
-        assert got == pytest.approx(cf.noiseless_fidelity(5, g * math.cos(phase)), abs=0.0)
-    assert curves.teleport_fidelity["closed_form"][0, 0] == pytest.approx(
-        cf.teleport_fidelity(cf.f_ih(5)), abs=1e-12)
+    rows = cli_rows(tmp_path, taus)
+    assert [(r["chi"], r["phase"]) for r in rows] == list(zip(*one_bath(taus, params())))
+    for r in rows:
+        f = cf.noiseless_fidelity(5, math.exp(-r["chi"]) * math.cos(r["phase"]))
+        assert r["f_closed_form"] == pytest.approx(cf.teleport_fidelity(f), abs=0.0)
+    assert rows[0]["f_closed_form"] == pytest.approx(cf.teleport_fidelity(cf.f_ih(5)), abs=1e-12)
 
 
-def test_fidelities_vs_time_validates_input():
-    with pytest.raises(ValueError):
-        sb.fidelities_vs_time(5, [params()], [1.0, 0.5], ["closed_form"])
-    with pytest.raises(ValueError):
-        sb.fidelities_vs_time(5, [params()], [0.0], ["bogus"])
-
-
-def test_noise_adapted_curve_below_closed_form():
+def test_noise_adapted_curve_below_closed_form(tmp_path):
     # holds outside the strong-decoherence crossover region at moderate N
-    f = sb.fidelities_vs_time(5, [params()], [0.25, 1.0], sb.POVM_MODES).teleport_fidelity
-    for c, a in zip(f["closed_form"][0], f["noise_adapted"][0]):
-        assert a <= c + 1e-9
+    for r in cli_rows(tmp_path, [0.25, 1.0], povm="closed_form,noise_adapted"):
+        assert r["f_noise_adapted"] <= r["f_closed_form"] + 1e-9
 
 
 def _bath_transform_mpmath(t, s, th):
