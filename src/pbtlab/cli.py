@@ -41,7 +41,7 @@ POVM_MODES = ("closed_form", "noise_adapted")
 
 
 def _parse_grid(text: str) -> List[float]:
-    """Parse 'a', 'a,b,c' or 'min:max:count' into a list of floats."""
+    """Parse 'a', 'a,b,c' or 'min:max:count' into a non-empty list of finite floats."""
     text = text.strip()
     try:
         if ":" in text:
@@ -54,7 +54,7 @@ def _parse_grid(text: str) -> List[float]:
             values = [lo] if count == 1 else list(np.linspace(lo, hi, count))
         else:
             values = [float(p) for p in text.split(",") if p.strip()]
-        if not all(map(math.isfinite, values)):
+        if not values or not all(map(math.isfinite, values)):
             raise ValueError
         return values
     except ValueError:

@@ -154,6 +154,16 @@ def _bath_terms(a: np.ndarray, theta_t: np.ndarray) -> tuple:
     return terms[:, keep], keep.sum(axis=1)
 
 
+def check_tau(taus) -> np.ndarray:
+    """tau, a float or an array, as a float array: the one domain check of tau.
+    Raises ValueError for an entry that is negative or not finite."""
+    taus = np.asarray(taus, dtype=float)
+    bad = ~((taus >= 0.0) & (taus < math.inf))
+    if bad.any():
+        raise ValueError(f"tau must be finite and >= 0, got {taus[bad][0]}")
+    return taus
+
+
 def decoherence_grid(taus: Sequence[float], baths: Sequence[SpinBosonParams]) -> tuple:
     """chi and the phase of every bath at every tau: two (baths, taus) arrays.
 
@@ -166,14 +176,12 @@ def decoherence_grid(taus: Sequence[float], baths: Sequence[SpinBosonParams]) ->
     grid and a bath's chi sums its own rows.  The phase takes each bath's
     zero-temperature row at t = ell only, so baths that differ only in
     temperature get bit-for-bit the same phases.  tau = 0 and ell = 0 give
-    exactly 0.  A tau that is negative or not finite raises ValueError, and
-    so does a chi or phase outside the float range (s above about 172),
-    naming the first such bath.
+    exactly 0.  A tau that is negative or not finite raises ValueError
+    (`check_tau`, which the quadrature oracle shares), and so does a chi or
+    phase outside the float range (s above about 172), naming the first such
+    bath.
     """
-    taus = np.asarray(taus, dtype=float)
-    bad = ~((taus >= 0.0) & (taus < math.inf))
-    if bad.any():
-        raise ValueError(f"tau must be finite and >= 0, got {taus[bad][0]}")
+    taus = check_tau(taus)
     chis, phases = np.zeros((2, len(baths), taus.size))
     live = [b for b, p in enumerate(baths) if p.separation != 0.0]
     if live:

@@ -278,10 +278,16 @@ def test_spinboson_bad_mode(tmp_path, capsys):
     assert capsys.readouterr().err == "error: unknown povm mode 'bogus'\n"
 
 
-def test_invalid_grid_is_config_error(tmp_path):
-    rc = main(["surface", "--n", "3", "--gamma", "1:0:5",
-               "--out", str(tmp_path / "x.csv")])
-    assert rc == 1
+def test_invalid_grid_is_config_error(tmp_path, capsys):
+    # an empty grid is an error too, not a header-only table
+    for argv, text in ((["surface", "--n", "3", "--gamma", "1:0:5"], "1:0:5"),
+                       (["surface", "--gamma", ""], ""),
+                       (["compare", "--n", "3", "--gamma", ","], ","),
+                       (["spinboson", "--tau", ""], ""),
+                       (["spinboson", "--s", ""], "")):
+        assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: cannot parse grid specification {text!r}"]
 
 
 def test_io_error_exit_code(tmp_path):

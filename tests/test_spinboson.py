@@ -143,11 +143,22 @@ def test_spin_boson_check_names_the_quadrature_settings():
 
 
 def test_negative_tau_rejected():
-    with pytest.raises(ValueError):
-        qd.chi_and_error(-1.0, params())
+    # the fast route and its quadrature oracle share one tau check and message
     for bad in (-1.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match=f"^tau must be finite and >= 0, got {bad}$"):
+        message = f"^tau must be finite and >= 0, got {bad}$"
+        with pytest.raises(ValueError, match=message):
             sb.decoherence_grid([0.0, bad], [params()])
+        for route in (qd.chi_and_error, qd.phase_and_error):
+            with pytest.raises(ValueError, match=message):
+                route(bad, params())
+
+
+@pytest.mark.parametrize("s", [2.0, 4.5])
+def test_quadrature_auto_cutoff(s):
+    # upper_cutoff = 0 integrates up to 40 + 10 s
+    explicit = qd.QuadratureSettings(upper_cutoff=40.0 + 10.0 * s)
+    for route in (qd.chi_and_error, qd.phase_and_error):
+        assert route(4.0, params(s=s)) == route(4.0, params(s=s), explicit)
 
 
 def test_closed_form_column_identity(tmp_path):
