@@ -79,11 +79,12 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _emit(args, header: List[str], rows: List[list], config: dict) -> None:
+def _emit(args, header: List[str], rows: List[list], **extra) -> int:
     """Write the table to args.out: CSV with a JSON sidecar (its "rows" the row
     count), or JSON (its "rows" the rows, None as null).  Both dump the same
-    {config, columns, rows} object."""
-    table = {"config": config, "columns": header, "rows": len(rows)}
+    {config, columns, rows} object, its config the parsed flags updated by extra."""
+    config = {k: v for k, v in vars(args).items() if k != "func"}
+    table = {"config": {**config, **extra}, "columns": header, "rows": len(rows)}
     json_path = args.out + ".json"
     if args.format == "json":
         table["rows"] = [[None if v is None else float(v) for v in row] for row in rows]
@@ -97,76 +98,73 @@ def _emit(args, header: List[str], rows: List[list], config: dict) -> None:
     with open(json_path, "w") as fh:
         json.dump(table, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------- commands
 
+def _single_n(args) -> int:
+    ns = _parse_int_list(args.n)
+    if len(ns) != 1:
+        raise ValueError(f"{args.command} requires a single --n value")
+    return ns[0]
+
+
 def _closed_form_grid(gamma: str, theta: str) -> tuple:
-    """The |gamma| and theta of each cell of a grid, |gamma|-major, as lists,
-    and the cells' overlaps |gamma| cos(theta) as an array."""
-    gammas, thetas = _parse_grid(gamma), np.array(_parse_grid(theta))
-    gammas = closedform.check_gamma_abs(gammas)
-    return (np.repeat(gammas, len(thetas)).tolist(), np.tile(thetas, len(gammas)).tolist(),
-            np.outer(gammas, np.cos(thetas)).ravel())
+    """The |gamma| and theta of each cell of a grid, |gamma|-major, as arrays."""
+    gammas, thetas = _parse_grid(gamma), _parse_grid(theta)
+    return np.repeat(gammas, len(thetas)), np.tile(thetas, len(gammas))
 
 
 def cmd_surface(args) -> int:
-    ns = _parse_int_list(args.n)
-    if len(ns) != 1:
-        raise ValueError("surface requires a single --n value")
-    n = ns[0]
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    gammas, thetas, overlap = _closed_form_grid(args.gamma, args.theta)
-    f = closedform.noiseless_fidelity(n, overlap)
-    rows = list(zip(gammas, thetas, f.tolist(), closedform.teleport_fidelity(f).tolist()))
+    n = _single_n(args)
+    gammas, thetas = _closed_form_grid(args.gamma, args.theta)
+    f = closedform.noiseless_fidelity(n, gammas, thetas)
+    rows = list(zip(gammas.tolist(), thetas.tolist(), f.tolist(),
+                    closedform.teleport_fidelity(f).tolist()))
     header = ["gamma_abs", "theta", "ent_fidelity", "teleport_fidelity"]
-    _emit(args, header, rows, _config_echo(args, n=n))
-    return EXIT_OK
+    return _emit(args, header, rows, n=n)
 
 
 def cmd_vs_n(args) -> int:
     ns = _parse_int_list(args.n)
     if not ns or min(ns) < 1:
         raise ValueError("vs-n requires positive port counts")
-    gammas, thetas, overlap = _closed_form_grid(args.gamma, args.theta)
-    overlap = np.append(overlap, 1.0)  # the last cell is the noiseless reference, f_ih(n)
+    gammas, thetas = _closed_form_grid(args.gamma, args.theta)
+    cells = len(gammas)
+    # the last cell is the noiseless reference (1, 0), f_ih(n)
+    gammas, thetas = np.append(gammas, 1.0), np.append(thetas, 0.0)
     rows = []
     for n in ns:
-        f = closedform.noiseless_fidelity(n, overlap)
+        f = closedform.noiseless_fidelity(n, gammas, thetas)
         tf = closedform.teleport_fidelity(f).tolist()
-        rows += zip([n] * len(gammas), gammas, thetas, f[:-1].tolist(), tf[:-1],
-                    tf[-1:] * len(gammas))
+        rows += zip([n] * cells, gammas[:-1].tolist(), thetas[:-1].tolist(), f[:-1].tolist(),
+                    tf[:-1], tf[-1:] * cells)
     header = ["n", "gamma_abs", "theta", "ent_fidelity", "teleport_fidelity",
               "noiseless_teleport_fidelity"]
-    _emit(args, header, rows, _config_echo(args))
-    return EXIT_OK
+    return _emit(args, header, rows)
 
 
 def cmd_compare(args) -> int:
     ns = _parse_int_list(args.n)
     if not ns or min(ns) < 2:
         raise ValueError("compare requires port counts >= 2")
-    gammas = closedform.check_gamma_abs(_parse_grid(args.gamma))
+    gammas = _parse_grid(args.gamma)
     rows = []
     for n in ns:
         helstrom = (closedform.helstrom_bound_n2(gammas).tolist() if n == 2
                     else [None] * len(gammas))
-        rows += zip([n] * len(gammas), gammas.tolist(),
+        rows += zip([n] * len(gammas), gammas,
                     closedform.noiseless_fidelity(n, gammas).tolist(),
                     pgm_fidelities_reduced(n, gammas).tolist(),
                     closedform.beigi_konig_bound(n, gammas).tolist(), helstrom)
     header = ["n", "gamma_abs", "noiseless_fidelity", "noise_adapted_fidelity",
               "beigi_konig_bound", "helstrom_bound"]
-    _emit(args, header, rows, _config_echo(args))
-    return EXIT_OK
+    return _emit(args, header, rows)
 
 
 def cmd_spinboson(args) -> int:
-    ns = _parse_int_list(args.n)
-    if len(ns) != 1:
-        raise ValueError("spinboson requires a single --n value")
-    n = ns[0]
+    n = _single_n(args)
     modes = [m.strip() for m in args.povm.split(",") if m.strip()]
     if not modes:
         raise ValueError("spinboson requires at least one povm mode")
@@ -181,7 +179,7 @@ def cmd_spinboson(args) -> int:
             raise ValueError(f"unknown povm mode {mode!r}")
     # one stacked evaluation for every bath and tau, shared by both measurements
     chis, phases = sb.decoherence_grid(taus, baths)
-    gamma_abs = closedform.check_gamma_abs(np.exp(-chis))
+    gamma_abs = np.exp(-chis)
     columns = [np.repeat([b.ohmicity for b in baths], len(taus)),
                np.repeat([b.temperature_ratio for b in baths], len(taus)),
                np.tile(taus, len(baths)), chis, phases, gamma_abs]
@@ -190,15 +188,13 @@ def cmd_spinboson(args) -> int:
         if mode not in modes:
             columns.append([None] * chis.size)
             continue
-        # the closed form takes |gamma| cos(phase); the PGM's fidelity takes |gamma| alone
-        f = (closedform.noiseless_fidelity(n, gamma_abs * np.cos(phases)) if mode == "closed_form"
+        # the PGM's fidelity does not depend on the phase
+        f = (closedform.noiseless_fidelity(n, gamma_abs, phases) if mode == "closed_form"
              else pgm_fidelities_reduced(n, gamma_abs))
         columns.append(closedform.teleport_fidelity(f).ravel().tolist())
-    rows = list(zip(*columns))
     header = ["ohmicity", "temp_ratio", "tau", "chi", "phase", "gamma_abs",
               "f_closed_form", "f_noise_adapted"]
-    _emit(args, header, rows, _config_echo(args, n=n))
-    return EXIT_OK
+    return _emit(args, header, list(zip(*columns)), n=n)
 
 
 def cmd_verify(args) -> int:
@@ -224,13 +220,6 @@ def cmd_verify(args) -> int:
 
 
 # ---------------------------------------------------------------- plumbing
-
-def _config_echo(args, **extra) -> dict:
-    skip = {"func"}
-    cfg = {k: v for k, v in vars(args).items() if k not in skip}
-    cfg.update(extra)
-    return cfg
-
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(

@@ -50,15 +50,17 @@ def f_corr_trace(n: int) -> float:
     return CORR_TRACE_SCALE * f_corr(n)
 
 
-def noiseless_fidelity(n: int, overlap):
-    """Entanglement fidelity of the noiseless measurement on the dephased ensemble,
-    at overlap = |gamma| cos(theta), a float or an array.
+def noiseless_fidelity(n: int, gamma_abs, theta=0.0):
+    """Entanglement fidelity of the noiseless measurement on the ensemble dephased
+    to |gamma| (checked by `check_gamma_abs`) at phase theta, each a float or an
+    array, broadcast against each other.
 
-    Affine in the overlap: weight (1 +/- overlap)/2 on the singlet and
-    triplet channels respectively.  Call it once per N on a whole grid: each
-    call evaluates the two O(N) sums.
+    Affine in the overlap |gamma| cos(theta): weight (1 +/- overlap)/2 on the
+    singlet and triplet channels respectively.  Call it once per N on a whole
+    grid: each call evaluates the two O(N) sums.
     """
     ih, corr = f_ih(n), f_corr_trace(n)
+    overlap = check_gamma_abs(gamma_abs) * np.cos(theta)
     return 0.5 * (1.0 + overlap) * ih + 0.5 * (1.0 - overlap) * corr
 
 

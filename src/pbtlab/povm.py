@@ -20,8 +20,6 @@ noiseless ensemble at that phase, `pgm(signal_states(n, 1.0, theta))`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .ensemble import BELL_CROSS, _embed_pair_block
@@ -37,16 +35,6 @@ def _real_trace(val) -> np.ndarray:
     if residue.size:
         raise ValueError(f"trace has imaginary residue {residue[0]:.3e}")
     return val.real
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Numerical health check of a POVM (reports, never raises)."""
-
-    min_eigenvalues: tuple
-    completeness_residual: float
-    defect_min_eigenvalue: float
-    defect_support_overlaps: tuple
 
 
 def _hermitize(m: np.ndarray) -> np.ndarray:
@@ -94,23 +82,22 @@ def pgm_taylor(states: np.ndarray, order: int) -> np.ndarray:
     return _hermitize(t @ states @ t / n)
 
 
-def validate(elements: np.ndarray, states: np.ndarray) -> ValidationReport:
-    """Minimum eigenvalues, completeness residual and defect-support overlap.
+def validate(elements: np.ndarray, states: np.ndarray) -> tuple:
+    """Numerical health of a POVM (reports, never raises), as three floats: the
+    smallest eigenvalue of any element and of I - sum_i Pi_i, the completeness
+    residual and the largest defect-signal overlap |tr(Delta eta_i)|.
 
-    The defect is I - sum_i Pi_i with eigenvalues below the rank cut clamped
-    to zero; `defect_min_eigenvalue` is the smallest eigenvalue of I - sum_i Pi_i
-    before that clamp, so an overcomplete POVM shows as a negative one.
+    The defect Delta is I - sum_i Pi_i with eigenvalues below the rank cut
+    clamped to zero; the smallest eigenvalue is taken before that clamp, so an
+    overcomplete POVM shows as a negative one.
     """
     total = elements.sum(axis=0)
     eye = np.eye(total.shape[0])
     w, v = np.linalg.eigh(_hermitize(eye - total))
     defect = (v * np.where(w < DEFAULT_RANK_TOL * max(float(w.max()), 0.0), 0.0, w)) @ v.conj().T
-    return ValidationReport(
-        tuple(np.linalg.eigvalsh(elements).min(axis=1).tolist()),
-        float(np.linalg.norm(total + defect - eye)),
-        float(w.min()),
-        tuple(np.einsum("ij,kji->k", defect, states).real.tolist()),
-    )
+    return (min(float(np.linalg.eigvalsh(elements).min()), float(w.min())),
+            float(np.linalg.norm(total + defect - eye)),
+            float(np.abs(np.einsum("ij,kji->k", defect, states).real).max()))
 
 
 def ent_fidelity(elements: np.ndarray, states: np.ndarray) -> float:

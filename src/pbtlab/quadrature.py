@@ -53,10 +53,13 @@ def _integral(integrand: Callable[[float], float], head: float, tau: float,
     edges = np.linspace(SMALL_W, hi, max(1, math.ceil((hi - SMALL_W) / width)) + 1)
     total = error = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
-        val, err = integrate.quad(
-            integrand, a, b,
-            epsabs=QUAD_ABS_TOL, epsrel=quad.rel_tol, limit=QUAD_MAX_SUBDIVISIONS,
-        )
+        try:
+            val, err = integrate.quad(
+                integrand, a, b,
+                epsabs=QUAD_ABS_TOL, epsrel=quad.rel_tol, limit=QUAD_MAX_SUBDIVISIONS,
+            )
+        except OverflowError:  # w ** (s - 2) leaves the float range at large s
+            val = math.inf
         if not math.isfinite(val):
             raise ValueError(f"quadrature gave a non-finite value on panel [{a:g}, {b:g}]")
         total += val

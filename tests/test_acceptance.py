@@ -35,8 +35,8 @@ def bath_curves(s, th, taus):
     """|gamma| and the closed-form and noise-adapted teleportation fidelities at N = 9
     of one bath (ell = 3) along taus, as lists, computed as `spinboson` does."""
     chis, phases = sb.decoherence_grid(taus, [sb.SpinBosonParams(s, th, 3.0)])
-    g = cf.check_gamma_abs(np.exp(-chis))
-    closed = cf.teleport_fidelity(cf.noiseless_fidelity(9, g * np.cos(phases)))
+    g = np.exp(-chis)
+    closed = cf.teleport_fidelity(cf.noiseless_fidelity(9, g, phases))
     adapted = cf.teleport_fidelity(pgm_fidelities_reduced(9, g))
     return g[0].tolist(), closed[0].tolist(), adapted[0].tolist()
 

@@ -290,6 +290,23 @@ def test_invalid_grid_is_config_error(tmp_path, capsys):
             f"error: cannot parse grid specification {text!r}"]
 
 
+# the configuration errors the CLI raises itself, and the port count it leaves to f_ih
+@pytest.mark.parametrize("argv, err", [
+    ("surface --gamma 0:1", "cannot parse grid specification '0:1'"),
+    ("surface --n x", "cannot parse integer list 'x'"),
+    ("vs-n --n 3:1", "cannot parse integer list '3:1'"),
+    ("surface --n 2,3", "surface requires a single --n value"),
+    ("spinboson --n 2,3", "spinboson requires a single --n value"),
+    ("vs-n --n 0:2", "vs-n requires positive port counts"),
+    ("compare --n 1:3", "compare requires port counts >= 2"),
+    ("spinboson --povm ,", "spinboson requires at least one povm mode"),
+    ("surface --n 0", "need n >= 1, got 0"),
+])
+def test_config_error_is_one_line(tmp_path, capsys, argv, err):
+    assert main(argv.split() + ["--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
 def test_io_error_exit_code(tmp_path):
     rc = main(["surface", "--n", "3", "--gamma", "1", "--theta", "0",
                "--out", str(tmp_path / "missing" / "x.csv")])
@@ -328,6 +345,14 @@ def test_verify_passes(tmp_path):
         "decoherence_routes"]
     for s in report["suites"]:
         assert s["passed"] and math.isfinite(s["worst"]) and s["worst"] <= s["bound"]
+
+
+def test_verify_without_out_writes_stdout(capsys, monkeypatch):
+    name = "helstrom_trace_norm"
+    monkeypatch.setattr(checks, "SUITES", {name: checks.SUITES[name]})
+    assert main(["verify"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["all_passed"] and [s["suite"] for s in report["suites"]] == [name]
 
 
 def test_verify_quadrature_failure_is_one_error_line(tmp_path, capsys, monkeypatch):

@@ -51,8 +51,24 @@ def test_fidelity_noiseless_povm_endpoints():
     for n in (2, 4, 7):
         # overlap |gamma| cos(theta) = 1 at theta = 0 and -1 at theta = pi
         assert cf.noiseless_fidelity(n, 1.0) == pytest.approx(cf.f_ih(n))
-        assert cf.noiseless_fidelity(n, -1.0) == pytest.approx(
+        assert cf.noiseless_fidelity(n, 1.0, math.pi) == pytest.approx(
             cf.f_corr_trace(n))
+
+
+@pytest.mark.parametrize("route", [cf.f_ih, cf.f_corr, lambda n: cf.beigi_konig_bound(n, 0.5),
+                                   cf.knill_barnum_bound],
+                         ids=["f_ih", "f_corr", "beigi_konig_bound", "knill_barnum_bound"])
+def test_port_count_below_one_rejected(route):
+    with pytest.raises(ValueError, match=r"^need n >= 1, got 0$"):
+        route(0)
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.1, math.nan])
+def test_noiseless_fidelity_checks_gamma_abs(bad):
+    # the closed form goes through check_gamma_abs like every other |gamma| route
+    for gamma_abs in (bad, np.array([0.5, bad])):
+        with pytest.raises(ValueError, match=rf"^gamma_abs must lie in \[0, 1\], got {bad}$"):
+            cf.noiseless_fidelity(3, gamma_abs, 0.2)
 
 
 def test_teleport_fidelity_map():

@@ -1,18 +1,19 @@
+import numpy as np
 import pytest
 
 from pbtlab import checks
 from pbtlab import closedform as cf
 from pbtlab.ensemble import signal_states
-from pbtlab.povm import ent_fidelity, pgm, pgm_taylor, validate
+from pbtlab.povm import _real_trace, ent_fidelity, pgm, pgm_taylor, validate
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_noiseless_povm_is_valid(n):
     states = signal_states(n, 1.0)
-    rep = validate(pgm(states), states)
-    assert min(*rep.min_eigenvalues, rep.defect_min_eigenvalue) >= -1e-10
-    assert rep.completeness_residual <= 1e-8
-    assert max(map(abs, rep.defect_support_overlaps)) < 1e-10
+    smallest, residual, overlap = validate(pgm(states), states)
+    assert smallest >= -1e-10
+    assert residual <= 1e-8
+    assert overlap < 1e-10
 
 
 @pytest.mark.parametrize("gamma", [0.0, 0.3, 1.0])
@@ -23,19 +24,18 @@ def test_noise_adapted_povm_is_valid(gamma):
 def test_overcomplete_povm_shows_a_negative_defect_eigenvalue():
     # I - 1.1 sum_i Pi_i has eigenvalue 1 - 1.1 = -0.1 on the support
     states = signal_states(3, 0.3, 0.4)
-    rep = validate(1.1 * pgm(states), states)
-    assert rep.defect_min_eigenvalue == pytest.approx(-0.1, abs=1e-12)
+    assert validate(1.1 * pgm(states), states)[0] == pytest.approx(-0.1, abs=1e-12)
 
 
 def test_pgm_elements_sum_to_identity_on_support():
     # the elements plus the defect `validate` builds from them
     states = signal_states(3, 1.0)
-    assert validate(pgm(states), states).completeness_residual <= 1e-12
+    assert validate(pgm(states), states)[1] <= 1e-12
 
 
 def test_defect_gives_zero_fidelity_contribution():
     states = signal_states(3, 1.0)
-    assert max(map(abs, validate(pgm(states), states).defect_support_overlaps)) < 1e-12
+    assert validate(pgm(states), states)[2] < 1e-12
 
 
 def test_pgm_rejects_non_psd_state():
@@ -56,6 +56,11 @@ def test_rotated_povm_matches_unrotated_closed_form():
         got = ent_fidelity(pgm(signal_states(n, 1.0, th)), signal_states(n, 0.7, th))
         want = cf.noiseless_fidelity(n, 0.7)
         assert got == pytest.approx(want, abs=1e-9)
+
+
+def test_trace_with_imaginary_residue_rejected():
+    with pytest.raises(ValueError, match=r"^trace has imaginary residue 1\.000e-06$"):
+        _real_trace(np.array([1 + 1e-6j]))
 
 
 def test_taylor_pgm_converges_to_eigensolver():

@@ -161,12 +161,20 @@ def test_quadrature_auto_cutoff(s):
         assert route(4.0, params(s=s)) == route(4.0, params(s=s), explicit)
 
 
+def test_quadrature_overflow_is_value_error():
+    # w ** (s - 2) leaves the float range on the second panel at s = 400
+    for route in (qd.chi_and_error, qd.phase_and_error):
+        with pytest.raises(ValueError, match=r"^quadrature gave a non-finite value on panel "
+                                             r"\[3\.14153, 6\.28305\]$"):
+            route(1.0, sb.SpinBosonParams(400.0, 0.0, 1.0))
+
+
 def test_closed_form_column_identity(tmp_path):
     taus = [0.0, 1.0, 3.0]
     rows = cli_rows(tmp_path, taus)
     assert [(r["chi"], r["phase"]) for r in rows] == list(zip(*one_bath(taus, params())))
     for r in rows:
-        f = cf.noiseless_fidelity(5, math.exp(-r["chi"]) * math.cos(r["phase"]))
+        f = cf.noiseless_fidelity(5, math.exp(-r["chi"]), r["phase"])
         assert r["f_closed_form"] == pytest.approx(cf.teleport_fidelity(f), abs=0.0)
     assert rows[0]["f_closed_form"] == pytest.approx(cf.teleport_fidelity(cf.f_ih(5)), abs=1e-12)
 
