@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -146,42 +146,42 @@ def helstrom(gammas, thetas, bound: float, slack: float) -> tuple:
     return norm, spread, excess
 
 
-def spin_boson(params: sb.SpinBosonParams, taus, settings, zero_bound: float,
+def spin_boson(s: float, th: float, ell: float, taus, settings, zero_bound: float,
                shift_bound: float) -> tuple:
-    """Quadrature chi and phase vanish at tau = 0 and chi at separation 0 (to
-    zero_bound); chi >= 0; each of the other quadrature settings moves chi and
-    the phase by <= shift_bound."""
+    """For the bath (s, theta_T) at separation ell: quadrature chi and phase
+    vanish at tau = 0 and chi at separation 0 (to zero_bound); chi >= 0; each
+    of the other quadrature settings moves chi and the phase by <= shift_bound."""
     vanish = Gap("|chi|, |phase| where they vanish", zero_bound)
-    vanish.see(abs(qd.chi_and_error(0.0, params)[0]), "chi at tau=0")
-    vanish.see(abs(qd.phase_and_error(0.0, params)[0]), "phase at tau=0")
+    vanish.see(abs(qd.chi_and_error(0.0, s, th, ell)[0]), "chi at tau=0")
+    vanish.see(abs(qd.phase_and_error(0.0, s, th, ell)[0]), "phase at tau=0")
     negative = Gap("negative part of chi", 0.0)
     shift = Gap("shift of chi and phase", shift_bound)
     for tau in taus:
-        c0, p0 = qd.chi_and_error(tau, params)[0], qd.phase_and_error(tau, params)[0]
-        vanish.see(abs(qd.chi_and_error(tau, replace(params, separation=0.0))[0]),
-                   f"chi at ell=0 tau={tau:g}")
+        c0, p0 = qd.chi_and_error(tau, s, th, ell)[0], qd.phase_and_error(tau, s, th, ell)[0]
+        vanish.see(abs(qd.chi_and_error(tau, s, th, 0.0)[0]), f"chi at ell=0 tau={tau:g}")
         negative.see(-c0, f"tau={tau:g}")
         for q in settings:
-            shift.see(max(abs(qd.chi_and_error(tau, params, q)[0] - c0),
-                          abs(qd.phase_and_error(tau, params, q)[0] - p0)),
+            shift.see(max(abs(qd.chi_and_error(tau, s, th, ell, q)[0] - c0),
+                          abs(qd.phase_and_error(tau, s, th, ell, q)[0] - p0)),
                       f"tau={tau:g} upper_cutoff={q.upper_cutoff:g} rel_tol={q.rel_tol:g}")
     return vanish, negative, shift
 
 
 def decoherence_routes(ohmicities, temps, taus, ell: float, bound: float) -> tuple:
     """Analytic chi and phase (`decoherence_grid`, one call for the whole
-    (s, theta_T) grid) against the quadrature (`chi`, `phase`), each gap
-    relative to max(1, |quadrature value|); and QUADPACK's own error estimate
-    of those integrals, relative the same way."""
+    (s, theta_T) grid, s-major) against the quadrature (`chi_and_error`,
+    `phase_and_error`), each gap relative to max(1, |quadrature value|); and
+    QUADPACK's own error estimate of those integrals, relative the same way."""
     chi_gap = Gap("|analytic - quadrature chi| / max(1, |chi|)", bound)
     phase_gap = Gap("|analytic - quadrature phase| / max(1, |phase|)", bound)
     estimate = Gap("QUADPACK error estimate of chi, phase / max(1, |value|)", bound)
-    baths = [sb.SpinBosonParams(s, th, ell) for s, th in itertools.product(ohmicities, temps)]
-    chis, phases = sb.decoherence_grid(taus, baths)
-    for params, chi_row, phase_row in zip(baths, chis.tolist(), phases.tolist()):
+    baths = list(itertools.product(ohmicities, temps))
+    chis, phases = sb.decoherence_grid(taus, *zip(*baths), ell)
+    for (s, th), chi_row, phase_row in zip(baths, chis.tolist(), phases.tolist()):
         for tau, chi_a, phase_a in zip(taus, chi_row, phase_row):
-            at = f"s={params.ohmicity:g} theta_T={params.temperature_ratio:g} tau={tau:g}"
-            (c, c_err), (p, p_err) = qd.chi_and_error(tau, params), qd.phase_and_error(tau, params)
+            at = f"s={s:g} theta_T={th:g} tau={tau:g}"
+            c, c_err = qd.chi_and_error(tau, s, th, ell)
+            p, p_err = qd.phase_and_error(tau, s, th, ell)
             chi_gap.see(abs(chi_a - c) / max(1.0, abs(c)), at)
             phase_gap.see(abs(phase_a - p) / max(1.0, abs(p)), at)
             estimate.see(max(c_err / max(1.0, abs(c)), p_err / max(1.0, abs(p))), at)
@@ -209,7 +209,7 @@ SUITES = {
     "pairwise_fidelity_half": lambda: (pairwise_fidelity_half(
         (3,), (0.0, 0.7, 1.0), (0.3,), 1e-9),),
     "helstrom_trace_norm": lambda: helstrom((0.0, 0.4, 1.0), (0.7,), 1e-10, 1e-9),
-    "spin_boson_limits": lambda: spin_boson(sb.SpinBosonParams(2.0, 0.5, 3.0), (4.0, 5.0),
+    "spin_boson_limits": lambda: spin_boson(2.0, 0.5, 3.0, (4.0, 5.0),
                                             (qd.QuadratureSettings(upper_cutoff=120.0),),
                                             1e-12, 1e-8),
     "taylor_pgm_agreement": lambda: (taylor_pgm_agreement((2,), (1.0,), 4000, 1e-6),),

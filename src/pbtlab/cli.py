@@ -169,20 +169,19 @@ def cmd_spinboson(args) -> int:
     if not modes:
         raise ValueError("spinboson requires at least one povm mode")
     taus = _parse_grid(args.tau)
-    ohmicities = _parse_grid(args.s)
-    temps = _parse_grid(args.temp_ratio)
-    baths = [sb.SpinBosonParams(s, th, args.ell) for s in ohmicities for th in temps]
+    ohmicities, temps = _parse_grid(args.s), _parse_grid(args.temp_ratio)
+    s, th, ell = sb.check_bath(np.repeat(ohmicities, len(temps)),
+                               np.tile(temps, len(ohmicities)), args.ell)
     if taus != sorted(taus):
         raise ValueError("tau grid must be sorted ascending")
     for mode in modes:
         if mode not in POVM_MODES:
             raise ValueError(f"unknown povm mode {mode!r}")
     # one stacked evaluation for every bath and tau, shared by both measurements
-    chis, phases = sb.decoherence_grid(taus, baths)
+    chis, phases = sb.decoherence_grid(taus, s, th, ell)
     gamma_abs = np.exp(-chis)
-    columns = [np.repeat([b.ohmicity for b in baths], len(taus)),
-               np.repeat([b.temperature_ratio for b in baths], len(taus)),
-               np.tile(taus, len(baths)), chis, phases, gamma_abs]
+    columns = [np.repeat(s, len(taus)), np.repeat(th, len(taus)), np.tile(taus, s.size),
+               chis, phases, gamma_abs]
     columns = [np.ravel(col).tolist() for col in columns]
     for mode in POVM_MODES:  # each requested route runs once, on the whole grid
         if mode not in modes:

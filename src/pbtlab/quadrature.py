@@ -1,9 +1,9 @@
 """Panel quadrature of chi and the phase: the oracle of `spinboson.decoherence_grid`.
 
 The frequency integrals of the `spinboson` module docstring, integrated by
-adaptive QUADPACK panels in one routine, `_integral`, which checks tau with
-`spinboson.check_tau` as `decoherence_grid` does.  Only the consistency
-checks and the tests use it.
+adaptive QUADPACK panels in one routine, `_integral`.  Each function checks
+its bath and tau with `spinboson.check_bath` and `check_tau`, as
+`decoherence_grid` does.  Only the consistency checks and the tests use it.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 from scipy import integrate
 
-from .spinboson import SpinBosonParams, check_tau
+from .spinboson import check_bath, check_tau
 
 SMALL_W = 1e-6
 # QUADPACK's absolute tolerance and subdivision limit on each panel
@@ -39,13 +39,12 @@ def _coth_half(w: float, theta_t: float) -> float:
     return 1.0 / math.tanh(w / (2.0 * theta_t))
 
 
-def _integral(integrand: Callable[[float], float], head: float, tau: float,
-              params: SpinBosonParams, quad: QuadratureSettings) -> tuple:
+def _integral(integrand: Callable[[float], float], head: float, tau: float, s: float,
+              ell: float, quad: QuadratureSettings) -> tuple:
     """head plus the integral of integrand from SMALL_W to the cutoff, summed
     over panels no wider than pi / max(tau, ell, 1), and QUADPACK's error
     estimate summed over the panels; (0, 0) at tau = 0 or ell = 0."""
     check_tau(tau)
-    s, ell = params.ohmicity, params.separation
     if tau == 0.0 or ell == 0.0:
         return 0.0, 0.0
     hi = quad.upper_cutoff if quad.upper_cutoff > 0.0 else 40.0 + 10.0 * s
@@ -67,11 +66,11 @@ def _integral(integrand: Callable[[float], float], head: float, tau: float,
     return head + total, error
 
 
-def chi_and_error(tau: float, params: SpinBosonParams,
+def chi_and_error(tau: float, ohmicity: float, temperature_ratio: float, separation: float,
                   quad: QuadratureSettings = DEFAULT_QUAD) -> tuple:
     """Decay exponent chi(tau, ell) >= 0 and the error estimate of its quadrature
     (0 where chi is exactly 0)."""
-    s, th, ell = params.ohmicity, params.temperature_ratio, params.separation
+    s, th, ell = (x.item() for x in check_bath(ohmicity, temperature_ratio, separation))
 
     def integrand(w: float) -> float:
         return (
@@ -90,10 +89,10 @@ def chi_and_error(tau: float, params: SpinBosonParams,
     else:
         # integrand ~ (tau^2 ell^2 / 2) w^(s+2)
         head = 0.5 * tau * tau * ell * ell * SMALL_W ** (s + 3.0) / (s + 3.0)
-    return _integral(integrand, head, tau, params, quad)
+    return _integral(integrand, head, tau, s, ell, quad)
 
 
-def phase_and_error(tau: float, params: SpinBosonParams,
+def phase_and_error(tau: float, ohmicity: float, temperature_ratio: float, separation: float,
                     quad: QuadratureSettings = DEFAULT_QUAD) -> tuple:
     """Phase theta(tau, ell), independent of temperature, and the error estimate
     of its quadrature (0 where the phase is exactly 0).
@@ -104,7 +103,7 @@ def phase_and_error(tau: float, params: SpinBosonParams,
     relative gap is 4e-12 at s = 10, 4e-9 at s = 15, 5e-6 at s = 20 and 0.6
     at s = 30.
     """
-    s, ell = params.ohmicity, params.separation
+    s, _, ell = (x.item() for x in check_bath(ohmicity, temperature_ratio, separation))
 
     def integrand(w: float) -> float:
         return (
@@ -115,4 +114,4 @@ def phase_and_error(tau: float, params: SpinBosonParams,
 
     # small-w: (1 - cos) sin ~ (tau^2 / 2) w^2 * ell w, so integrand ~ (tau^2 ell / 4) w^(s+1)
     head = 0.25 * tau * tau * ell * SMALL_W ** (s + 2.0) / (s + 2.0)
-    return _integral(integrand, head, tau, params, quad)
+    return _integral(integrand, head, tau, s, ell, quad)

@@ -21,7 +21,7 @@ with zeta the Hurwitz zeta (expand coth in powers of e^{-w/theta_T}):
     chi   = 2 Re[G(0) - G(tau) - G(ell) + G(tau - ell)/2 + G(tau + ell)/2],
     phase = 1/2 Im[G(ell) - G(ell + tau)/2 - G(ell - tau)/2]  at theta_T = 0.
 
-`decoherence_grid` evaluates these for a list of baths on a whole tau grid at
+`decoherence_grid` evaluates these for many baths on a whole tau grid at
 once; the weights of each combination sum to zero, so a t-independent
 constant in G cancels.
 `quadrature.chi_and_error` and `quadrature.phase_and_error` integrate the frequency integrals by
@@ -34,29 +34,9 @@ turns |gamma| = e^(-chi) and the phase into each measurement's fidelity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.special import gammaln
-
-
-@dataclass(frozen=True)
-class SpinBosonParams:
-    """One bath and separation."""
-
-    ohmicity: float
-    temperature_ratio: float = 0.0
-    separation: float = 0.0
-
-    def __post_init__(self):
-        if not 1.0 < self.ohmicity < math.inf:
-            raise ValueError(f"ohmicity must be finite and exceed 1, got {self.ohmicity}")
-        if not 0.0 <= self.temperature_ratio < math.inf:
-            raise ValueError(f"temperature ratio must be finite and >= 0, "
-                             f"got {self.temperature_ratio}")
-        if not 0.0 <= self.separation < math.inf:
-            raise ValueError(f"separation must be finite and >= 0, got {self.separation}")
 
 
 # The Hurwitz zeta of the thermal part is summed over ZETA_TERMS terms
@@ -164,8 +144,27 @@ def check_tau(taus) -> np.ndarray:
     return taus
 
 
-def decoherence_grid(taus: Sequence[float], baths: Sequence[SpinBosonParams]) -> tuple:
-    """chi and the phase of every bath at every tau: two (baths, taus) arrays.
+def check_bath(ohmicity, temperature_ratio, separation) -> np.ndarray:
+    """The baths as one float array of three rows (s, theta_T, ell), a column
+    per bath: the one domain check of a bath.  The arguments, floats or 1-d
+    arrays, are broadcast.  For the first bath with a bad entry it raises
+    ValueError naming an ohmicity that is not finite and above 1, else a
+    temperature ratio, else a separation, that is not finite and >= 0."""
+    bath = np.empty((3,) + (np.broadcast(ohmicity, temperature_ratio, separation).shape or (1,)))
+    bath[0], bath[1], bath[2] = ohmicity, temperature_ratio, separation
+    bad = ~(np.isfinite(bath) & (bath >= 0.0))
+    bad[0] |= bath[0] <= 1.0
+    if bad.any():
+        b, field = np.argwhere(bad.T)[0]  # the first bad bath and its first bad entry
+        rule = ("ohmicity must be finite and exceed 1", "temperature ratio must be finite and >= 0",
+                "separation must be finite and >= 0")[field]
+        raise ValueError(f"{rule}, got {bath[field, b]}")
+    return bath
+
+
+def decoherence_grid(taus, ohmicity, temperature_ratio, separation) -> tuple:
+    """chi and the phase of every bath at every tau: two (baths, taus) arrays,
+    a row for each entry of the bath arguments (floats or equal-length arrays).
 
     They come from the closed form of the module docstring.  G(t) is the sum
     of a bath's `_bath_terms` rows, and chi and the phase are sums of
@@ -176,19 +175,19 @@ def decoherence_grid(taus: Sequence[float], baths: Sequence[SpinBosonParams]) ->
     grid and a bath's chi sums its own rows.  The phase takes each bath's
     zero-temperature row at t = ell only, so baths that differ only in
     temperature get bit-for-bit the same phases.  tau = 0 and ell = 0 give
-    exactly 0.  A tau that is negative or not finite raises ValueError
-    (`check_tau`, which the quadrature oracle shares), and so does a chi or
-    phase outside the float range (s above about 172), naming the first such
-    bath.
+    exactly 0.  A bad bath, then a tau that is negative or not finite, raises
+    ValueError (`check_bath`, `check_tau`, which the quadrature oracle
+    shares), and so does a chi or phase outside the float range (s above
+    about 172), naming the first such bath.
     """
+    s, th, ell = check_bath(ohmicity, temperature_ratio, separation)
     taus = check_tau(taus)
-    chis, phases = np.zeros((2, len(baths), taus.size))
-    live = [b for b, p in enumerate(baths) if p.separation != 0.0]
-    if live:
-        terms, sizes = _bath_terms(np.array([baths[b].ohmicity for b in live]) - 1.0,
-                                   np.array([baths[b].temperature_ratio for b in live]))
+    chis, phases = np.zeros((2, s.size, taus.size))
+    live = ell != 0.0
+    if live.any():
+        terms, sizes = _bath_terms(s[live] - 1.0, th[live])
         base, alpha, log_coef, sign = terms[:, :, None]
-        ell = np.repeat([baths[b].separation for b in live], sizes)[:, None]
+        ell = np.repeat(ell[live], sizes)[:, None]
         ends = np.cumsum(sizes)
         # an overflow shows as a non-finite chi or phase, raised below
         with np.errstate(over="ignore", invalid="ignore"):
@@ -201,6 +200,6 @@ def decoherence_grid(taus: Sequence[float], baths: Sequence[SpinBosonParams]) ->
         phases[:, taus == 0.0] = 0.0
         bad = ~(np.isfinite(chis).all(axis=1) & np.isfinite(phases).all(axis=1))
         if bad.any():
-            s = baths[int(np.argmax(bad))].ohmicity
-            raise ValueError(f"the decoherence factor at s={s:g} leaves the float range")
+            raise ValueError(f"the decoherence factor at s={s[np.argmax(bad)]:g} "
+                             "leaves the float range")
     return chis, phases

@@ -34,7 +34,7 @@ def noiseless_and_adapted(n, grid):
 def bath_curves(s, th, taus):
     """|gamma| and the closed-form and noise-adapted teleportation fidelities at N = 9
     of one bath (ell = 3) along taus, as lists, computed as `spinboson` does."""
-    chis, phases = sb.decoherence_grid(taus, [sb.SpinBosonParams(s, th, 3.0)])
+    chis, phases = sb.decoherence_grid(taus, s, th, 3.0)
     g = np.exp(-chis)
     closed = cf.teleport_fidelity(cf.noiseless_fidelity(9, g, phases))
     adapted = cf.teleport_fidelity(pgm_fidelities_reduced(9, g))
@@ -214,8 +214,8 @@ def test_criterion_12_spin_boson_curves():
 
 def test_criterion_13_quadrature_robustness():
     settings = (qd.QuadratureSettings(upper_cutoff=120.0), qd.QuadratureSettings(rel_tol=5e-11))
-    *_, gap = checks.spin_boson(sb.SpinBosonParams(2.0, 0.1, 3.0), np.linspace(0.0, 8.0, 81),
-                                settings, 1e-12, 1e-8)
+    *_, gap = checks.spin_boson(2.0, 0.1, 3.0, np.linspace(0.0, 8.0, 81), settings,
+                                1e-12, 1e-8)
     report(13, "doubling the frequency cutoff or halving the tolerance moves "
                "chi and the phase by at most 1e-8", gap.ok,
            f"worst shift {gap.worst:.2e}")

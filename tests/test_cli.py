@@ -176,8 +176,8 @@ def test_spinboson_two_modes_share_one_decoherence_factor(tmp_path, monkeypatch)
 
     calls = []
     grid = sb.decoherence_grid
-    monkeypatch.setattr(sb, "decoherence_grid",
-                        lambda taus, baths: calls.append(len(baths) * len(taus)) or grid(taus, baths))
+    monkeypatch.setattr(sb, "decoherence_grid", lambda taus, s, th, ell:
+                        calls.append(len(s) * len(taus)) or grid(taus, s, th, ell))
     out = tmp_path / "both.csv"
     assert main(base + ["--povm", "closed_form,noise_adapted", "--out", str(out)]) == 0
     _, rows = read_csv(out)
@@ -260,7 +260,7 @@ def test_spinboson_overflowing_ohmicity_is_one_error_line(tmp_path, capsys):
 def test_spinboson_quadrature_error_is_one_error_line(tmp_path, capsys, monkeypatch):
     # rows take the analytic route; a failure there is one line, as a
     # quadrature failure (verify still integrates) is
-    def failing(taus, baths):
+    def failing(taus, s, th, ell):
         raise ValueError("the decoherence factor at s=2 leaves the float range")
 
     monkeypatch.setattr(sb, "decoherence_grid", failing)
@@ -304,6 +304,19 @@ def test_invalid_grid_is_config_error(tmp_path, capsys):
 ])
 def test_config_error_is_one_line(tmp_path, capsys, argv, err):
     assert main(argv.split() + ["--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
+# with several bad inputs the bath is checked where the baths are built, s-major:
+# before the tau order, and the first bath's first bad entry wins
+@pytest.mark.parametrize("argv, err", [
+    ("--s 0.5 --tau 3,1", "ohmicity must be finite and exceed 1, got 0.5"),
+    ("--s 2,0.5 --temp-ratio -1", "temperature ratio must be finite and >= 0, got -1.0"),
+    ("--s 0.5,2 --temp-ratio -1 --ell -2", "ohmicity must be finite and exceed 1, got 0.5"),
+    ("--temp-ratio -1 --povm bogus", "temperature ratio must be finite and >= 0, got -1.0"),
+])
+def test_bath_error_precedence(tmp_path, capsys, argv, err):
+    assert main(["spinboson", *argv.split(), "--out", str(tmp_path / "x.csv")]) == 1
     assert capsys.readouterr().err == f"error: {err}\n"
 
 
@@ -376,13 +389,20 @@ def test_cli_starts_without_the_oracles():
     src = str(Path(pbtlab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=path)
+    # and no class defined in a loaded module is a dataclass, which Python
+    # would build with exec on every start
     for imports, loaded in (("import pbtlab.cli; pbtlab.cli.build_parser()", FAST_PATH),
                             ("import pbtlab.spinboson", ["pbtlab", "pbtlab.spinboson"])):
         code = (f"import sys; {imports}; "
-                "print(*sorted(m for m in sys.modules if m.startswith('pbtlab')))")
+                "ms = sorted(m for m in sys.modules if m.startswith('pbtlab')); print(*ms); "
+                "print(*(f'{m}.{k}' for m in ms for k, c in vars(sys.modules[m]).items() "
+                "if isinstance(c, type) and c.__module__ == m "
+                "and hasattr(c, '__dataclass_fields__')))")
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True, timeout=60).stdout
-        assert out.split() == loaded, imports
+        modules, dataclass_names = out.split("\n")[:2]
+        assert modules.split() == loaded, imports
+        assert dataclass_names.split() == [], imports
 
 
 def test_every_public_module_imports():

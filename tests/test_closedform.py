@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -35,6 +36,32 @@ def test_f_ih_monotone_to_one():
 def test_f_ih_large_n_does_not_overflow():
     v = cf.f_ih(10_000)
     assert 0.99 < v < 1.0
+
+
+def _closed_forms_mpmath(n):
+    """f_ih(n) and f_corr(n) as sums at mpmath's working precision, over exact
+    integer binomials."""
+    ih = corr = mpmath.mpf(0)
+    binom = 1
+    for k in range(n + 1):
+        a = (n - 2 * k - 1) / mpmath.sqrt(k + 1) + (n - 2 * k + 1) / mpmath.sqrt(n - k + 1)
+        b = 1 / mpmath.sqrt(k + 1) - 1 / mpmath.sqrt(n - k + 1)
+        ih += binom * a * a
+        corr += binom * ((n - 2 * k) ** 2 - 1) * b * b
+        binom = binom * (n - k) // (k + 1)
+    return ih / mpmath.mpf(2) ** (n + 3), corr / mpmath.mpf(2) ** n / 3
+
+
+# Absolute error bounds of the float sums at large N, about four times the
+# measured errors: f_ih 1.1e-14, 3.1e-13 and 1.2e-12 at N = 100, 1000 and 3000
+# (growing with N), f_corr at most 1.1e-15.
+@pytest.mark.parametrize("n, ih_bound, corr_bound", [(100, 5e-14, 5e-15), (1000, 1.5e-12, 5e-15),
+                                                     (3000, 5e-12, 5e-15)])
+def test_closed_forms_match_mpmath_at_large_n(n, ih_bound, corr_bound):
+    with mpmath.workdps(40):
+        ih, corr = _closed_forms_mpmath(n)
+        assert abs(cf.f_ih(n) - ih) <= ih_bound
+        assert abs(cf.f_corr(n) - corr) <= corr_bound
 
 
 def test_f_corr_peak_at_six():
@@ -76,9 +103,17 @@ def test_teleport_fidelity_map():
     assert type(cf.teleport_fidelity(0.25)) is float
     assert cf.teleport_fidelity(0.25) == pytest.approx(0.5)
     assert np.array_equal(cf.teleport_fidelity(np.array([[1.0], [0.25]])), [[1.0], [0.5]])
-    for bad in (1.5, math.nan, np.array([0.5, -0.1]), np.array([0.5, np.nan])):
-        with pytest.raises(ValueError, match="outside"):
-            cf.teleport_fidelity(bad)
+    # within FIDELITY_SLACK of [0, 1] an entry passes; beyond it, or NaN, it is
+    # named, as a float and as an array entry
+    slack = cf.FIDELITY_SLACK
+    for ok in (-0.5 * slack, 1.0 + 0.5 * slack):
+        cf.teleport_fidelity(ok)
+        cf.teleport_fidelity(np.array([0.5, ok]))
+    for bad in (1.5, -0.1, -2.0 * slack, 1.0 + 2.0 * slack, math.nan):
+        for ent_fid in (bad, np.array([[0.5], [bad]])):
+            message = rf"^entanglement fidelity {bad} outside \[0, 1\]$"
+            with pytest.raises(ValueError, match=message):
+                cf.teleport_fidelity(ent_fid)
 
 
 def test_spin_block_spectrum_matches_dense():

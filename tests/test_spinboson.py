@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -12,12 +13,13 @@ from pbtlab.cli import main
 
 
 def params(s=2.0, th=0.1, ell=3.0):
-    return sb.SpinBosonParams(s, th, ell)
+    """A bath as the numbers (s, theta_T, ell) that the routes take."""
+    return s, th, ell
 
 
-def one_bath(taus, bath):
+def one_bath(taus, s, th, ell):
     """chi and the phase of one bath at every tau, as lists."""
-    chis, phases = sb.decoherence_grid(taus, [bath])
+    chis, phases = sb.decoherence_grid(taus, s, th, ell)
     return chis[0].tolist(), phases[0].tolist()
 
 
@@ -31,63 +33,81 @@ def cli_rows(tmp_path, taus, povm="closed_form"):
     return [dict(zip(table["columns"], row)) for row in table["rows"]]
 
 
+# every route that takes a bath, at tau = 1
+BATH_ROUTES = (sb.check_bath,
+               lambda s, th, ell: sb.decoherence_grid([1.0], s, th, ell),
+               lambda s, th, ell: qd.chi_and_error(1.0, s, th, ell),
+               lambda s, th, ell: qd.phase_and_error(1.0, s, th, ell))
+
+
 def test_params_validation():
-    with pytest.raises(ValueError):
-        sb.SpinBosonParams(1.0)
-    with pytest.raises(ValueError):
-        sb.SpinBosonParams(2.0, -0.1)
-    with pytest.raises(ValueError):
-        sb.SpinBosonParams(2.0, 0.1, -1.0)
+    # each route runs the one bath check, `check_bath`, with one message per field;
     # NaN and inf are rejected too: a NaN temperature once passed as a cold bath
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="^ohmicity must be finite and exceed 1"):
-            sb.SpinBosonParams(bad)
-        with pytest.raises(ValueError, match="^temperature ratio must be finite and >= 0"):
-            sb.SpinBosonParams(2.0, bad, 3.0)
-        with pytest.raises(ValueError, match="^separation must be finite and >= 0"):
-            sb.SpinBosonParams(2.0, 0.1, bad)
+    rules = (("ohmicity must be finite and exceed 1", (1.0, math.nan, math.inf)),
+             ("temperature ratio must be finite and >= 0", (-0.1, math.nan, math.inf)),
+             ("separation must be finite and >= 0", (-0.1, math.nan, math.inf)))
+    for field, (rule, bads) in enumerate(rules):
+        for bad, route in itertools.product(bads, BATH_ROUTES):
+            bath = [2.0, 0.1, 3.0]
+            bath[field] = bad
+            with pytest.raises(ValueError, match=f"^{rule}, got {bad}$"):
+                route(*bath)
+
+
+def test_check_bath_names_the_first_bad_bath():
+    # one entry per bath, broadcast; the first bad bath is named, and within it
+    # the ohmicity before the temperature ratio before the separation
+    s, th, ell = sb.check_bath([2.0, 3.0], [0.1, 0.9], 3.0)
+    assert (s.tolist(), th.tolist(), ell.tolist()) == ([2.0, 3.0], [0.1, 0.9], [3.0, 3.0])
+    for bath, message in (
+            (([2.0, 0.5], -1.0, 3.0), "temperature ratio must be finite and >= 0, got -1.0"),
+            (([0.5, 2.0], [-1.0, -2.0], -3.0), "ohmicity must be finite and exceed 1, got 0.5"),
+            ((2.0, [0.1, math.nan], [-1.0, 3.0]), "separation must be finite and >= 0, got -1.0")):
+        for route in BATH_ROUTES[:2]:  # the quadrature takes one bath
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                route(*bath)
 
 
 def test_chi_trivial_zeros():
     p = params()
-    assert qd.chi_and_error(0.0, p)[0] == 0.0
-    assert qd.chi_and_error(5.0, params(ell=0.0))[0] == 0.0
-    assert qd.phase_and_error(0.0, p)[0] == 0.0
-    assert qd.phase_and_error(5.0, params(ell=0.0))[0] == 0.0
+    assert qd.chi_and_error(0.0, *p)[0] == 0.0
+    assert qd.chi_and_error(5.0, *params(ell=0.0))[0] == 0.0
+    assert qd.phase_and_error(0.0, *p)[0] == 0.0
+    assert qd.phase_and_error(5.0, *params(ell=0.0))[0] == 0.0
 
 
 def test_quadrature_reports_its_error_estimate():
     p = params()
-    assert qd.chi_and_error(0.0, p) == qd.phase_and_error(0.0, p) == (0.0, 0.0)
-    for _, err in (qd.chi_and_error(4.0, p), qd.phase_and_error(4.0, p)):
+    assert qd.chi_and_error(0.0, *p) == qd.phase_and_error(0.0, *p) == (0.0, 0.0)
+    for _, err in (qd.chi_and_error(4.0, *p), qd.phase_and_error(4.0, *p)):
         assert 0.0 < err < 1e-9
     *_, estimate = checks.decoherence_routes((2.0,), (0.5,), (4.0,), 3.0, 1e-9)
     assert estimate.quantity.startswith("QUADPACK error estimate") and 0.0 < estimate.worst < 1e-9
 
 
 def test_chi_nonnegative():
-    assert all(g.ok for g in checks.spin_boson(params(), (0.5, 1.0, 3.0, 8.0), (), 0.0, 0.0))
+    assert all(g.ok for g in checks.spin_boson(*params(), (0.5, 1.0, 3.0, 8.0), (), 0.0, 0.0))
 
 
 def test_chi_thermal_enhancement():
-    hot = qd.chi_and_error(8.0, params(th=0.9))[0]
-    cold = qd.chi_and_error(8.0, params(th=0.1))[0]
+    hot = qd.chi_and_error(8.0, *params(th=0.9))[0]
+    cold = qd.chi_and_error(8.0, *params(th=0.1))[0]
     assert hot > cold
 
 
 def test_phase_temperature_independent():
-    a = qd.phase_and_error(4.0, params(th=0.1))[0]
-    b = qd.phase_and_error(4.0, params(th=0.9))[0]
+    a = qd.phase_and_error(4.0, *params(th=0.1))[0]
+    b = qd.phase_and_error(4.0, *params(th=0.9))[0]
     assert a == pytest.approx(b, abs=1e-12)
 
 
 def test_phase_computed_once_for_all_temperatures():
     taus = [0.0, 1.0, 2.5]
-    chis, phases = sb.decoherence_grid(taus, [params(th=0.1), params(th=0.9)])
+    chis, phases = sb.decoherence_grid(taus, 2.0, [0.1, 0.9], 3.0)
     # one stacked evaluation for both baths; the phase is the same bit for bit
     cold, hot = phases.tolist()
-    assert cold == hot == one_bath(taus, params(th=0.9))[1]
-    assert cold == pytest.approx([qd.phase_and_error(t, params())[0] for t in taus], abs=1e-12)
+    assert cold == hot == one_bath(taus, *params(th=0.9))[1]
+    assert cold == pytest.approx([qd.phase_and_error(t, *params())[0] for t in taus], abs=1e-12)
     assert chis[0].tolist() != chis[1].tolist()
 
 
@@ -100,8 +120,8 @@ def test_phase_analytic_ohmicity_two():
         return a / (1.0 + a * a)
 
     want = 0.5 * (lorentz(ell) - 0.5 * lorentz(ell + tau) - 0.5 * lorentz(ell - tau))
-    assert qd.phase_and_error(tau, params())[0] == pytest.approx(want, abs=1e-10)
-    assert one_bath([tau], params())[1][0] == pytest.approx(want, abs=1e-13)
+    assert qd.phase_and_error(tau, *params())[0] == pytest.approx(want, abs=1e-10)
+    assert one_bath([tau], *params())[1][0] == pytest.approx(want, abs=1e-13)
 
 
 def test_zero_temperature_chi_analytic_ohmicity_two():
@@ -113,8 +133,8 @@ def test_zero_temperature_chi_analytic_ohmicity_two():
         return 1.0 / (1.0 + a * a)
 
     want = 2.0 * (c(0) - c(tau) - c(ell) + 0.5 * c(ell + tau) + 0.5 * c(ell - tau))
-    assert qd.chi_and_error(tau, params(th=0.0))[0] == pytest.approx(want, abs=1e-9)
-    assert one_bath([tau], params(th=0.0))[0][0] == pytest.approx(want, abs=1e-13)
+    assert qd.chi_and_error(tau, *params(th=0.0))[0] == pytest.approx(want, abs=1e-9)
+    assert one_bath([tau], *params(th=0.0))[0][0] == pytest.approx(want, abs=1e-13)
 
 
 def test_decoherence_factor_assembly(tmp_path):
@@ -127,18 +147,18 @@ def test_decoherence_factor_trivial(tmp_path):
     [row] = cli_rows(tmp_path, [0.0])
     assert row["gamma_abs"] == 1.0
     assert row["phase"] == 0.0
-    assert one_bath([0.0, 5.0], params(ell=0.0)) == ([0.0, 0.0], [0.0, 0.0])
+    assert one_bath([0.0, 5.0], *params(ell=0.0)) == ([0.0, 0.0], [0.0, 0.0])
 
 
 def test_quadrature_cutoff_convergence():
     wide = qd.QuadratureSettings(upper_cutoff=120.0)
-    *_, shift = checks.spin_boson(params(), (1.0, 4.0, 8.0), (wide,), 1e-12, 1e-8)
+    *_, shift = checks.spin_boson(*params(), (1.0, 4.0, 8.0), (wide,), 1e-12, 1e-8)
     assert shift.ok
 
 
 def test_spin_boson_check_names_the_quadrature_settings():
     wide = qd.QuadratureSettings(upper_cutoff=120.0)
-    *_, shift = checks.spin_boson(params(), (4.0,), (wide,), 1e-12, 1e-8)
+    *_, shift = checks.spin_boson(*params(), (4.0,), (wide,), 1e-12, 1e-8)
     assert shift.where == "tau=4 upper_cutoff=120 rel_tol=1e-10"
 
 
@@ -147,10 +167,10 @@ def test_negative_tau_rejected():
     for bad in (-1.0, math.nan, math.inf):
         message = f"^tau must be finite and >= 0, got {bad}$"
         with pytest.raises(ValueError, match=message):
-            sb.decoherence_grid([0.0, bad], [params()])
+            sb.decoherence_grid([0.0, bad], *params())
         for route in (qd.chi_and_error, qd.phase_and_error):
             with pytest.raises(ValueError, match=message):
-                route(bad, params())
+                route(bad, *params())
 
 
 @pytest.mark.parametrize("s", [2.0, 4.5])
@@ -158,7 +178,7 @@ def test_quadrature_auto_cutoff(s):
     # upper_cutoff = 0 integrates up to 40 + 10 s
     explicit = qd.QuadratureSettings(upper_cutoff=40.0 + 10.0 * s)
     for route in (qd.chi_and_error, qd.phase_and_error):
-        assert route(4.0, params(s=s)) == route(4.0, params(s=s), explicit)
+        assert route(4.0, *params(s=s)) == route(4.0, *params(s=s), explicit)
 
 
 def test_quadrature_overflow_is_value_error():
@@ -166,13 +186,13 @@ def test_quadrature_overflow_is_value_error():
     for route in (qd.chi_and_error, qd.phase_and_error):
         with pytest.raises(ValueError, match=r"^quadrature gave a non-finite value on panel "
                                              r"\[3\.14153, 6\.28305\]$"):
-            route(1.0, sb.SpinBosonParams(400.0, 0.0, 1.0))
+            route(1.0, 400.0, 0.0, 1.0)
 
 
 def test_closed_form_column_identity(tmp_path):
     taus = [0.0, 1.0, 3.0]
     rows = cli_rows(tmp_path, taus)
-    assert [(r["chi"], r["phase"]) for r in rows] == list(zip(*one_bath(taus, params())))
+    assert [(r["chi"], r["phase"]) for r in rows] == list(zip(*one_bath(taus, *params())))
     for r in rows:
         f = cf.noiseless_fidelity(5, math.exp(-r["chi"]), r["phase"])
         assert r["f_closed_form"] == pytest.approx(cf.teleport_fidelity(f), abs=0.0)
@@ -217,7 +237,7 @@ def test_decoherence_factors_match_mpmath(s):
     # 30 digits; the bound is 1e-12 max(1, |x|).  Measured worst: 4.4e-14
     # (phase, s = 100), where exponents of size ~350 cost the float route digits.
     taus, ell, temps = [1e-3, 0.5, 3.0, 8.0, 40.0], 3.0, (0.0, 0.1, 0.9, 5.0)
-    chis, phases = sb.decoherence_grid(taus, [params(s, th, ell) for th in temps])
+    chis, phases = sb.decoherence_grid(taus, s, temps, ell)
     with mpmath.workdps(30):
         for th, chi_row, phase_row in zip(temps, chis, phases):
             for tau, got_chi, got_phase in zip(taus, chi_row, phase_row):
@@ -236,12 +256,12 @@ def test_stacked_grid_matches_one_bath_calls():
     taus = [0.0, 0.2499, 0.2501, 0.9999, 1.0001, 3.0, 8.0, 40.0]
     baths = [params(s, th, ell) for s in (1.5, 2 - 1e-9, 2.0, 2 + 1e-9, 3.0, 100.0)
              for th in (0.0, 0.1, 0.9) for ell in (0.0, 0.7, 3.0)]
-    chis, phases = sb.decoherence_grid(taus, baths)
+    chis, phases = sb.decoherence_grid(taus, *zip(*baths))
     assert chis.shape == phases.shape == (len(baths), len(taus))
     assert chis[:, 0].tolist() == phases[:, 0].tolist() == [0.0] * len(baths)
     for bath, chi_row, phase_row in zip(baths, chis.tolist(), phases.tolist()):
-        if bath.separation == 0.0:
+        if bath[2] == 0.0:
             assert chi_row == phase_row == [0.0] * len(taus)
-        for got, wants in zip(zip(chi_row, phase_row), zip(*one_bath(taus, bath))):
+        for got, wants in zip(zip(chi_row, phase_row), zip(*one_bath(taus, *bath))):
             for x, want in zip(got, wants):
                 assert abs(x - want) <= 2e-15 * max(1.0, abs(want)), (bath, got)
