@@ -20,9 +20,11 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import gc
 import json
 import math
+import re
 import sys
 from typing import List, Optional, Sequence
 
@@ -220,7 +222,10 @@ def cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------- plumbing
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first call and then shared:
+    parsing does not change it, and no caller may."""
     p = argparse.ArgumentParser(
         prog="pbtlab",
         description="Port-based teleportation fidelity sweeps under dephasing.",
@@ -263,16 +268,21 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None, help="write the JSON report here")
     sp.set_defaults(func=cmd_verify)
 
+    # argparse reads a token that starts with '-' as an option unless it is a
+    # plain number, so `--theta -1,2` would leave --theta without its value.
+    # No pbtlab option starts with '-' and then a digit or '.', so such a
+    # token is a value.
+    for parser in (p, *sub.choices.values()):
+        parser._negative_number_matcher = re.compile(r"-[\d.]")
     return p
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    # The ~50k objects the imports leave (numpy, scipy) live until exit;
-    # frozen, no collection during the run rescans them.
+    # The ~21k objects the imports leave (nearly all numpy's) live until
+    # exit; frozen, no collection during the run rescans them.
     gc.freeze()
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:

@@ -88,9 +88,10 @@ def teleport_fidelity(ent_fid):
     A float stays a float.  Raises ValueError if an entry lies outside [0, 1]
     by more than FIDELITY_SLACK, or is NaN.
     """
-    for f in ent_fid.ravel().tolist() if isinstance(ent_fid, np.ndarray) else (ent_fid,):
-        if not -FIDELITY_SLACK <= f <= 1.0 + FIDELITY_SLACK:
-            raise ValueError(f"entanglement fidelity {f} outside [0, 1]")
+    f = np.asarray(ent_fid, dtype=float)
+    bad = ~((f >= -FIDELITY_SLACK) & (f <= 1.0 + FIDELITY_SLACK))
+    if bad.any():
+        raise ValueError(f"entanglement fidelity {f[bad][0]} outside [0, 1]")
     return (2.0 * ent_fid + 1.0) / 3.0
 
 

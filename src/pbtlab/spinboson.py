@@ -36,7 +36,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 
 # The Hurwitz zeta of the thermal part is summed over ZETA_TERMS terms
@@ -110,8 +109,10 @@ def _bath_terms(a: np.ndarray, theta_t: np.ndarray) -> tuple:
     theta_T W^(1-a)/(a-1) is -theta_T log W up to a constant; its coefficient
     then leaves out the 1/(a-1) (see `_second_difference`).  Returned as
     (base, alpha, log_coef, sign), each with the rows of every bath in turn,
-    and the number of rows of each bath, from one pass and one gammaln call; log theta_T
-    and log|a - 1| stay math.log, which numpy's log can differ from in the last bit.
+    and the number of rows of each bath, from one pass.  The log-gammas of a
+    and a_j, log theta_T and log|a - 1| are math.lgamma and math.log, one
+    call per entry: this keeps scipy off the sweeps, and numpy's log can
+    differ from math's in the last bit.
     """
     hot = theta_t > 0.0
     th = np.where(hot, theta_t, 1.0)[:, None]  # a cold bath's thermal rows are dropped
@@ -119,7 +120,7 @@ def _bath_terms(a: np.ndarray, theta_t: np.ndarray) -> tuple:
     pole = np.array([[0.0 if x == 1.0 else math.log(abs(x - 1.0))] for x in a])
     a = a[:, None]
     a_j = a + _TWO_J - 1
-    lg = gammaln(np.concatenate((a, a_j), axis=1))
+    lg = np.array([[math.lgamma(x) for x in row] for row in np.hstack((a, a_j)).tolist()])
     lg_a, log_2, z = lg[:, :1], math.log(2.0), ZETA_TERMS
     # per bath: zeta rows 0..z-1, the W^(1-a), W^(-a) rows z, z+1, the Bernoulli rows, the cold row
     base, alpha, log_coef, sign = terms = np.empty((4, a.size, z + _TWO_J.size + 3))

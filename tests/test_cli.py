@@ -308,16 +308,36 @@ def test_config_error_is_one_line(tmp_path, capsys, argv, err):
 
 
 # with several bad inputs the bath is checked where the baths are built, s-major:
-# before the tau order, and the first bath's first bad entry wins
+# before tau and its order, and the first bath's first bad entry wins; a tau
+# grid that starts with a minus sign reaches the tau check
 @pytest.mark.parametrize("argv, err", [
     ("--s 0.5 --tau 3,1", "ohmicity must be finite and exceed 1, got 0.5"),
     ("--s 2,0.5 --temp-ratio -1", "temperature ratio must be finite and >= 0, got -1.0"),
     ("--s 0.5,2 --temp-ratio -1 --ell -2", "ohmicity must be finite and exceed 1, got 0.5"),
     ("--temp-ratio -1 --povm bogus", "temperature ratio must be finite and >= 0, got -1.0"),
+    ("--temp-ratio -1 --tau -1,3", "temperature ratio must be finite and >= 0, got -1.0"),
+    ("--tau -1,3", "tau must be finite and >= 0, got -1.0"),
 ])
 def test_bath_error_precedence(tmp_path, capsys, argv, err):
     assert main(["spinboson", *argv.split(), "--out", str(tmp_path / "x.csv")]) == 1
     assert capsys.readouterr().err == f"error: {err}\n"
+
+
+# A grid value that starts with '-' and then a digit or '.' reaches its flag,
+# which argparse alone allows only for a plain number; an option does not.
+def test_leading_minus_grid_reaches_its_flag(tmp_path):
+    argv = ["surface", "--n", "3", "--gamma", "0.5", "--no-timestamp", "--out"]
+    spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+    for theta in ("-1,2", "-.5:1:3"):
+        assert main(argv + [str(spaced), "--theta", theta]) == 0
+        assert main(argv + [str(joined), f"--theta={theta}"]) == 0
+        assert spaced.read_bytes() == joined.read_bytes(), theta
+
+
+def test_flag_without_its_value_is_usage_error(tmp_path, capsys):
+    assert main(["surface", "--gamma", "--out", str(tmp_path / "x.csv")]) == 1
+    assert "argument --gamma: expected one argument" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_io_error_exit_code(tmp_path):
@@ -385,24 +405,55 @@ FAST_PATH = ["pbtlab", "pbtlab.cli", "pbtlab.closedform", "pbtlab.fidelity",
              "pbtlab.spinboson"]
 
 
-def test_cli_starts_without_the_oracles():
+def _python(*args, **kwargs) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on this source tree, without writing bytecode."""
     src = str(Path(pbtlab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=path)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          check=True, timeout=60, **kwargs)
+
+
+def test_cli_starts_without_the_oracles(tmp_path):
+    out = ["--out", str(tmp_path / "x.csv")]
+    compare = ["compare", "--n", "3", "--gamma", "0.5,1", *out]
+    spinboson = ["spinboson", "--n", "2", "--tau", "0,1", "--temp-ratio", "0.1",
+                 "--povm", "closed_form,noise_adapted", *out]
+    runs = (f"import pbtlab.cli; assert pbtlab.cli.main({compare!r}) == 0; "
+            f"assert pbtlab.cli.main({spinboson!r}) == 0")
     # and no class defined in a loaded module is a dataclass, which Python
-    # would build with exec on every start
+    # would build with exec on every start; and no scipy module loads, on
+    # import or lazily inside a route (the sweeps need numpy only)
     for imports, loaded in (("import pbtlab.cli; pbtlab.cli.build_parser()", FAST_PATH),
-                            ("import pbtlab.spinboson", ["pbtlab", "pbtlab.spinboson"])):
+                            ("import pbtlab.spinboson", ["pbtlab", "pbtlab.spinboson"]),
+                            (runs, FAST_PATH)):
         code = (f"import sys; {imports}; "
                 "ms = sorted(m for m in sys.modules if m.startswith('pbtlab')); print(*ms); "
                 "print(*(f'{m}.{k}' for m in ms for k, c in vars(sys.modules[m]).items() "
                 "if isinstance(c, type) and c.__module__ == m "
-                "and hasattr(c, '__dataclass_fields__')))")
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True, timeout=60).stdout
-        modules, dataclass_names = out.split("\n")[:2]
+                "and hasattr(c, '__dataclass_fields__'))); "
+                "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        modules, dataclass_names, scipy_modules = _python("-c", code).stdout.split("\n")[:3]
         assert modules.split() == loaded, imports
         assert dataclass_names.split() == [], imports
+        assert scipy_modules.split() == [], imports
+
+
+def test_one_parser_carries_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    argv = ["compare", "--n", "3", "--gamma", "0:1:3", "--no-timestamp", "--out", "x.csv"]
+    shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+    shared.mkdir()
+    fresh.mkdir()
+    monkeypatch.chdir(shared)
+    # a usage error and a JSON run on the process's parser, then a CSV run
+    assert main(["compare", "--gamma"]) == 1
+    assert main(argv[:-1] + ["run.json", "--format", "json"]) == 0
+    assert main(argv) == 0
+    capsys.readouterr()
+    _python("-m", "pbtlab.cli", *argv, cwd=fresh)
+    for name in ("x.csv", "x.csv.json"):
+        assert (shared / name).read_bytes() == (fresh / name).read_bytes(), name
 
 
 def test_every_public_module_imports():
@@ -410,10 +461,7 @@ def test_every_public_module_imports():
     for name in pbtlab.__all__:
         importlib.import_module(f"pbtlab.{name}")
     code = "from pbtlab import *; print(*sorted(k for k in dir() if not k.startswith('_')))"
-    src = str(Path(pbtlab.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
-                         capture_output=True, text=True, check=True, timeout=60).stdout
+    out = _python("-c", code).stdout
     assert out.split() == sorted(pbtlab.__all__)
 
 

@@ -234,7 +234,7 @@ def _chi_phase_mpmath(tau, s, th, ell):
 
 @pytest.mark.parametrize("s", [1.2, 1.5, 2 - 1e-9, 2.0, 2 + 1e-9, 3.0, 4.5, 20.0, 100.0])
 def test_decoherence_factors_match_mpmath(s):
-    # 30 digits; the bound is 1e-12 max(1, |x|).  Measured worst: 4.4e-14
+    # 30 digits; the bound is 1e-12 max(1, |x|).  Measured worst: 4.5e-14
     # (phase, s = 100), where exponents of size ~350 cost the float route digits.
     taus, ell, temps = [1e-3, 0.5, 3.0, 8.0, 40.0], 3.0, (0.0, 0.1, 0.9, 5.0)
     chis, phases = sb.decoherence_grid(taus, s, temps, ell)
