@@ -270,10 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     # argparse reads a token that starts with '-' as an option unless it is a
     # plain number, so `--theta -1,2` would leave --theta without its value.
-    # No pbtlab option starts with '-' and then a digit or '.', so such a
-    # token is a value.
+    # No pbtlab option starts with '-' and then a digit, '.', 'inf' or 'nan'
+    # (in any case), so such a token is a value.
     for parser in (p, *sub.choices.values()):
-        parser._negative_number_matcher = re.compile(r"-[\d.]")
+        parser._negative_number_matcher = re.compile(r"-([\d.]|(?i:inf|nan))")
     return p
 
 

@@ -95,12 +95,6 @@ def teleport_fidelity(ent_fid):
     return (2.0 * ent_fid + 1.0) / 3.0
 
 
-def kim_fidelity(n: int, gamma_abs: float) -> float:
-    """Entanglement fidelity of the composed-channel model at theta = 0."""
-    check_gamma_abs(gamma_abs)
-    return (2.0 * gamma_abs + 1.0) / 3.0 * f_ih(n) + (1.0 - gamma_abs) / 6.0
-
-
 def beigi_konig_bound(n: int, gamma_abs):
     """Purity/rank lower bound on the PGM entanglement fidelity (may be negative),
     per |gamma|, a float or an array."""
@@ -110,13 +104,6 @@ def beigi_konig_bound(n: int, gamma_abs):
     # float_power is libm pow, as a float's ** 2; numpy's ** 2 multiplies,
     # which can differ in the last bit
     return 0.5 * (1.0 - (1.0 + 2.0 * np.float_power(g, 2)) / n)
-
-
-def knill_barnum_bound(n: int) -> float:
-    """Success-probability lower bound from the constant 1/2 pairwise fidelity."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    return 1.0 - (n - 1) / 4.0
 
 
 def helstrom_bound_n2(gamma_abs):

@@ -23,7 +23,11 @@ with zeta the Hurwitz zeta (expand coth in powers of e^{-w/theta_T}):
 
 `decoherence_grid` evaluates these for many baths on a whole tau grid at
 once; the weights of each combination sum to zero, so a t-independent
-constant in G cancels.
+constant in G cancels.  Its arithmetic is float64 throughout, except at
+small tau about t = ell: there the first-order cancellation of the powers
+is taken out by a series in the complex ratio tau / (b - i ell), b the
+real base of a power in G, and that series stays complex (see
+`_second_difference`).
 `quadrature.chi_and_error` and `quadrature.phase_and_error` integrate the frequency integrals by
 adaptive quadrature and are the independent check of that route.
 
@@ -45,54 +49,79 @@ ZETA_TERMS = 12
 _BERNOULLI_OVER_FACTORIAL = np.array([
     1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510,
     43867 / 798, -174611 / 330]) / np.array([math.factorial(2 * j) for j in range(1, 11)])
-_LOG_BERNOULLI = np.log(np.abs(_BERNOULLI_OVER_FACTORIAL))
-_TWO_J = 2 * np.arange(1, _BERNOULLI_OVER_FACTORIAL.size + 1)
-_SIGN_BERNOULLI = np.sign(_BERNOULLI_OVER_FACTORIAL)
-_K = np.arange(1, ZETA_TERMS + 1)
+# (2j, log|B_2j/(2j)!|, sign B_2j) of each Bernoulli term, as floats
+_BERNOULLI_TERMS = tuple(zip((2.0 * np.arange(1, _BERNOULLI_OVER_FACTORIAL.size + 1)).tolist(),
+                             np.log(np.abs(_BERNOULLI_OVER_FACTORIAL)).tolist(),
+                             np.sign(_BERNOULLI_OVER_FACTORIAL).tolist()))
 
 
-def _second_difference(c, alpha, log_coef, taus: np.ndarray) -> np.ndarray:
-    """e^log_coef [(c - i tau)^(-alpha)/2 + (c + i tau)^(-alpha)/2 - c^(-alpha)], Re c > 0,
-    for columns c, alpha, log_coef (one row each) against a row of taus.
+def _power(log_coef, alpha, b, y) -> tuple:
+    """e^log_coef (b - i y)^(-alpha) for real b > 0 and y, in float64: its
+    modulus e^(log_coef - alpha log hypot(b, y)) and its argument alpha atan2(y, b)."""
+    return np.exp(log_coef - alpha * np.log(np.hypot(b, y))), alpha * np.arctan2(y, b)
+
+
+def _second_difference(base, ell, alpha, log_coef, taus: np.ndarray) -> tuple:
+    """D(c) = e^log_coef [(c - i tau)^(-alpha)/2 + (c + i tau)^(-alpha)/2 - c^(-alpha)]
+    for columns base, ell, alpha, log_coef (one row each) against a row of
+    taus, about c = base and about c = base - i ell: two (rows, taus) arrays,
+    D(base) real and D(base - i ell) complex.
 
     Each power is one exp of a logarithm, so a large coefficient does not
     overflow on its own.  Summed directly, the three powers cancel as
     tau -> 0; where |alpha x| < 1/2, x = tau / c, the bracket is therefore
     c^(-alpha) [expm1(m) - 2 e^m sin^2(alpha arctan(x) / 2)], m = -(alpha/2) log(1 + x^2)
-    (log1p by hand: numpy's complex log1p loses small arguments).  Farther out
-    the direct sum is kept: there the powers differ in size by large factors
-    and that product would lose their phases.  Where alpha = 0 it returns the
-    limit of the bracket over alpha, -(1/2) log(1 + x^2) times e^log_coef.
-    Each entry is evaluated on its own branch only.  For a real c the two
-    powers are conjugates, so the direct sum takes one and keeps its real part.
+    (e^m as 1 + expm1(m), whose rounding stays within the bracket's).
+    Farther out the direct sum of `_power`s is kept: there the powers differ
+    in size by large factors and that product would lose their phases.
+    Where alpha = 0 it returns the limit of the bracket over alpha,
+    -(1/2) log(1 + x^2) times e^log_coef.
+
+    About 0, c and x are real and so is every term: both forms are evaluated
+    in float64 over the whole array, and `np.where` picks each entry's.
+    About ell the powers are `_power`s too, at y = ell for the centre and at
+    y = ell -/+ tau for the far entries, where the direct form about 0 takes
+    y = tau; at tau >> ell the two passes then round alike, and chi, their
+    difference, keeps its digits.  The near entries about ell stay complex:
+    x is complex there, and only the series, in complex expm1, sin and
+    arctan of it, avoids the first-order cancellation of the direct sum at
+    small tau (log(1 + x^2) is by hand: numpy's complex log1p loses small
+    arguments).  Each branch about ell is gathered by index pairs and
+    evaluated on its own entries.
     """
-    x = taus / c
-    limit = np.broadcast_to(alpha == 0.0, x.shape)
-    near = (np.abs(alpha * x) < 0.5) & ~limit
-    far = ~(near | limit)
-    centre = np.exp(log_coef - alpha * np.log(c))
-    out = np.empty(x.shape, dtype=complex)
+    # about 0: both forms over every entry in float64; np.where picks
+    x = taus / base
+    log_1x2 = np.log1p(x * x)
+    expm1_m = np.expm1(-0.5 * alpha * log_1x2)
+    modulus, turn = _power(log_coef, alpha, base, taus)
+    centre = np.exp(log_coef - alpha * np.log(base))
+    series = centre * (expm1_m - 2.0 * (1.0 + expm1_m) * np.sin(0.5 * turn) ** 2)
+    about_0 = np.where(alpha == 0.0, -0.5 * np.exp(log_coef) * log_1x2,
+                       np.where(np.abs(alpha * x) < 0.5, series, modulus * np.cos(turn) - centre))
 
-    def at(mask, *cols):
-        return [np.broadcast_to(col, x.shape)[mask] for col in cols]
-
-    def log1p_x2(y):
-        x2 = y * y
-        return (0.5 * np.log1p(x2.real * (2.0 + x2.real) + x2.imag ** 2)
-                + 1j * np.arctan2(x2.imag, 1.0 + x2.real))
-
-    x_n, alpha_n, centre_n = at(near, x, alpha, centre)
-    m = -0.5 * alpha_n * log1p_x2(x_n)
-    out[near] = centre_n * (np.expm1(m) - 2.0 * np.exp(m) * np.sin(0.5 * alpha_n * np.arctan(x_n)) ** 2)
-    c_f, tau_f, alpha_f, log_coef_f, centre_f = at(far, c, taus, alpha, log_coef, centre)
-    power = np.exp(log_coef_f - alpha_f * np.log(c_f - 1j * tau_f))
-    if np.isrealobj(c):
-        out[far] = power.real - centre_f
-    else:
-        out[far] = 0.5 * (power + np.exp(log_coef_f - alpha_f * np.log(c_f + 1j * tau_f))) - centre_f
-    x_l, log_coef_l = at(limit, x, log_coef)
-    out[limit] = -0.5 * np.exp(log_coef_l) * log1p_x2(x_l)
-    return out
+    # about ell: the near entries (alpha = 0 among them) in complex, the far in float64
+    c = base - 1j * ell
+    modulus, turn = _power(log_coef, alpha, base, ell)
+    centre = modulus * (np.cos(turn) + 1j * np.sin(turn))
+    near = np.abs(alpha) * taus < 0.5 * np.abs(c)
+    about_ell = np.empty(near.shape, dtype=complex)
+    i, j = np.nonzero(near)
+    a, x_n = alpha[i, 0], taus[j] / c[i, 0]
+    x2 = x_n * x_n
+    log_1x2 = (0.5 * np.log1p(x2.real * (2.0 + x2.real) + x2.imag ** 2)
+               + 1j * np.arctan2(x2.imag, 1.0 + x2.real))
+    expm1_m = np.expm1(-0.5 * a * log_1x2)
+    about_ell[i, j] = np.where(
+        a == 0.0, -0.5 * np.exp(log_coef[i, 0]) * log_1x2,
+        centre[i, 0] * (expm1_m - 2.0 * (1.0 + expm1_m) * np.sin(0.5 * a * np.arctan(x_n)) ** 2))
+    i, j = np.nonzero(~near)
+    y = ell[i, 0] + np.array([[1.0], [-1.0]]) * taus[j]  # c -/+ i tau = base - i y
+    modulus, turn = _power(log_coef[i, 0], alpha[i, 0], base[i, 0], y)
+    half = 0.5 * modulus
+    cos, sin = half * np.cos(turn), half * np.sin(turn)
+    about_ell.real[i, j] = cos[0] + cos[1] - centre.real[i, 0]
+    about_ell.imag[i, j] = sin[0] + sin[1] - centre.imag[i, 0]
+    return about_0, about_ell
 
 
 def _bath_terms(a: np.ndarray, theta_t: np.ndarray) -> tuple:
@@ -107,32 +136,28 @@ def _bath_terms(a: np.ndarray, theta_t: np.ndarray) -> tuple:
     theta_T W^(1-a)/(a-1) + W^(-a)/2 + sum_j B_2j/(2j)! (a)_(2j-1) theta_T^(1-2j) W^(1-a-2j),
     one row each.  The first row's exponent a - 1 is 0 at s = 2, where
     theta_T W^(1-a)/(a-1) is -theta_T log W up to a constant; its coefficient
-    then leaves out the 1/(a-1) (see `_second_difference`).  Returned as
-    (base, alpha, log_coef, sign), each with the rows of every bath in turn,
-    and the number of rows of each bath, from one pass.  The log-gammas of a
-    and a_j, log theta_T and log|a - 1| are math.lgamma and math.log, one
-    call per entry: this keeps scipy off the sweeps, and numpy's log can
+    then leaves out the 1/(a-1) (see `_second_difference`).  Returned as one
+    array of four rows (base, alpha, log_coef, sign), a column per term with
+    the terms of every bath in turn, and the number of terms of each bath.
+    The terms are Python floats, with math.lgamma and math.log, made an array
+    once: a run has a few dozen, which numpy calls on tiny arrays would only
+    slow down; this also keeps scipy off the sweeps, and numpy's log can
     differ from math's in the last bit.
     """
-    hot = theta_t > 0.0
-    th = np.where(hot, theta_t, 1.0)[:, None]  # a cold bath's thermal rows are dropped
-    log_th = np.array([[math.log(t)] for t in th[:, 0]])
-    pole = np.array([[0.0 if x == 1.0 else math.log(abs(x - 1.0))] for x in a])
-    a = a[:, None]
-    a_j = a + _TWO_J - 1
-    lg = np.array([[math.lgamma(x) for x in row] for row in np.hstack((a, a_j)).tolist()])
-    lg_a, log_2, z = lg[:, :1], math.log(2.0), ZETA_TERMS
-    # per bath: zeta rows 0..z-1, the W^(1-a), W^(-a) rows z, z+1, the Bernoulli rows, the cold row
-    base, alpha, log_coef, sign = terms = np.empty((4, a.size, z + _TWO_J.size + 3))
-    base[:, :z], base[:, z:-1], base[:, -1:] = 1.0 + _K / th, 1.0 + (z + 1) / th, 1.0
-    alpha[:], alpha[:, z:z + 1], alpha[:, z + 2:-1] = a, a - 1.0, a_j
-    log_coef[:], log_coef[:, :z] = lg_a, log_2 + lg_a
-    log_coef[:, z:z + 1] = log_2 + log_th + lg_a - pole
-    log_coef[:, z + 2:-1] = log_2 + lg[:, 1:] + _LOG_BERNOULLI + (1 - _TWO_J) * log_th
-    sign[:], sign[:, z:z + 1], sign[:, z + 2:-1] = 1.0, np.where(a >= 1.0, 1.0, -1.0), _SIGN_BERNOULLI
-    keep = np.ones(base.shape, dtype=bool)
-    keep[~hot, :-1] = False
-    return terms[:, keep], keep.sum(axis=1)
+    log_2, terms, sizes = math.log(2.0), [], []
+    for a, th in zip(a.tolist(), theta_t.tolist()):
+        lg_a, first = math.lgamma(a), len(terms)
+        if th > 0.0:  # a cold bath has the zero-temperature term alone
+            log_th, w = math.log(th), 1.0 + (ZETA_TERMS + 1) / th
+            pole = 0.0 if a == 1.0 else math.log(abs(a - 1.0))
+            terms += [(1.0 + k / th, a, log_2 + lg_a, 1.0) for k in range(1, ZETA_TERMS + 1)]
+            terms += [(w, a - 1.0, log_2 + log_th + lg_a - pole, 1.0 if a >= 1.0 else -1.0),
+                      (w, a, lg_a, 1.0)]
+            terms += [(w, a + two_j - 1, log_2 + math.lgamma(a + two_j - 1) + log_b + (1 - two_j) * log_th,
+                       sign_b) for two_j, log_b, sign_b in _BERNOULLI_TERMS]
+        terms.append((1.0, a, lg_a, 1.0))
+        sizes.append(len(terms) - first)
+    return np.array(terms).T, np.array(sizes)
 
 
 def check_tau(taus) -> np.ndarray:
@@ -172,7 +197,7 @@ def decoherence_grid(taus, ohmicity, temperature_ratio, separation) -> tuple:
     `_second_difference`s of these powers, about t = 0 and t = ell
     (G(tau - ell) = conj G(ell - tau), so their real parts agree); a constant
     in G drops out of them.  The rows of all baths, each at its own ell, are
-    stacked on one axis, so two `_second_difference` calls serve the whole
+    stacked on one axis, so one `_second_difference` call serves the whole
     grid and a bath's chi sums its own rows.  The phase takes each bath's
     zero-temperature row at t = ell only, so baths that differ only in
     temperature get bit-for-bit the same phases.  tau = 0 and ell = 0 give
@@ -192,9 +217,8 @@ def decoherence_grid(taus, ohmicity, temperature_ratio, separation) -> tuple:
         ends = np.cumsum(sizes)
         # an overflow shows as a non-finite chi or phase, raised below
         with np.errstate(over="ignore", invalid="ignore"):
-            about_ell = _second_difference(base - 1j * ell, alpha, log_coef, taus)
-            about_0 = _second_difference(base, alpha, log_coef, taus)
-            rows = sign * (about_ell.real - about_0.real)
+            about_0, about_ell = _second_difference(base, ell, alpha, log_coef, taus)
+            rows = sign * (about_ell.real - about_0)
             chis[live] = 2.0 * np.add.reduceat(rows, ends - sizes, axis=0)
             phases[live] = -0.5 * about_ell[ends - 1].imag
         chis[:, taus == 0.0] = 0.0

@@ -19,6 +19,8 @@ from pbtlab.ensemble import signal_states
 from pbtlab.fidelity import pgm_fidelities_reduced
 from pbtlab.povm import pgm_fidelity
 
+from paper_bounds import kim_fidelity, knill_barnum_bound
+
 
 def report(num, desc, ok, detail=""):
     tag = "PASS" if ok else "FAIL"
@@ -114,7 +116,7 @@ def test_criterion_6_bound_ordering():
     for n in (2, 3):
         for g in (0.0, 0.5, 1.0):
             p_succ = 4.0 * adapted_fidelity(n, g, 0.0) / n
-            if p_succ < cf.knill_barnum_bound(n) - 1e-9:
+            if p_succ < knill_barnum_bound(n) - 1e-9:
                 ok = False
                 detail.append(f"KB violated at N={n}, gamma={g}")
     report(6, "noise-adapted fidelity respects the Beigi-Konig bound "
@@ -161,7 +163,7 @@ def test_criterion_11_composed_channel_comparison():
     for n in (2, 5, 9):
         gaps = []
         for g in np.linspace(0.0, 1.0, 21):
-            k = cf.kim_fidelity(n, float(g))
+            k = kim_fidelity(n, float(g))
             f = cf.noiseless_fidelity(n, float(g))
             gaps.append(k - f)
         if min(gaps) < -1e-12:

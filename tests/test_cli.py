@@ -334,6 +334,24 @@ def test_leading_minus_grid_reaches_its_flag(tmp_path):
         assert spaced.read_bytes() == joined.read_bytes(), theta
 
 
+# So does one that starts with '-inf' or '-nan' in any case: the spaced and the
+# '=' spelling reach the same grid check and give the same error.
+@pytest.mark.parametrize("argv", [
+    ("spinboson", "--tau", "-inf,3"),
+    ("spinboson", "--tau", "-nan"),
+    ("spinboson", "--tau", "-Infinity"),
+    ("surface", "--theta", "-inf,1"),
+])
+def test_leading_minus_word_reaches_its_flag(tmp_path, capsys, argv):
+    command, flag, value = argv
+    out = ["--out", str(tmp_path / "x.csv")]
+    assert main([command, flag, value, *out]) == 1
+    spaced = capsys.readouterr().err
+    assert main([command, f"{flag}={value}", *out]) == 1
+    assert capsys.readouterr().err == spaced == f"error: cannot parse grid specification {value!r}\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_flag_without_its_value_is_usage_error(tmp_path, capsys):
     assert main(["surface", "--gamma", "--out", str(tmp_path / "x.csv")]) == 1
     assert "argument --gamma: expected one argument" in capsys.readouterr().err

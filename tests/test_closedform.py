@@ -8,6 +8,8 @@ from pbtlab import checks
 from pbtlab import closedform as cf
 from pbtlab.fidelity import _sector_log_weights
 
+from paper_bounds import kim_fidelity, knill_barnum_bound
+
 
 def test_degeneracy_counts_full_space():
     # the multiplicities d_j' behind the reduced route's sector weights, with
@@ -83,7 +85,7 @@ def test_fidelity_noiseless_povm_endpoints():
 
 
 @pytest.mark.parametrize("route", [cf.f_ih, cf.f_corr, lambda n: cf.beigi_konig_bound(n, 0.5),
-                                   cf.knill_barnum_bound],
+                                   knill_barnum_bound],
                          ids=["f_ih", "f_corr", "beigi_konig_bound", "knill_barnum_bound"])
 def test_port_count_below_one_rejected(route):
     with pytest.raises(ValueError, match=r"^need n >= 1, got 0$"):
@@ -129,18 +131,18 @@ def test_spin_block_trace_equals_n():
 
 def test_kim_fidelity_endpoints():
     for n in (2, 6):
-        assert cf.kim_fidelity(n, 1.0) == pytest.approx(cf.f_ih(n))
-        assert cf.kim_fidelity(n, 0.0) == pytest.approx(cf.f_ih(n) / 3.0 + 1.0 / 6.0)
+        assert kim_fidelity(n, 1.0) == pytest.approx(cf.f_ih(n))
+        assert kim_fidelity(n, 0.0) == pytest.approx(cf.f_ih(n) / 3.0 + 1.0 / 6.0)
 
 
 def test_bounds_sanity():
     assert cf.beigi_konig_bound(9, 0.0) == pytest.approx(0.5 * (1 - 1 / 9))
-    assert cf.knill_barnum_bound(2) == pytest.approx(0.75)
+    assert knill_barnum_bound(2) == pytest.approx(0.75)
     assert cf.helstrom_bound_n2(1.0) == pytest.approx(0.25 * (1 + math.sqrt(3) / 2))
     assert cf.helstrom_bound_n2(0.0) == pytest.approx(0.375)
     # every bound that takes |gamma| runs the one domain check
     for bad in (2.0, math.nan, np.array([0.5, -0.1])):
-        for bound in (cf.beigi_konig_bound, cf.kim_fidelity, lambda n, g: cf.helstrom_bound_n2(g)):
+        for bound in (cf.beigi_konig_bound, kim_fidelity, lambda n, g: cf.helstrom_bound_n2(g)):
             with pytest.raises(ValueError, match=r"^gamma_abs must lie in \[0, 1\], got "):
                 bound(9, bad)
 
