@@ -18,7 +18,7 @@ from . import closedform as cf
 from . import quadrature as qd
 from . import spinboson as sb
 from .ensemble import signal_states
-from .fidelity import _block_spectrum, _sector_blocks, _sector_log_weights, pgm_fidelities_reduced
+from .fidelity import _block_spectrum, _sector_blocks, _sector_weights, pgm_fidelities_reduced
 from .linops import state_fidelity, trace_norm
 from .povm import ent_fidelity, mixed_term, pgm, pgm_fidelity, pgm_taylor, validate
 
@@ -92,15 +92,15 @@ def block_spectrum(n: int, gamma_abs: float) -> np.ndarray:
     2x2 blocks of `fidelity._sector_blocks` (at J = j' - 1/2 only those with
     |M| < j', the others hold a state that does not exist) and the edge
     states |J,-J>|1>_B, |J,J>|0>_B, each with eigenvalue N - 2J.  Each sector
-    is counted 2^(N+1) times its weight from `fidelity._sector_log_weights`.
+    is counted 2^(N+1) times its weight from `fidelity._sector_weights`.
     """
     values = []
-    for two_j, log_w in _sector_log_weights(n):
-        _, ones, zeros, hop, *_ = _sector_blocks(n, [(two_j, log_w)])
+    for two_j, weight in _sector_weights(n):
+        _, ones, zeros, hop, *_ = _sector_blocks(n, [(two_j, weight)])
         _, _, lp, lm, _ = _block_spectrum(4.0 * gamma_abs ** 2, ones, zeros, hop)
         edges = np.array([two_j + 1] + ([two_j - 1] if two_j else []))  # 2J
         sector = [lp[0], lm[0], lp[1, 1:-1], lm[1, 1:-1], n - edges, n - edges]
-        values.append(np.tile(np.concatenate(sector), round(2.0 ** (n + 1) * math.exp(log_w))))
+        values.append(np.tile(np.concatenate(sector), round(2.0 ** (n + 1) * weight)))
     return np.sort(np.concatenate(values))
 
 

@@ -1,7 +1,7 @@
 """Closed-form fidelities and discrimination bounds.
 
-All sums over binomial coefficients are evaluated in log space so that they
-stay finite for port counts in the tens of thousands.
+Every binomial sum weighs its terms with `binomial_weights`, which stay finite
+and accurate to a few ulp for port counts in the tens of thousands.
 """
 
 from __future__ import annotations
@@ -17,8 +17,16 @@ import numpy as np
 CORR_TRACE_SCALE = 0.125
 
 
-def _log_binom(n: int, k: int) -> float:
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+def binomial_weights(n: int) -> list:
+    """C(n, k) / 2^n for k = 0..n as Python floats, normalised to sum 1.  The ratios
+    (n-k)/(k+1) run outward from 1.0 at k = n//2, so no partial product exceeds 1
+    and far tails underflow to 0; the lower half mirrors the upper."""
+    right = [1.0]
+    for k in range(n // 2, n):
+        right.append(right[-1] * ((n - k) / (k + 1)))
+    # the same total as over the mirrored list, but fsum keeps few partials when its terms fall
+    total = math.fsum(right + right[1 + n % 2:])
+    return [w / total for w in right[:n % 2:-1] + right]
 
 
 def f_ih(n: int) -> float:
@@ -26,11 +34,10 @@ def f_ih(n: int) -> float:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     total = 0.0
-    log_scale = (n + 3) * math.log(2.0)
-    for k in range(n + 1):
+    for k, w in enumerate(binomial_weights(n)):
         a = (n - 2 * k - 1) / math.sqrt(k + 1) + (n - 2 * k + 1) / math.sqrt(n - k + 1)
-        total += math.exp(_log_binom(n, k) - log_scale) * a * a
-    return total
+        total += w * a * a
+    return total / 8.0
 
 
 def f_corr(n: int) -> float:
@@ -38,10 +45,9 @@ def f_corr(n: int) -> float:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     total = 0.0
-    log_scale = n * math.log(2.0)
-    for k in range(n + 1):
+    for k, w in enumerate(binomial_weights(n)):
         a = 1.0 / math.sqrt(k + 1) - 1.0 / math.sqrt(n - k + 1)
-        total += math.exp(_log_binom(n, k) - log_scale) * ((n - 2 * k) ** 2 - 1) * a * a
+        total += w * ((n - 2 * k) ** 2 - 1) * a * a
     return total / 3.0
 
 
@@ -52,15 +58,15 @@ def f_corr_trace(n: int) -> float:
 
 def noiseless_fidelity(n: int, gamma_abs, theta=0.0):
     """Entanglement fidelity of the noiseless measurement on the ensemble dephased
-    to |gamma| (checked by `check_gamma_abs`) at phase theta, each a float or an
-    array, broadcast against each other.
+    to |gamma| (checked by `check_gamma_abs`) at phase theta (checked by
+    `check_theta`), each a float or an array, broadcast against each other.
 
     Affine in the overlap |gamma| cos(theta): weight (1 +/- overlap)/2 on the
     singlet and triplet channels respectively.  Call it once per N on a whole
     grid: each call evaluates the two O(N) sums.
     """
     ih, corr = f_ih(n), f_corr_trace(n)
-    overlap = check_gamma_abs(gamma_abs) * np.cos(theta)
+    overlap = check_gamma_abs(gamma_abs) * np.cos(check_theta(theta))
     return 0.5 * (1.0 + overlap) * ih + 0.5 * (1.0 - overlap) * corr
 
 
@@ -76,6 +82,16 @@ def check_gamma_abs(gamma_abs) -> np.ndarray:
     if bad.any():
         raise ValueError(f"gamma_abs must lie in [0, 1], got {g[bad][0]}")
     return g
+
+
+def check_theta(theta) -> np.ndarray:
+    """theta, a float or an array, as a float array: the one domain check of theta.
+    Raises ValueError for an entry that is infinite or NaN."""
+    t = np.asarray(theta, dtype=float)
+    bad = ~np.isfinite(t)
+    if bad.any():
+        raise ValueError(f"theta must be finite, got {t[bad][0]}")
+    return t
 
 
 # Rounding may carry an entanglement fidelity this far outside [0, 1].

@@ -7,7 +7,8 @@ significant), Bob's qubit B last.  Bell conventions: |psi-> = (|01> - |10>)/sqrt
 `signal_states(n, gamma_abs, theta)` stacks the N signal states, d = 2^(N+1):
 state i is the dephased Bell block (`decohered_bell`) on (A_i, B) times the
 maximally mixed state of the other ports.  It takes the fast path's plain
-|gamma| and theta, and checks |gamma| with the same `closedform.check_gamma_abs`.
+|gamma| and theta, and checks them with the same `closedform.check_gamma_abs`
+and `closedform.check_theta`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 
 import numpy as np
 
-from .closedform import check_gamma_abs
+from .closedform import check_gamma_abs, check_theta
 
 PSI_MINUS = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
 PSI_PLUS = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / math.sqrt(2.0)
@@ -35,8 +36,7 @@ def decohered_bell(gamma_abs: float, theta: float = 0.0) -> np.ndarray:
     (1 +- |gamma|)/2, so it is a state once those checks pass.
     """
     check_gamma_abs(gamma_abs)
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta}")
+    check_theta(theta)
     g, th = gamma_abs, theta
     return (0.5 * (1.0 + g * np.cos(th)) * P_MINUS + 0.5 * (1.0 - g * np.cos(th)) * P_PLUS
             + 0.5j * g * np.sin(th) * BELL_CROSS)

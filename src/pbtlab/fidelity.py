@@ -10,12 +10,9 @@ small-N oracle is the dense `povm.pgm_fidelity(signal_states(...))`.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import closedform
-from .closedform import _log_binom
 
 # Eigenvalues below this times the largest lie off the support, here and in
 # the dense `linops`, which imports it from here.
@@ -26,20 +23,15 @@ DEFAULT_RANK_TOL = 1e-12
 BLOCK_CHUNK = 1 << 14
 
 
-def _sector_log_weights(n: int) -> list:
-    """(2j', log(d_j' / 2^(N+1))) for each spin sector j' of the ports A_2..A_N.
+def _sector_weights(n: int) -> list:
+    """(2j', d_j' / 2^(N+1)) for each spin sector j' of the ports A_2..A_N.
 
     d_j' = C(N-1, k) (2j'+1) / (N-k) with k = (N-1)/2 - j' is the number of
-    times spin j' occurs among N-1 spins 1/2, evaluated in log space so that
-    it stays finite for any N.
+    times spin j' occurs among N-1 spins 1/2; its weight is
+    `closedform.binomial_weights(N-1)[k]` (2j'+1) / (N-k) / 4, finite for any N.
     """
-    m = n - 1
-    out = []
-    for k in range(m // 2 + 1):
-        two_j = m - 2 * k
-        log_d = _log_binom(m, k) + math.log(two_j + 1) - math.log(m - k + 1)
-        out.append((two_j, log_d - (n + 1) * math.log(2.0)))
-    return out
+    w = closedform.binomial_weights(n - 1)
+    return [(n - 1 - 2 * k, w[k] * (n - 2 * k) / (n - k) / 4) for k in range((n + 1) // 2)]
 
 
 def _sector_blocks(n: int, sectors: list) -> tuple:
@@ -53,7 +45,7 @@ def _sector_blocks(n: int, sectors: list) -> tuple:
     -cu cd sqrt(hop).  A state that does not exist has hop 0 and no Clebsch-Gordan weight.
     """
     two_j = np.array([t for t, _ in sectors])
-    weight = np.repeat(np.exp([log_w for _, log_w in sectors]), two_j + 1)
+    weight = np.repeat([w for _, w in sectors], two_j + 1)
     two_m = np.concatenate([np.arange(-t, t + 1, 2) for t in two_j])
     two_j = np.repeat(two_j, two_j + 1)
     plus, minus = two_j + two_m, two_j - two_m  # 2 (j' + M), 2 (j' - M)
@@ -89,7 +81,7 @@ def pgm_fidelities_reduced(n: int, gamma_abs) -> np.ndarray:
     + q J_+ |1><0|_B + h.c., J the total spin of all N ports: 2x2 blocks on
     |J,m>|0>_B, |J,m+1>|1>_B (`_block_spectrum`).  S and eta_1 commute with
     permutations of A_2..A_N, so they split into spin sectors j' of those
-    ports, each counted d_j' times (`_sector_log_weights`).  The eta_1 states
+    ports, each counted d_j' times (`_sector_weights`).  The eta_1 states
     |01>|j',M>, |10>|j',M> lie, by Clebsch-Gordan coupling, in the m = M - 1/2
     blocks of J = j' +- 1/2 (`_sector_blocks`), so their corner of X sums two blocks' X.
     On a block X = ((tr + sqrt(l+ l-)) I - block) / (sqrt(l+ l-) (sqrt(l+) +
@@ -110,7 +102,7 @@ def pgm_fidelities_reduced(n: int, gamma_abs) -> np.ndarray:
     qq = 4.0 * g[:, None, None] ** 2
     cut = DEFAULT_RANK_TOL * (n + 1 + np.sqrt((n - 1) ** 2 + n * qq))
     total = np.zeros(len(g))
-    sectors = _sector_log_weights(n)
+    sectors = _sector_weights(n)
     one_stack = sum(t + 1 for t, _ in sectors) <= BLOCK_CHUNK
     for piece in [sectors] if one_stack else [[sector] for sector in sectors]:
         weight, ones, zeros, hop, cu2, cd2, xo = _sector_blocks(n, piece)

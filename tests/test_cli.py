@@ -66,9 +66,10 @@ def test_gamma_range_is_one_check(tmp_path, capsys, argv):
     assert main(argv + ["--gamma", "1.0000000000005"] + out) == 0
 
 
-# Outputs of the closed-form and reduced routes, generated before those sweeps
-# went array-first.  spinboson has none: its rows go through numpy's exp,
-# sin and cos, which may differ in the last bit from one CPU to another.
+# Outputs of the closed-form and reduced routes, generated with these argvs
+# once both took their binomial weights from `closedform.binomial_weights`.
+# spinboson has none: its rows go through numpy's exp, sin and cos, which may
+# differ in the last bit from one CPU to another.
 GOLDEN = {
     "surface.csv": ["surface", "--n", "3", "--gamma", "0:1:7", "--theta", "0:6.3:9"],
     "vs_n.csv": ["vs-n", "--n", "1:12", "--gamma", "0:1:5", "--theta", "0,1.3,3.1"],

@@ -6,7 +6,7 @@ import pytest
 
 from pbtlab import checks
 from pbtlab import closedform as cf
-from pbtlab.fidelity import _sector_log_weights
+from pbtlab.fidelity import _sector_weights
 
 from paper_bounds import kim_fidelity, knill_barnum_bound
 
@@ -16,8 +16,8 @@ def test_degeneracy_counts_full_space():
     # each irrep's dimension 2j'+1, count the 2^m states of m = N-1 spins 1/2
     for m in range(1, 9):
         total = 0
-        for two_j, log_w in _sector_log_weights(m + 1):
-            d = 2.0 ** (m + 2) * math.exp(log_w)
+        for two_j, weight in _sector_weights(m + 1):
+            d = 2.0 ** (m + 2) * weight
             assert d == pytest.approx(round(d), abs=1e-9)
             total += (two_j + 1) * round(d)
         assert total == 2 ** m
@@ -35,9 +35,21 @@ def test_f_ih_monotone_to_one():
     assert vals[-1] < 1.0
 
 
-def test_f_ih_large_n_does_not_overflow():
-    v = cf.f_ih(10_000)
-    assert 0.99 < v < 1.0
+def test_binomial_weights_match_exact_binomials():
+    # math.comb(n, k) / 2 ** n is an int division, which CPython rounds
+    # correctly; measured at most 12 ulp off for n <= 200
+    for n in range(201):
+        weights = cf.binomial_weights(n)
+        assert len(weights) == n + 1
+        for k, w in enumerate(weights):
+            exact = math.comb(n, k) / 2 ** n
+            assert abs(w - exact) <= 50 * math.ulp(exact)
+        assert weights == weights[::-1]  # the mirror image, bit for bit
+        assert abs(math.fsum(weights) - 1.0) <= 2 * math.ulp(1.0)
+    # far from the centre the weights underflow to 0; none overflows
+    weights = cf.binomial_weights(100_000)
+    assert all(math.isfinite(w) for w in weights)
+    assert weights[0] == weights[-1] == 0.0 and max(weights) < 1.0
 
 
 def _closed_forms_mpmath(n):
@@ -55,10 +67,13 @@ def _closed_forms_mpmath(n):
 
 
 # Absolute error bounds of the float sums at large N, about four times the
-# measured errors: f_ih 1.1e-14, 3.1e-13 and 1.2e-12 at N = 100, 1000 and 3000
-# (growing with N), f_corr at most 1.1e-15.
-@pytest.mark.parametrize("n, ih_bound, corr_bound", [(100, 5e-14, 5e-15), (1000, 1.5e-12, 5e-15),
-                                                     (3000, 5e-12, 5e-15)])
+# measured errors: f_ih 1.4e-16, 3.2e-16, 4.3e-16, 5.1e-16 and 2.4e-16 at
+# N = 100, 1000, 3000, 10^4 and 3*10^4, f_corr at most 1.5e-18 (N = 1000) of a
+# value near 2/N.  The N = 10^4 and 3*10^4 sums stay finite: no partial
+# product of `binomial_weights` exceeds 1.
+@pytest.mark.parametrize("n, ih_bound, corr_bound", [
+    (100, 6e-16, 3e-19), (1000, 1.5e-15, 6e-18), (3000, 2e-15, 1e-18),
+    (10_000, 2e-15, 8e-19), (30_000, 1e-15, 2e-19)])
 def test_closed_forms_match_mpmath_at_large_n(n, ih_bound, corr_bound):
     with mpmath.workdps(40):
         ih, corr = _closed_forms_mpmath(n)
@@ -98,6 +113,15 @@ def test_noiseless_fidelity_checks_gamma_abs(bad):
     for gamma_abs in (bad, np.array([0.5, bad])):
         with pytest.raises(ValueError, match=rf"^gamma_abs must lie in \[0, 1\], got {bad}$"):
             cf.noiseless_fidelity(3, gamma_abs, 0.2)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_noiseless_fidelity_checks_theta(bad):
+    # a non-finite theta is named, as a float and as an array entry, with the
+    # dense oracle's message, rather than giving a NaN fidelity
+    for theta in (bad, np.array([0.2, bad])):
+        with pytest.raises(ValueError, match=rf"^theta must be finite, got {bad}$"):
+            cf.noiseless_fidelity(3, 0.5, theta)
 
 
 def test_teleport_fidelity_map():

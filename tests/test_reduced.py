@@ -12,7 +12,7 @@ from pbtlab.fidelity import (
     DEFAULT_RANK_TOL,
     _block_spectrum,
     _sector_blocks,
-    _sector_log_weights,
+    _sector_weights,
     pgm_fidelities_reduced,
 )
 
@@ -33,24 +33,28 @@ def test_compare_routes_match_dense(n):
     assert all(gap.ok for gap in checks.closed_form_vs_trace((n,), GAMMAS, THETAS, TOL))
 
 
-@pytest.mark.parametrize("n", [*range(1, 13), 20, 40, 100, 300])
+# The anchors beyond the dense oracle's N <= 8: |gamma| = 1 gives f_ih and
+# |gamma| = 0 gives 1/2 - 2^-(N+1).  Measured at most 6.7e-16 (|gamma| = 1,
+# N = 3000) and 1.7e-16 (|gamma| = 0) up to N = 3000: the sector weights and
+# f_ih share `closedform.binomial_weights`, accurate to a few ulp, and the
+# block traces add no more than round-off.
+ANCHOR_TOL = 3e-15
+
+
+@pytest.mark.parametrize("n", [*range(1, 13), 20, 40, 100, 300, 1000, 3000])
 def test_pure_singlet_gives_f_ih(n):
     # At |gamma| = 1 each signal state is pure and S is rank-deficient, so
-    # the result depends on the rank cut.  Beyond N = 8 this is an anchor in
-    # place of the dense oracle; measured at most 1.9e-13 (N = 300), the
-    # round-off of ~N^2/4 block traces on eigenvalues of size ~2N, within TOL.
-    assert abs(pgm_fidelities_reduced(n, [1.0])[0] - cf.f_ih(n)) <= TOL
-
-
-# Another anchor beyond the dense oracle's N <= 8: gamma = 0 gives
-# 1/2 - 2^-(N+1), measured at most 1.7e-14 for N <= 60.
-GAMMA_ZERO_TOL = 1e-13
+    # the result depends on the rank cut.  The same call serves the
+    # |gamma| = 0 anchor.
+    one, zero = pgm_fidelities_reduced(n, [1.0, 0.0])
+    assert abs(one - cf.f_ih(n)) <= ANCHOR_TOL
+    assert abs(zero - (0.5 - 2.0 ** -(n + 1))) <= ANCHOR_TOL
 
 
 def test_fully_dephased_gives_half_minus_two_to_minus_n_plus_one():
     for n in range(1, 61):
         (got,) = pgm_fidelities_reduced(n, [0.0])
-        assert abs(got - (0.5 - 2.0 ** -(n + 1))) <= GAMMA_ZERO_TOL
+        assert abs(got - (0.5 - 2.0 ** -(n + 1))) <= ANCHOR_TOL
 
 
 MIXED_GRID = (1.0, 0.3, 1.0, 0.0, 0.999, 1.0)
@@ -102,7 +106,7 @@ def test_largest_eigenvalue_sits_in_top_sector(n):
     # spin N/2 and m = -N/2 or N/2 - 1, where the rank cut takes it; total
     # spin N/2 lies only in the top sector j' = (N-1)/2, row 0 of its blocks
     for g in (0.0, 0.3, 0.999, 1.0):
-        tops = [top_eigenvalues(n, two_j, g) for two_j, _ in _sector_log_weights(n)]
+        tops = [top_eigenvalues(n, two_j, g) for two_j, _ in _sector_weights(n)]
         largest = tops[0][0].max()
         assert largest == max(t.max() for t in tops)
         # at |gamma| = 1 l+ is flat in m, so the ends tie with the rest to round-off
@@ -126,7 +130,7 @@ def test_smallest_eigenvalue_stays_above_minus_the_cut():
     # half the cut: measured -0.5001 cut (N = 55) over these N.
     qq = 4.0 * np.array([1.0 + cf.GAMMA_SLACK]) ** 2  # as pgm_fidelities_reduced forms it
     for n in [*range(1, 61), 100, 300, 1000]:
-        _, ones, zeros, hop, *_ = _sector_blocks(n, _sector_log_weights(n))
+        _, ones, zeros, hop, *_ = _sector_blocks(n, _sector_weights(n))
         lm = _block_spectrum(qq, ones, zeros, hop)[3]
         cut = DEFAULT_RANK_TOL * (n + 1 + np.sqrt((n - 1) ** 2 + n * qq))
         assert (lm / cut).min() >= -1.0, n
@@ -139,19 +143,19 @@ def test_rejects_empty_port_set():
 
 @pytest.mark.parametrize("n", range(1, 21))
 def test_sector_weights_match_exact_degeneracy(n):
-    for two_j, log_w in _sector_log_weights(n):
+    for two_j, weight in _sector_weights(n):
         k = (n - 1 - two_j) // 2
         exact = math.comb(n - 1, k) * (two_j + 1) // (n - k) / 2 ** (n + 1)
-        # lgamma-based logs carry ~1e-15 relative error per term
-        assert math.exp(log_w) == pytest.approx(exact, rel=1e-12)
+        # a few roundings on binomial weights of a few ulp: measured 2.7e-16
+        assert weight == pytest.approx(exact, rel=1e-15)
 
 
 def test_sector_weights_sum_to_one_at_large_n():
     # sum_j' 4 (2j'+1) d_j' / 2^(N+1) = 4 * 2^(N-1) / 2^(N+1) = 1: the sectors
     # fill the whole space.  At N = 2000, 2^2001 and the largest d_j' overflow
-    # a float, their logs do not.
-    for n in [*range(1, 61), 2000]:
-        logs = _sector_log_weights(n)
-        assert all(math.isfinite(log_w) for _, log_w in logs)
-        total = math.fsum(4 * (two_j + 1) * math.exp(log_w) for two_j, log_w in logs)
-        assert abs(total - 1.0) <= 1e-12
+    # a float, their weights do not; measured within 3.3e-16 of 1.
+    for n in [*range(1, 61), 2000, 10_000]:
+        weights = _sector_weights(n)
+        assert all(math.isfinite(weight) for _, weight in weights)
+        total = math.fsum(4 * (two_j + 1) * weight for two_j, weight in weights)
+        assert abs(total - 1.0) <= 1e-15
