@@ -81,7 +81,7 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _emit(args, header: List[str], rows: List[list], **extra) -> int:
+def _emit(args, header: List[str], rows: List[tuple], **extra) -> int:
     """Write the table to args.out: CSV with a JSON sidecar (its "rows" the row
     count), or JSON (its "rows" the rows, None as null).  Both dump the same
     {config, columns, rows} object, its config the parsed flags updated by extra."""
@@ -92,14 +92,17 @@ def _emit(args, header: List[str], rows: List[list], **extra) -> int:
         table["rows"] = [[None if v is None else float(v) for v in row] for row in rows]
         json_path = args.out
     else:
-        lines = [",".join(header)] + [",".join(map(_fmt, row)) for row in rows]
+        # one % per row: "%.17g" gives _fmt's text for a float, an int and a
+        # numpy float64, but takes no None, so a row holding one goes cell by cell
+        template = ",".join(["%.17g"] * len(header))
+        lines = [",".join(header)] + [",".join(map(_fmt, row)) if None in row else template % row
+                                      for row in rows]
         if not args.no_timestamp:
             lines.insert(0, "# generated " + datetime.datetime.now(datetime.timezone.utc).isoformat())
         with open(args.out, "w", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
     with open(json_path, "w") as fh:
-        json.dump(table, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(table, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
 
@@ -172,8 +175,9 @@ def cmd_spinboson(args) -> int:
         raise ValueError("spinboson requires at least one povm mode")
     taus = _parse_grid(args.tau)
     ohmicities, temps = _parse_grid(args.s), _parse_grid(args.temp_ratio)
-    s, th, ell = sb.check_bath(np.repeat(ohmicities, len(temps)),
-                               np.tile(temps, len(ohmicities)), args.ell)
+    # the baths, s-major, as lists: the ohmicity and temp_ratio columns repeat them
+    bath_s, bath_th = [v for v in ohmicities for _ in temps], temps * len(ohmicities)
+    s, th, ell = sb.check_bath(bath_s, bath_th, args.ell)
     if taus != sorted(taus):
         raise ValueError("tau grid must be sorted ascending")
     for mode in modes:
@@ -182,9 +186,9 @@ def cmd_spinboson(args) -> int:
     # one stacked evaluation for every bath and tau, shared by both measurements
     chis, phases = sb.decoherence_grid(taus, s, th, ell)
     gamma_abs = np.exp(-chis)
-    columns = [np.repeat(s, len(taus)), np.repeat(th, len(taus)), np.tile(taus, s.size),
-               chis, phases, gamma_abs]
-    columns = [np.ravel(col).tolist() for col in columns]
+    columns = [[v for v in bath_s for _ in taus], [v for v in bath_th for _ in taus],
+               taus * len(bath_s), chis.ravel().tolist(), phases.ravel().tolist(),
+               gamma_abs.ravel().tolist()]
     for mode in POVM_MODES:  # each requested route runs once, on the whole grid
         if mode not in modes:
             columns.append([None] * chis.size)

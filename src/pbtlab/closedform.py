@@ -29,26 +29,28 @@ def binomial_weights(n: int) -> list:
     return [w / total for w in right[:n % 2:-1] + right]
 
 
-def f_ih(n: int) -> float:
-    """Entanglement fidelity of ideal deterministic PBT with N ports."""
+def _noiseless_terms(n: int) -> tuple:
+    """(f_ih(n), f_corr(n)): one build of the weights, one walk over k for both sums."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    total = 0.0
+    ih = corr = 0.0
     for k, w in enumerate(binomial_weights(n)):
-        a = (n - 2 * k - 1) / math.sqrt(k + 1) + (n - 2 * k + 1) / math.sqrt(n - k + 1)
-        total += w * a * a
-    return total / 8.0
+        root_k, root_rest = math.sqrt(k + 1), math.sqrt(n - k + 1)
+        a = (n - 2 * k - 1) / root_k + (n - 2 * k + 1) / root_rest
+        ih += w * a * a
+        a = 1.0 / root_k - 1.0 / root_rest
+        corr += w * ((n - 2 * k) ** 2 - 1) * a * a
+    return ih / 8.0, corr / 3.0
+
+
+def f_ih(n: int) -> float:
+    """Entanglement fidelity of ideal deterministic PBT with N ports."""
+    return _noiseless_terms(n)[0]
 
 
 def f_corr(n: int) -> float:
     """Correction term weighting the triplet contamination of the signal states."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    total = 0.0
-    for k, w in enumerate(binomial_weights(n)):
-        a = 1.0 / math.sqrt(k + 1) - 1.0 / math.sqrt(n - k + 1)
-        total += w * ((n - 2 * k) ** 2 - 1) * a * a
-    return total / 3.0
+    return _noiseless_terms(n)[1]
 
 
 def f_corr_trace(n: int) -> float:
@@ -63,9 +65,10 @@ def noiseless_fidelity(n: int, gamma_abs, theta=0.0):
 
     Affine in the overlap |gamma| cos(theta): weight (1 +/- overlap)/2 on the
     singlet and triplet channels respectively.  Call it once per N on a whole
-    grid: each call evaluates the two O(N) sums.
+    grid: each call builds the weights once and walks them once for both sums.
     """
-    ih, corr = f_ih(n), f_corr_trace(n)
+    ih, corr = _noiseless_terms(n)
+    corr *= CORR_TRACE_SCALE
     overlap = check_gamma_abs(gamma_abs) * np.cos(check_theta(theta))
     return 0.5 * (1.0 + overlap) * ih + 0.5 * (1.0 - overlap) * corr
 

@@ -173,9 +173,9 @@ def check_tau(taus) -> np.ndarray:
 def check_bath(ohmicity, temperature_ratio, separation) -> np.ndarray:
     """The baths as one float array of three rows (s, theta_T, ell), a column
     per bath: the one domain check of a bath.  The arguments, floats or 1-d
-    arrays, are broadcast.  For the first bath with a bad entry it raises
-    ValueError naming an ohmicity that is not finite and above 1, else a
-    temperature ratio, else a separation, that is not finite and >= 0."""
+    arrays or lists, are broadcast.  For the first bath with a bad entry it
+    raises ValueError naming an ohmicity that is not finite and above 1, else
+    a temperature ratio, else a separation, that is not finite and >= 0."""
     bath = np.empty((3,) + (np.broadcast(ohmicity, temperature_ratio, separation).shape or (1,)))
     bath[0], bath[1], bath[2] = ohmicity, temperature_ratio, separation
     bad = ~(np.isfinite(bath) & (bath >= 0.0))
@@ -205,6 +205,12 @@ def decoherence_grid(taus, ohmicity, temperature_ratio, separation) -> tuple:
     ValueError (`check_bath`, `check_tau`, which the quadrature oracle
     shares), and so does a chi or phase outside the float range (s above
     about 172), naming the first such bath.
+
+    Nothing flags the digits lost at large tau as s -> 1, where chi is a
+    small difference of powers of size ~Gamma(s - 1) tau^(2 - s).  Against
+    60-digit mpmath at theta_T = 0.9 and s = 1.01, chi's relative error is
+    1.5e-7 at tau = 1e8 and 3.8e-5 at tau = 1e12; at s = 1.5, chi stays at
+    5.741 for every tau >= 1e150, against 5.975 at tau = 1e10.
     """
     s, th, ell = check_bath(ohmicity, temperature_ratio, separation)
     taus = check_tau(taus)

@@ -42,9 +42,11 @@ def test_surface_grid_and_corner(tmp_path):
 
 
 def test_surface_computes_closed_form_terms_once(tmp_path, monkeypatch):
-    # one closed-form call per N on the whole grid, the vs-n reference column included
+    # one build of the closed form's weights per N on the whole grid, the vs-n
+    # reference column included
     calls = []
-    monkeypatch.setattr(cf, "f_ih", lambda n, f_ih=cf.f_ih: calls.append(n) or f_ih(n))
+    monkeypatch.setattr(cf, "binomial_weights",
+                        lambda n, weights=cf.binomial_weights: calls.append(n) or weights(n))
     assert main(["surface", "--n", "4", "--gamma", "0:1:3", "--out", str(tmp_path / "s.csv")]) == 0
     assert calls == [4]
     calls.clear()
@@ -82,6 +84,31 @@ def test_output_matches_golden_bytes(tmp_path, name):
     out = tmp_path / name
     assert main(GOLDEN[name] + ["--no-timestamp", "--out", str(out)]) == 0
     assert out.read_bytes() == (Path(__file__).parent / "golden" / name).read_bytes()
+
+
+# What `_emit` writes, whichever path formats a row: each CSV cell is the
+# JSON rows' value at 17 significant digits (empty for null), and each JSON
+# file is its object dumped with indent 2 and sorted keys.  This holds on
+# every platform, so it covers spinboson, which has no golden file.
+@pytest.mark.parametrize("argv", [
+    ["surface", "--n", "3", "--gamma", "0:1:4", "--theta", "0,1"],
+    ["vs-n", "--n", "1:3", "--gamma", "0.5,1", "--theta", "0,2"],
+    ["compare", "--n", "2,3,7", "--gamma", "0:1:5"],
+    ["spinboson", "--n", "3", "--s", "2,3", "--temp-ratio", "0.1,0.9", "--tau", "0:4:5",
+     "--povm", "closed_form,noise_adapted"],
+    ["spinboson", "--n", "3", "--tau", "0:2:3", "--povm", "noise_adapted"],
+], ids=["surface", "vs-n", "compare", "spinboson", "spinboson-noise-adapted"])
+def test_csv_cells_are_the_json_rows_at_17_digits(tmp_path, argv):
+    csv_out, json_out = tmp_path / "t.csv", tmp_path / "t.json"
+    assert main(argv + ["--no-timestamp", "--out", str(csv_out)]) == 0
+    assert main(argv + ["--format", "json", "--out", str(json_out)]) == 0
+    payload = json.loads(json_out.read_text())
+    lines = [",".join(payload["columns"])] + [
+        ",".join("" if v is None else format(v, ".17g") for v in row) for row in payload["rows"]]
+    assert csv_out.read_text() == "\n".join(lines) + "\n"
+    for path in (tmp_path / "t.csv.json", json_out):
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
 def test_surface_writes_json_sidecar(tmp_path):

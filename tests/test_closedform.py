@@ -81,6 +81,19 @@ def test_closed_forms_match_mpmath_at_large_n(n, ih_bound, corr_bound):
         assert abs(cf.f_corr(n) - corr) <= corr_bound
 
 
+def test_noiseless_fidelity_builds_the_weights_once(monkeypatch):
+    # one build of the weights per call serves both sums, which equal f_ih and
+    # f_corr_trace bit for bit at the overlaps 1 and -1
+    calls = []
+    monkeypatch.setattr(cf, "binomial_weights",
+                        lambda n, weights=cf.binomial_weights: calls.append(n) or weights(n))
+    for n in (1, 4, 301):
+        f = cf.noiseless_fidelity(n, [1.0, 0.5, 1.0], [0.0, 1.0, math.pi])
+        assert calls == [n]
+        assert f[0] == cf.f_ih(n) and f[2] == cf.f_corr_trace(n)
+        calls.clear()
+
+
 def test_f_corr_peak_at_six():
     vals = {n: cf.f_corr(n) for n in range(1, 21)}
     assert max(vals, key=vals.get) == 6

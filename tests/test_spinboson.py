@@ -3,6 +3,7 @@ import json
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
 from pbtlab import checks
@@ -56,16 +57,20 @@ def test_params_validation():
 
 def test_check_bath_names_the_first_bad_bath():
     # one entry per bath, broadcast; the first bad bath is named, and within it
-    # the ohmicity before the temperature ratio before the separation
+    # the ohmicity before the temperature ratio before the separation; lists
+    # (the CLI passes its baths as lists) and arrays give the same result
     s, th, ell = sb.check_bath([2.0, 3.0], [0.1, 0.9], 3.0)
     assert (s.tolist(), th.tolist(), ell.tolist()) == ([2.0, 3.0], [0.1, 0.9], [3.0, 3.0])
+    assert np.array_equal(sb.check_bath(np.array([2.0, 3.0]), np.array([0.1, 0.9]), 3.0),
+                          np.array([s, th, ell]))
     for bath, message in (
             (([2.0, 0.5], -1.0, 3.0), "temperature ratio must be finite and >= 0, got -1.0"),
             (([0.5, 2.0], [-1.0, -2.0], -3.0), "ohmicity must be finite and exceed 1, got 0.5"),
             ((2.0, [0.1, math.nan], [-1.0, 3.0]), "separation must be finite and >= 0, got -1.0")):
-        for route in BATH_ROUTES[:2]:  # the quadrature takes one bath
+        for route, args in itertools.product(BATH_ROUTES[:2],  # the quadrature takes one bath
+                                             (bath, [np.asarray(v) for v in bath])):
             with pytest.raises(ValueError, match=f"^{message}$"):
-                route(*bath)
+                route(*args)
 
 
 def test_chi_trivial_zeros():
