@@ -13,7 +13,7 @@ import numpy as np
 # The printed closed form of the correction term counts every k and its
 # mirror N-k separately and omits the 1/4 entanglement-fidelity prefactor;
 # the per-port trace that actually enters the teleportation fidelity is the
-# printed sum divided by 8.  See f_corr_trace below.
+# printed sum divided by 8, as `noiseless_fidelity` scales it.
 CORR_TRACE_SCALE = 0.125
 
 
@@ -51,11 +51,6 @@ def f_ih(n: int) -> float:
 def f_corr(n: int) -> float:
     """Correction term weighting the triplet contamination of the signal states."""
     return _noiseless_terms(n)[1]
-
-
-def f_corr_trace(n: int) -> float:
-    """The correction as it enters the fidelity: (1/4) sum_i tr(Pi_i omega_i)."""
-    return CORR_TRACE_SCALE * f_corr(n)
 
 
 def noiseless_fidelity(n: int, gamma_abs, theta=0.0):

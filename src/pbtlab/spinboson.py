@@ -23,11 +23,11 @@ with zeta the Hurwitz zeta (expand coth in powers of e^{-w/theta_T}):
 
 `decoherence_grid` evaluates these for many baths on a whole tau grid at
 once; the weights of each combination sum to zero, so a t-independent
-constant in G cancels.  Its arithmetic is float64 throughout, except at
-small tau about t = ell: there the first-order cancellation of the powers
-is taken out by a series in the complex ratio tau / (b - i ell), b the
-real base of a power in G, and that series stays complex (see
-`_second_difference`).
+constant in G cancels.  chi steps by the shorter of tau and ell about the
+longer.  Its arithmetic is float64 throughout, except near the centre
+y != 0 of a step h: there the first-order cancellation of the powers is
+taken out by a series in the complex ratio h / (b - i y), b the real base
+of a power in G, and that series stays complex (see `_second_difference`).
 `quadrature.chi_and_error` and `quadrature.phase_and_error` integrate the frequency integrals by
 adaptive quadrature and are the independent check of that route.
 
@@ -61,67 +61,64 @@ def _power(log_coef, alpha, b, y) -> tuple:
     return np.exp(log_coef - alpha * np.log(np.hypot(b, y))), alpha * np.arctan2(y, b)
 
 
-def _second_difference(base, ell, alpha, log_coef, taus: np.ndarray) -> tuple:
-    """D(c) = e^log_coef [(c - i tau)^(-alpha)/2 + (c + i tau)^(-alpha)/2 - c^(-alpha)]
-    for columns base, ell, alpha, log_coef (one row each) against a row of
-    taus, about c = base and about c = base - i ell: two (rows, taus) arrays,
-    D(base) real and D(base - i ell) complex.
+def _bracket(alpha, x, log_1x2):
+    """expm1(m) - 2 e^m sin^2(alpha arctan(x) / 2), m = -(alpha/2) log(1 + x^2), for
+    real or complex x and its log(1 + x^2): the series of `_second_difference`."""
+    expm1_m = np.expm1(-0.5 * alpha * log_1x2)
+    return expm1_m - 2.0 * (1.0 + expm1_m) * np.sin(0.5 * alpha * np.arctan(x)) ** 2
+
+
+def _second_difference(base, alpha, log_coef, h: np.ndarray, y: np.ndarray) -> tuple:
+    """D(c) = e^log_coef [(c - i h)^(-alpha)/2 + (c + i h)^(-alpha)/2 - c^(-alpha)]
+    for columns base, alpha, log_coef (one row each) and (rows, taus) arrays
+    of steps h and centres y, about c = base and about c = base - i y: two
+    (rows, taus) arrays, D(base) real and D(base - i y) complex.
 
     Each power is one exp of a logarithm, so a large coefficient does not
-    overflow on its own.  Summed directly, the three powers cancel as
-    tau -> 0; where |alpha x| < 1/2, x = tau / c, the bracket is therefore
+    overflow on its own.  Summed directly, the three powers cancel as h -> 0;
+    with x = h / c the bracket is
     c^(-alpha) [expm1(m) - 2 e^m sin^2(alpha arctan(x) / 2)], m = -(alpha/2) log(1 + x^2)
-    (e^m as 1 + expm1(m), whose rounding stays within the bracket's).
-    Farther out the direct sum of `_power`s is kept: there the powers differ
-    in size by large factors and that product would lose their phases.
-    Where alpha = 0 it returns the limit of the bracket over alpha,
-    -(1/2) log(1 + x^2) times e^log_coef.
+    (e^m as 1 + expm1(m), whose rounding stays within the bracket's;
+    `_bracket`), which takes that cancellation out.  Where alpha = 0 it
+    returns the limit of the bracket over alpha, -(1/2) log(1 + x^2) times
+    e^log_coef.
 
-    About 0, c and x are real and so is every term: both forms are evaluated
-    in float64 over the whole array, and `np.where` picks each entry's.
-    About ell the powers are `_power`s too, at y = ell for the centre and at
-    y = ell -/+ tau for the far entries, where the direct form about 0 takes
-    y = tau; at tau >> ell the two passes then round alike, and chi, their
-    difference, keeps its digits.  The near entries about ell stay complex:
-    x is complex there, and only the series, in complex expm1, sin and
-    arctan of it, avoids the first-order cancellation of the direct sum at
-    small tau (log(1 + x^2) is by hand: numpy's complex log1p loses small
-    arguments).  Each branch about ell is gathered by index pairs and
-    evaluated on its own entries.
+    About 0, c and x are real, the series is exact at every x and it is
+    evaluated in float64 over the whole array.  About y, x is complex; the
+    series, in complex expm1, sin and arctan of it, is taken at the near
+    entries, |alpha| h < |c| / 2 (log(1 + x^2) is by hand: numpy's complex
+    log1p loses small arguments).  At the far entries the powers differ in
+    size by large factors and that product would lose their phases, so
+    there the three powers are `_power`s at y + h, y - h and y, summed in
+    float64.  Each branch about y is gathered by index pairs and evaluated
+    on its own entries.
     """
-    # about 0: both forms over every entry in float64; np.where picks
-    x = taus / base
+    # about 0: the series over every entry in float64
+    x = h / base
     log_1x2 = np.log1p(x * x)
-    expm1_m = np.expm1(-0.5 * alpha * log_1x2)
-    modulus, turn = _power(log_coef, alpha, base, taus)
-    centre = np.exp(log_coef - alpha * np.log(base))
-    series = centre * (expm1_m - 2.0 * (1.0 + expm1_m) * np.sin(0.5 * turn) ** 2)
     about_0 = np.where(alpha == 0.0, -0.5 * np.exp(log_coef) * log_1x2,
-                       np.where(np.abs(alpha * x) < 0.5, series, modulus * np.cos(turn) - centre))
+                       np.exp(log_coef - alpha * np.log(base)) * _bracket(alpha, x, log_1x2))
 
-    # about ell: the near entries (alpha = 0 among them) in complex, the far in float64
-    c = base - 1j * ell
-    modulus, turn = _power(log_coef, alpha, base, ell)
-    centre = modulus * (np.cos(turn) + 1j * np.sin(turn))
-    near = np.abs(alpha) * taus < 0.5 * np.abs(c)
-    about_ell = np.empty(near.shape, dtype=complex)
+    # about y: the near entries (alpha = 0 among them) in complex, the far in float64
+    near = np.abs(alpha) * h < 0.5 * np.hypot(base, y)
+    about_y = np.empty(near.shape, dtype=complex)
     i, j = np.nonzero(near)
-    a, x_n = alpha[i, 0], taus[j] / c[i, 0]
-    x2 = x_n * x_n
+    a, log_coef_n, y_n = alpha[i, 0], log_coef[i, 0], y[i, j]
+    modulus, turn = _power(log_coef_n, a, base[i, 0], y_n)
+    x = h[i, j] / (base[i, 0] - 1j * y_n)
+    x2 = x * x
     log_1x2 = (0.5 * np.log1p(x2.real * (2.0 + x2.real) + x2.imag ** 2)
                + 1j * np.arctan2(x2.imag, 1.0 + x2.real))
-    expm1_m = np.expm1(-0.5 * a * log_1x2)
-    about_ell[i, j] = np.where(
-        a == 0.0, -0.5 * np.exp(log_coef[i, 0]) * log_1x2,
-        centre[i, 0] * (expm1_m - 2.0 * (1.0 + expm1_m) * np.sin(0.5 * a * np.arctan(x_n)) ** 2))
+    about_y[i, j] = np.where(a == 0.0, -0.5 * np.exp(log_coef_n) * log_1x2,
+                             modulus * (np.cos(turn) + 1j * np.sin(turn)) * _bracket(a, x, log_1x2))
     i, j = np.nonzero(~near)
-    y = ell[i, 0] + np.array([[1.0], [-1.0]]) * taus[j]  # c -/+ i tau = base - i y
-    modulus, turn = _power(log_coef[i, 0], alpha[i, 0], base[i, 0], y)
-    half = 0.5 * modulus
+    y_far = y[i, j] + [[1.0], [-1.0], [0.0]] * h[i, j]  # c -/+ i h and c are base - i y_far
+    modulus, turn = _power(log_coef[i, 0], alpha[i, 0], base[i, 0], y_far)
+    half = np.array([[0.5], [0.5], [1.0]]) * modulus
     cos, sin = half * np.cos(turn), half * np.sin(turn)
-    about_ell.real[i, j] = cos[0] + cos[1] - centre.real[i, 0]
-    about_ell.imag[i, j] = sin[0] + sin[1] - centre.imag[i, 0]
-    return about_0, about_ell
+    about_y.real[i, j] = cos[0] + cos[1] - cos[2]
+    about_y.imag[i, j] = sin[0] + sin[1] - sin[2]
+    return about_0, about_y
 
 
 def _bath_terms(a: np.ndarray, theta_t: np.ndarray) -> tuple:
@@ -130,7 +127,9 @@ def _bath_terms(a: np.ndarray, theta_t: np.ndarray) -> tuple:
     a and theta_T hold one entry per bath.  A bath's last row is the
     zero-temperature term Gamma(a) (1 - i t)^(-a).  At theta_T > 0 the rows
     before it are the thermal part, 2 Gamma(a) sum_{k>=1} (z + k/theta_T)^(-a),
-    z = 1 - i t.  Rows k = 1..ZETA_TERMS are its first terms.  With
+    z = 1 - i t; a bath whose W below is past the float range (theta_T below
+    ~7e-308) counts as cold, as the thermal part's second differences fall
+    like theta_T^(a+2).  Rows k = 1..ZETA_TERMS are its first terms.  With
     W = z + (ZETA_TERMS + 1)/theta_T, Euler-Maclaurin turns the rest into
     2 Gamma(a) times
     theta_T W^(1-a)/(a-1) + W^(-a)/2 + sum_j B_2j/(2j)! (a)_(2j-1) theta_T^(1-2j) W^(1-a-2j),
@@ -147,9 +146,9 @@ def _bath_terms(a: np.ndarray, theta_t: np.ndarray) -> tuple:
     log_2, terms, sizes = math.log(2.0), [], []
     for a, th in zip(a.tolist(), theta_t.tolist()):
         lg_a, first = math.lgamma(a), len(terms)
-        if th > 0.0:  # a cold bath has the zero-temperature term alone
-            log_th, w = math.log(th), 1.0 + (ZETA_TERMS + 1) / th
-            pole = 0.0 if a == 1.0 else math.log(abs(a - 1.0))
+        w = 1.0 + (ZETA_TERMS + 1) / th if th > 0.0 else math.inf
+        if w < math.inf:  # a cold bath, W past the float range included, has no thermal rows
+            log_th, pole = math.log(th), 0.0 if a == 1.0 else math.log(abs(a - 1.0))
             terms += [(1.0 + k / th, a, log_2 + lg_a, 1.0) for k in range(1, ZETA_TERMS + 1)]
             terms += [(w, a - 1.0, log_2 + log_th + lg_a - pole, 1.0 if a >= 1.0 else -1.0),
                       (w, a, lg_a, 1.0)]
@@ -157,7 +156,7 @@ def _bath_terms(a: np.ndarray, theta_t: np.ndarray) -> tuple:
                        sign_b) for two_j, log_b, sign_b in _BERNOULLI_TERMS]
         terms.append((1.0, a, lg_a, 1.0))
         sizes.append(len(terms) - first)
-    return np.array(terms).T, np.array(sizes)
+    return np.array(terms).reshape(-1, 4).T, np.array(sizes, dtype=int)
 
 
 def check_tau(taus) -> np.ndarray:
@@ -194,43 +193,43 @@ def decoherence_grid(taus, ohmicity, temperature_ratio, separation) -> tuple:
 
     They come from the closed form of the module docstring.  G(t) is the sum
     of a bath's `_bath_terms` rows, and chi and the phase are sums of
-    `_second_difference`s of these powers, about t = 0 and t = ell
-    (G(tau - ell) = conj G(ell - tau), so their real parts agree); a constant
-    in G drops out of them.  The rows of all baths, each at its own ell, are
-    stacked on one axis, so one `_second_difference` call serves the whole
-    grid and a bath's chi sums its own rows.  The phase takes each bath's
-    zero-temperature row at t = ell only, so baths that differ only in
-    temperature get bit-for-bit the same phases.  tau = 0 and ell = 0 give
-    exactly 0.  A bad bath, then a tau that is negative or not finite, raises
-    ValueError (`check_bath`, `check_tau`, which the quadrature oracle
-    shares), and so does a chi or phase outside the float range (s above
-    about 172), naming the first such bath.
-
-    Nothing flags the digits lost at large tau as s -> 1, where chi is a
-    small difference of powers of size ~Gamma(s - 1) tau^(2 - s).  Against
-    60-digit mpmath at theta_T = 0.9 and s = 1.01, chi's relative error is
-    1.5e-7 at tau = 1e8 and 3.8e-5 at tau = 1e12; at s = 1.5, chi stays at
-    5.741 for every tau >= 1e150, against 5.975 at tau = 1e10.
+    `_second_difference`s of these powers; a constant in G drops out of them.
+    chi = 2 Re[D_tau(ell) - D_tau(0)], D_h(y) = G(y + h)/2 + G(y - h)/2 - G(y),
+    is symmetric in tau and ell, so its rows step by h = min(tau, ell) about
+    y = max(tau, ell): the far powers at large tau then fall in the series
+    about y, and chi(tau, ell) = chi(ell, tau) bit for bit.  The phase,
+    -1/2 Im D_tau(ell) of the zero-temperature term, is not symmetric: each
+    bath's zero-temperature row is stacked once more at (h, y) = (tau, ell),
+    so baths that differ only in temperature get bit-for-bit the same
+    phases.  The rows of all baths are stacked on one axis, so one
+    `_second_difference` call serves the whole grid and a bath's chi sums
+    its own rows.  tau = 0 and ell = 0 give exactly 0.  A bad bath, then a
+    tau that is negative or not finite, raises ValueError (`check_bath`,
+    `check_tau`, which the quadrature oracle shares), and so does a chi or
+    phase outside the float range (s above about 172), naming the first such
+    bath, or the largest s where log Gamma(s - 1) itself overflows.
     """
     s, th, ell = check_bath(ohmicity, temperature_ratio, separation)
     taus = check_tau(taus)
-    chis, phases = np.zeros((2, s.size, taus.size))
-    live = ell != 0.0
-    if live.any():
-        terms, sizes = _bath_terms(s[live] - 1.0, th[live])
-        base, alpha, log_coef, sign = terms[:, :, None]
-        ell = np.repeat(ell[live], sizes)[:, None]
-        ends = np.cumsum(sizes)
-        # an overflow shows as a non-finite chi or phase, raised below
-        with np.errstate(over="ignore", invalid="ignore"):
-            about_0, about_ell = _second_difference(base, ell, alpha, log_coef, taus)
-            rows = sign * (about_ell.real - about_0)
-            chis[live] = 2.0 * np.add.reduceat(rows, ends - sizes, axis=0)
-            phases[live] = -0.5 * about_ell[ends - 1].imag
-        chis[:, taus == 0.0] = 0.0
-        phases[:, taus == 0.0] = 0.0
-        bad = ~(np.isfinite(chis).all(axis=1) & np.isfinite(phases).all(axis=1))
-        if bad.any():
-            raise ValueError(f"the decoherence factor at s={s[np.argmax(bad)]:g} "
-                             "leaves the float range")
+    try:
+        terms, sizes = _bath_terms(s - 1.0, th)
+    except OverflowError:  # math.lgamma past s ~ 2.5e305
+        raise ValueError(f"the decoherence factor at s={s.max():g} leaves the float range") from None
+    ends, n = np.cumsum(sizes), sizes.sum()  # the n rows of chi, then a phase row per bath
+    base, alpha, log_coef, sign = np.concatenate([terms, terms[:, ends - 1]], axis=1)[:, :, None]
+    row_ell = np.concatenate([np.repeat(ell, sizes), ell])[:, None]
+    h, y = np.minimum(taus, row_ell), np.maximum(taus, row_ell)
+    h[n:], y[n:] = taus, row_ell[n:]
+    # an overflow shows as a non-finite chi or phase, raised below
+    with np.errstate(over="ignore", invalid="ignore"):
+        about_0, about_y = _second_difference(base, alpha, log_coef, h, y)
+        rows = sign * (about_y.real - about_0)
+        chis = 2.0 * np.add.reduceat(rows[:n], ends - sizes, axis=0)
+    phases = -0.5 * about_y[n:].imag
+    chis[:, taus == 0.0] = phases[:, taus == 0.0] = 0.0
+    chis[ell == 0.0] = phases[ell == 0.0] = 0.0
+    bad = ~(np.isfinite(chis).all(axis=1) & np.isfinite(phases).all(axis=1))
+    if bad.any():
+        raise ValueError(f"the decoherence factor at s={s[np.argmax(bad)]:g} "
+                         "leaves the float range")
     return chis, phases

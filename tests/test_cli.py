@@ -15,6 +15,8 @@ from pbtlab import quadrature as qd
 from pbtlab import spinboson as sb
 from pbtlab.cli import main
 
+from paper_bounds import f_corr_trace
+
 MODES = ("closed_form", "noise_adapted")
 
 
@@ -38,7 +40,7 @@ def test_surface_grid_and_corner(tmp_path):
     assert float(corner[0]["ent_fidelity"]) == pytest.approx(cf.f_ih(4), abs=1e-12)
     anti = [r for r in rows if float(r["gamma_abs"]) == 1.0
             and float(r["theta"]) == pytest.approx(math.pi)]
-    assert float(anti[0]["ent_fidelity"]) == pytest.approx(cf.f_corr_trace(4), abs=1e-12)
+    assert float(anti[0]["ent_fidelity"]) == pytest.approx(f_corr_trace(4), abs=1e-12)
 
 
 def test_surface_computes_closed_form_terms_once(tmp_path, monkeypatch):

@@ -8,7 +8,7 @@ from pbtlab import checks
 from pbtlab import closedform as cf
 from pbtlab.fidelity import _sector_weights
 
-from paper_bounds import kim_fidelity, knill_barnum_bound
+from paper_bounds import f_corr_trace, kim_fidelity, knill_barnum_bound
 
 
 def test_degeneracy_counts_full_space():
@@ -90,7 +90,7 @@ def test_noiseless_fidelity_builds_the_weights_once(monkeypatch):
     for n in (1, 4, 301):
         f = cf.noiseless_fidelity(n, [1.0, 0.5, 1.0], [0.0, 1.0, math.pi])
         assert calls == [n]
-        assert f[0] == cf.f_ih(n) and f[2] == cf.f_corr_trace(n)
+        assert f[0] == cf.f_ih(n) and f[2] == f_corr_trace(n)
         calls.clear()
 
 
@@ -101,7 +101,7 @@ def test_f_corr_peak_at_six():
 
 def test_f_corr_trace_scale():
     for n in (2, 5, 9):
-        assert cf.f_corr_trace(n) == pytest.approx(cf.f_corr(n) / 8.0)
+        assert f_corr_trace(n) == pytest.approx(cf.f_corr(n) / 8.0)
 
 
 def test_fidelity_noiseless_povm_endpoints():
@@ -109,7 +109,7 @@ def test_fidelity_noiseless_povm_endpoints():
         # overlap |gamma| cos(theta) = 1 at theta = 0 and -1 at theta = pi
         assert cf.noiseless_fidelity(n, 1.0) == pytest.approx(cf.f_ih(n))
         assert cf.noiseless_fidelity(n, 1.0, math.pi) == pytest.approx(
-            cf.f_corr_trace(n))
+            f_corr_trace(n))
 
 
 @pytest.mark.parametrize("route", [cf.f_ih, cf.f_corr, lambda n: cf.beigi_konig_bound(n, 0.5),

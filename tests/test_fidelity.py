@@ -9,6 +9,8 @@ from pbtlab.ensemble import signal_states
 from pbtlab.fidelity import pgm_fidelities_reduced
 from pbtlab.povm import ent_fidelity, mixed_term, pgm
 
+from paper_bounds import f_corr_trace
+
 
 def per_port_traces(elements, states):
     return np.einsum("kij,kji->k", elements, states).real
@@ -42,7 +44,7 @@ def test_noiseless_matches_f_ih():
 def test_theta_pi_matches_f_corr_trace():
     for n in (2, 3, 4):
         f = ent_fidelity(pgm(signal_states(n, 1.0)), signal_states(n, 1.0, math.pi))
-        assert f == pytest.approx(cf.f_corr_trace(n), abs=1e-9)
+        assert f == pytest.approx(f_corr_trace(n), abs=1e-9)
 
 
 def test_mixed_term_vanishes_for_noiseless_pgm():

@@ -5,6 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pbtlab import checks
 from pbtlab import closedform as cf
@@ -155,6 +156,17 @@ def test_decoherence_factor_trivial(tmp_path):
     assert one_bath([0.0, 5.0], *params(ell=0.0)) == ([0.0, 0.0], [0.0, 0.0])
 
 
+def test_extreme_baths_are_cold_or_one_error():
+    # a theta_T whose thermal bases 1 + k/theta_T leave the float range is cold
+    chis, phases = sb.decoherence_grid([1.0, 8.0], 1.5, [0.0, 5e-324, 1e-310], 3.0)
+    assert chis[1:].tolist() == [chis[0].tolist()] * 2
+    assert phases[1:].tolist() == [phases[0].tolist()] * 2
+    # an s whose log-gamma leaves the float range raises as s = 1000 does
+    message = r"^the decoherence factor at s=1e\+308 leaves the float range$"
+    with pytest.raises(ValueError, match=message):
+        sb.decoherence_grid([1.0], [2.0, 1e308], 0.1, 3.0)
+
+
 def test_quadrature_cutoff_convergence():
     wide = qd.QuadratureSettings(upper_cutoff=120.0)
     *_, shift = checks.spin_boson(*params(), (1.0, 4.0, 8.0), (wide,), 1e-12, 1e-8)
@@ -237,45 +249,46 @@ def _chi_phase_mpmath(tau, s, th, ell):
     return float(chi), float(mpmath.im(cold[0] - cold[1] / 2 - cold[2] / 2) / 2)
 
 
-def _assert_matches_mpmath(s, bound):
-    """chi and the phase of s at four temperatures and eight taus (ell = 3)
-    against 30-digit mpmath, each within bound max(1, |x|)."""
-    taus, ell, temps = [1e-6, 1e-3, 0.2, 0.5, 3.0, 8.0, 40.0, 1e3], 3.0, (0.0, 0.1, 0.9, 5.0)
-    chis, phases = sb.decoherence_grid(taus, s, temps, ell)
-    with mpmath.workdps(30):
+def _assert_matches_mpmath(s, taus, temps, digits):
+    """chi and the phase of s at each temperature and tau (ell = 3) against
+    mpmath at `digits` digits, each within 1e-12 max(1, |x|)."""
+    chis, phases = sb.decoherence_grid(taus, s, temps, 3.0)
+    with mpmath.workdps(digits):
         for th, chi_row, phase_row in zip(temps, chis, phases):
             for tau, got_chi, got_phase in zip(taus, chi_row, phase_row):
-                chi, phase = _chi_phase_mpmath(tau, s, th, ell)
-                assert abs(got_chi - chi) <= bound * max(1.0, abs(chi)), (th, tau)
-                assert abs(got_phase - phase) <= bound * max(1.0, abs(phase)), (th, tau)
+                chi, phase = _chi_phase_mpmath(tau, s, th, 3.0)
+                assert abs(got_chi - chi) <= 1e-12 * max(1.0, abs(chi)), (th, tau)
+                assert abs(got_phase - phase) <= 1e-12 * max(1.0, abs(phase)), (th, tau)
 
 
-@pytest.mark.parametrize("s", [1.2, 1.5, 2 - 1e-9, 2.0, 2 + 1e-9, 3.0, 4.5, 20.0, 100.0])
+# Large taus, where chi is a small difference of powers of size
+# ~Gamma(s - 1) tau^(2 - s), at 60 digits.
+LARGE_TAUS = {1.001: (1e4, 1e8, 1e12), 1.01: (1e4, 1e8, 1e12), 1.5: (1e10, 1e50)}
+
+
+@pytest.mark.parametrize("s", [1.001, 1.01, 1.05, 1.2, 1.5, 2 - 1e-9, 2.0, 2 + 1e-9, 3.0, 4.5,
+                               20.0, 100.0])
 def test_decoherence_factors_match_mpmath(s):
-    # Measured worst: 2.5e-13 (chi, s = 1.2, theta_T = 5, tau = 1e3), where
-    # chi is a small difference of powers of size ~tau^(2 - s); the phase's
-    # is 4.7e-14 (s = 100), where exponents of size ~350 cost the float
-    # route digits.
-    _assert_matches_mpmath(s, 1e-12)
-
-
-@pytest.mark.parametrize("s", [1.01, 1.05])
-def test_decoherence_near_s_one_matches_mpmath(s):
-    # The analytic route loses digits as s -> 1, where chi is a small
-    # difference of powers of size ~Gamma(s - 1) tau^(2 - s).  Measured worst,
-    # at theta_T = 0.9 and tau = 1e3: 5.5e-12 (s = 1.01) and 1.4e-12
-    # (s = 1.05); at s = 1.001, not tested here, 5.8e-11.
-    _assert_matches_mpmath(s, 2e-11)
+    # Measured worst for chi: 9.0e-13 (s = 1.001, theta_T = 5, tau = 3) and
+    # 6.3e-14 (s = 1.01); at the large taus 4.5e-14 (s = 1.001, tau = 1e12).
+    # As s -> 1 every row of G carries Gamma(s - 1) ~ 1/(s - 1), and chi is
+    # their difference: at s = 1.001, theta_T = 5 it reaches 1.7e-12 between
+    # the grid points (tau = 2.9).  The phase's worst is 4.7e-14 (s = 100),
+    # where exponents of size ~350 cost the float route digits.
+    taus = [1e-6, 1e-3, 0.2, 0.5, 3.0, 8.0, 40.0, 1e3]
+    _assert_matches_mpmath(s, taus, (0.0, 0.1, 0.9, 5.0), 30)
+    if s in LARGE_TAUS:
+        _assert_matches_mpmath(s, LARGE_TAUS[s], (0.0, 0.9), 60)
 
 
 def test_stacked_grid_matches_one_bath_calls():
     # Every bath of a mixed list against its own one-bath evaluation, entry by
     # entry: the stack must not mix baths' rows, separations or branches.
-    # ell = 0 and theta_T = 0 contribute no and one row; s = 2 has the
-    # alpha = 0 pole row; at s = 3 the zero-temperature row about t = 0
-    # switches from the series to the direct sum at tau = 1/4, at s = 1.5
-    # at tau = 1.
-    taus = [0.0, 0.2499, 0.2501, 0.9999, 1.0001, 3.0, 8.0, 40.0]
+    # ell = 0 is zeroed after the kernel and theta_T = 0 contributes one
+    # row; s = 2 has the alpha = 0 pole row; chi's step and centre, the
+    # shorter and the longer of tau and ell, swap at tau = ell, which
+    # 0.6999/0.7001 and 2.9999/3.0001 straddle.
+    taus = [0.0, 0.6999, 0.7001, 2.9999, 3.0, 3.0001, 8.0, 40.0]
     baths = [params(s, th, ell) for s in (1.5, 2 - 1e-9, 2.0, 2 + 1e-9, 3.0, 100.0)
              for th in (0.0, 0.1, 0.9) for ell in (0.0, 0.7, 3.0)]
     chis, phases = sb.decoherence_grid(taus, *zip(*baths))
@@ -287,3 +300,33 @@ def test_stacked_grid_matches_one_bath_calls():
         for got, wants in zip(zip(chi_row, phase_row), zip(*one_bath(taus, *bath))):
             for x, want in zip(got, wants):
                 assert abs(x - want) <= 2e-15 * max(1.0, abs(want)), (bath, got)
+
+
+# A bath (s, theta_T) and times tau, ell in [1e-2, 1e3], drawn alike on every run.
+BATH = st.tuples(st.floats(1.05, 8.0), st.floats(0.0, 1.0))
+TIME = st.floats(1e-2, 1e3)
+PROPERTY = settings(max_examples=50, derandomize=True, database=None, deadline=None)
+
+
+@PROPERTY
+@given(BATH, TIME, TIME)
+def test_chi_is_symmetric_in_tau_and_ell(bath, tau, ell):
+    # chi steps by min(tau, ell) about max(tau, ell), so a swap changes no bit
+    assert (sb.decoherence_grid([tau], *bath, ell)[0].tolist()
+            == sb.decoherence_grid([ell], *bath, tau)[0].tolist())
+
+
+@PROPERTY
+@given(BATH, st.lists(TIME, min_size=1, max_size=8), TIME)
+def test_chi_is_nonnegative(bath, taus, ell):
+    # chi = 2 int f(w) (1 - cos w tau)(1 - cos w ell) dw, f >= 0
+    assert (sb.decoherence_grid(taus, *bath, ell)[0] >= 0.0).all()
+
+
+@PROPERTY
+@given(BATH, TIME)
+def test_chi_and_phase_vanish_at_tau_or_ell_zero(bath, t):
+    # rows ell = t and ell = 0, columns tau = 0 and tau = t
+    chis, phases = sb.decoherence_grid([0.0, t], *bath, [t, 0.0])
+    assert chis[:, 0].tolist() == phases[:, 0].tolist() == [0.0, 0.0]
+    assert chis[1].tolist() == phases[1].tolist() == [0.0, 0.0]
