@@ -53,7 +53,8 @@ def _parse_grid(text: str) -> List[float]:
             lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
             if count < 1 or lo > hi:
                 raise ValueError
-            values = [lo] if count == 1 else list(np.linspace(lo, hi, count))
+            with np.errstate(all="ignore"):  # a span past the float range gives NaNs, refused below
+                values = [lo] if count == 1 else list(np.linspace(lo, hi, count))
         else:
             values = [float(p) for p in text.split(",") if p.strip()]
         if not values or not all(map(math.isfinite, values)):

@@ -18,8 +18,8 @@ from . import closedform
 # the dense `linops`, which imports it from here.
 DEFAULT_RANK_TOL = 1e-12
 
-# Blocks per stack in `pgm_fidelities_reduced`, so that its working memory (a
-# few hundred bytes a block) stays bounded at any N.
+# Blocks per stack in `pgm_fidelities_reduced`, give or take one sector, so
+# that its working memory (a few hundred bytes a block) stays bounded at any N.
 BLOCK_CHUNK = 1 << 14
 
 
@@ -91,9 +91,10 @@ def pgm_fidelities_reduced(n: int, gamma_abs) -> np.ndarray:
     N + 1 + sqrt((N-1)^2 + 4N |gamma|^2) at J = N/2, m = -N/2 or N/2 - 1,
     are cut, as in `linops.func_on_support` (then X = P+ / sqrt(l+)), and so
     is an l- that rounds below zero; l+ >= N + 1 is never cut.
-    A stack holds at most BLOCK_CHUNK blocks: whole rows, or at large N one
-    sector of a few rows.  Raises ValueError for a |gamma| outside [0, 1] or NaN
-    (`closedform.check_gamma_abs`).
+    The sectors are dealt round-robin into ceil(blocks / BLOCK_CHUNK)
+    stacks, at most one per sector, so a stack holds at most BLOCK_CHUNK + N
+    blocks per row; up to N = 255 that is one stack.  Raises ValueError for a
+    |gamma| outside [0, 1] or NaN (`closedform.check_gamma_abs`).
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -103,8 +104,8 @@ def pgm_fidelities_reduced(n: int, gamma_abs) -> np.ndarray:
     cut = DEFAULT_RANK_TOL * (n + 1 + np.sqrt((n - 1) ** 2 + n * qq))
     total = np.zeros(len(g))
     sectors = _sector_weights(n)
-    one_stack = sum(t + 1 for t, _ in sectors) <= BLOCK_CHUNK
-    for piece in [sectors] if one_stack else [[sector] for sector in sectors]:
+    stacks = min(len(sectors), -(-sum(t + 1 for t, _ in sectors) // BLOCK_CHUNK))
+    for piece in (sectors[i::stacks] for i in range(stacks)):
         weight, ones, zeros, hop, cu2, cd2, xo = _sector_blocks(n, piece)
         rows_per = max(1, BLOCK_CHUNK // len(weight))
         for r0 in range(0, len(g), rows_per):

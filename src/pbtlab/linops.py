@@ -1,11 +1,5 @@
 """Dense complex linear algebra on multi-qubit Hermitian matrices.
 
-Qubit ordering convention used throughout the package: qubit 0 is the most
-significant index of the computational basis, i.e. the basis state
-|q_0 q_1 ... q_{n-1}> has integer index sum_k q_k * 2^(n-1-k).  For ensemble
-states on the register (A_1, ..., A_N, B) this places Alice's ports on the
-most significant qubits and Bob's qubit B on the least significant one.
-
 Operators are plain ndarrays, complex or real.  `eigh`/`eigvalsh` read one
 triangle only, so each function that calls them checks its input's
 Hermiticity once (`_require_hermitian`).  A failed check raises ValueError.
@@ -35,14 +29,12 @@ def func_on_support(m: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.
     """
     _require_hermitian(m)
     w, v = np.linalg.eigh(m)
-    lam_max = float(np.max(w, initial=0.0))
-    cut = DEFAULT_RANK_TOL * max(lam_max, 0.0)
+    cut = DEFAULT_RANK_TOL * float(np.max(w, initial=0.0))
     if np.any(w < -max(cut, DEFAULT_RANK_TOL)):
         raise ValueError(f"operator is not PSD: min eigenvalue {w.min():.3e}")
     on_support = w > cut
     fw = np.zeros_like(w)
-    if np.any(on_support):
-        fw[on_support] = f(w[on_support])
+    fw[on_support] = f(w[on_support])
     out = (v * fw) @ v.conj().T
     return 0.5 * (out + out.conj().T)
 

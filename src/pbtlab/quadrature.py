@@ -9,7 +9,6 @@ its bath and tau with `spinboson.check_bath` and `check_tau`, as
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -23,15 +22,6 @@ QUAD_ABS_TOL = 1e-12
 QUAD_MAX_SUBDIVISIONS = 200
 
 
-@dataclass(frozen=True)
-class QuadratureSettings:
-    upper_cutoff: float = 0.0  # 0 means auto: 40 + 10 s
-    rel_tol: float = 1e-10
-
-
-DEFAULT_QUAD = QuadratureSettings()
-
-
 def _coth_half(w: float, theta_t: float) -> float:
     """coth(w / (2 theta_T)), with the zero-temperature limit 1."""
     if theta_t == 0.0:
@@ -40,14 +30,15 @@ def _coth_half(w: float, theta_t: float) -> float:
 
 
 def _integral(integrand: Callable[[float], float], head: float, tau: float, s: float,
-              ell: float, quad: QuadratureSettings) -> tuple:
-    """head plus the integral of integrand from SMALL_W to the cutoff, summed
-    over panels no wider than pi / max(tau, ell, 1), and QUADPACK's error
+              ell: float, upper_cutoff: float = 0.0, rel_tol: float = 1e-10) -> tuple:
+    """head plus the integral of integrand from SMALL_W to upper_cutoff (0 for
+    40 + 10 s), summed over panels no wider than pi / max(tau, ell, 1), with
+    QUADPACK's relative tolerance rel_tol on each panel, and QUADPACK's error
     estimate summed over the panels; (0, 0) at tau = 0 or ell = 0."""
     check_tau(tau)
     if tau == 0.0 or ell == 0.0:
         return 0.0, 0.0
-    hi = quad.upper_cutoff if quad.upper_cutoff > 0.0 else 40.0 + 10.0 * s
+    hi = upper_cutoff if upper_cutoff > 0.0 else 40.0 + 10.0 * s
     width = math.pi / max(tau, ell, 1.0)
     edges = np.linspace(SMALL_W, hi, max(1, math.ceil((hi - SMALL_W) / width)) + 1)
     total = error = 0.0
@@ -55,7 +46,7 @@ def _integral(integrand: Callable[[float], float], head: float, tau: float, s: f
         try:
             val, err = integrate.quad(
                 integrand, a, b,
-                epsabs=QUAD_ABS_TOL, epsrel=quad.rel_tol, limit=QUAD_MAX_SUBDIVISIONS,
+                epsabs=QUAD_ABS_TOL, epsrel=rel_tol, limit=QUAD_MAX_SUBDIVISIONS,
             )
         except OverflowError:  # w ** (s - 2) leaves the float range at large s
             val = math.inf
@@ -67,9 +58,9 @@ def _integral(integrand: Callable[[float], float], head: float, tau: float, s: f
 
 
 def chi_and_error(tau: float, ohmicity: float, temperature_ratio: float, separation: float,
-                  quad: QuadratureSettings = DEFAULT_QUAD) -> tuple:
+                  upper_cutoff: float = 0.0, rel_tol: float = 1e-10) -> tuple:
     """Decay exponent chi(tau, ell) >= 0 and the error estimate of its quadrature
-    (0 where chi is exactly 0)."""
+    (0 where chi is exactly 0), with `_integral`'s upper_cutoff and rel_tol."""
     s, th, ell = (x.item() for x in check_bath(ohmicity, temperature_ratio, separation))
 
     def integrand(w: float) -> float:
@@ -89,13 +80,14 @@ def chi_and_error(tau: float, ohmicity: float, temperature_ratio: float, separat
     else:
         # integrand ~ (tau^2 ell^2 / 2) w^(s+2)
         head = 0.5 * tau * tau * ell * ell * SMALL_W ** (s + 3.0) / (s + 3.0)
-    return _integral(integrand, head, tau, s, ell, quad)
+    return _integral(integrand, head, tau, s, ell, upper_cutoff, rel_tol)
 
 
 def phase_and_error(tau: float, ohmicity: float, temperature_ratio: float, separation: float,
-                    quad: QuadratureSettings = DEFAULT_QUAD) -> tuple:
+                    upper_cutoff: float = 0.0, rel_tol: float = 1e-10) -> tuple:
     """Phase theta(tau, ell), independent of temperature, and the error estimate
-    of its quadrature (0 where the phase is exactly 0).
+    of its quadrature (0 where the phase is exactly 0), with `_integral`'s
+    upper_cutoff and rel_tol.
 
     A reliable oracle only up to s ~ 10: the integrand is of size Gamma(s-1)
     and the quadrature tolerances cannot resolve its cancellation beyond.
@@ -114,4 +106,4 @@ def phase_and_error(tau: float, ohmicity: float, temperature_ratio: float, separ
 
     # small-w: (1 - cos) sin ~ (tau^2 / 2) w^2 * ell w, so integrand ~ (tau^2 ell / 4) w^(s+1)
     head = 0.25 * tau * tau * ell * SMALL_W ** (s + 2.0) / (s + 2.0)
-    return _integral(integrand, head, tau, s, ell, quad)
+    return _integral(integrand, head, tau, s, ell, upper_cutoff, rel_tol)

@@ -86,7 +86,7 @@ def _second_difference(base, alpha, log_coef, h: np.ndarray, y: np.ndarray) -> t
     About 0, c and x are real, the series is exact at every x and it is
     evaluated in float64 over the whole array.  About y, x is complex; the
     series, in complex expm1, sin and arctan of it, is taken at the near
-    entries, |alpha| h < |c| / 2 (log(1 + x^2) is by hand: numpy's complex
+    entries, |alpha| h < 3 |c| / 4 (log(1 + x^2) is by hand: numpy's complex
     log1p loses small arguments).  At the far entries the powers differ in
     size by large factors and that product would lose their phases, so
     there the three powers are `_power`s at y + h, y - h and y, summed in
@@ -100,7 +100,7 @@ def _second_difference(base, alpha, log_coef, h: np.ndarray, y: np.ndarray) -> t
                        np.exp(log_coef - alpha * np.log(base)) * _bracket(alpha, x, log_1x2))
 
     # about y: the near entries (alpha = 0 among them) in complex, the far in float64
-    near = np.abs(alpha) * h < 0.5 * np.hypot(base, y)
+    near = np.abs(alpha) * h < 0.75 * np.hypot(base, y)
     about_y = np.empty(near.shape, dtype=complex)
     i, j = np.nonzero(near)
     a, log_coef_n, y_n = alpha[i, 0], log_coef[i, 0], y[i, j]

@@ -1,12 +1,17 @@
+import contextlib
 import importlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pbtlab
 from pbtlab import checks, cli
@@ -314,7 +319,9 @@ def test_invalid_grid_is_config_error(tmp_path, capsys):
                        (["surface", "--gamma", ""], ""),
                        (["compare", "--n", "3", "--gamma", ","], ","),
                        (["spinboson", "--tau", ""], ""),
-                       (["spinboson", "--s", ""], "")):
+                       (["spinboson", "--s", ""], ""),
+                       (["surface", "--theta", "0:1.8e308:2"], "0:1.8e308:2"),
+                       (["surface", "--theta", "-1e308:1e308:3"], "-1e308:1e308:3")):
         assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 1
         assert capsys.readouterr().err.splitlines() == [
             f"error: cannot parse grid specification {text!r}"]
@@ -380,6 +387,46 @@ def test_leading_minus_word_reaches_its_flag(tmp_path, capsys, argv):
     assert main([command, f"{flag}={value}", *out]) == 1
     assert capsys.readouterr().err == spaced == f"error: cannot parse grid specification {value!r}\n"
     assert not (tmp_path / "x.csv").exists()
+
+
+# Grid texts as a user may type them: a float of either sign in any spelling
+# (repr, exponent, upper case, '.5' for '0.5', an explicit '+', 'Infinity'),
+# alone, in a list or as lo:hi:count.
+NUMBER = st.builds(lambda spell, x: spell(x), st.sampled_from([
+    repr, "{:e}".format, "{:.3G}".format, "{:+g}".format,
+    lambda x: re.sub(r"^(-?)0\.", r"\1.", repr(x)),
+    lambda x: repr(x).replace("inf", "Infinity"),
+]), st.floats())
+GRID_TEXT = st.one_of(
+    NUMBER,
+    st.lists(NUMBER, min_size=1, max_size=3).map(",".join),
+    st.tuples(NUMBER, NUMBER, st.integers(-1, 4)).map(lambda t: "%s:%s:%d" % t),
+)
+
+
+def _run(argv, out: Path) -> tuple:
+    """main's exit code, its stderr and the files it writes next to out,
+    which it then deletes."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([*argv, "--no-timestamp", "--out", str(out)])
+    written = {path.name: path.read_bytes() for path in sorted(out.parent.iterdir())}
+    for path in out.parent.iterdir():
+        path.unlink()
+    return code, err.getvalue(), written
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(["--gamma", "--theta"]), GRID_TEXT)
+def test_spaced_and_joined_grid_flags_agree(flag, text):
+    # the spaced spelling reaches its flag through the parser's patched
+    # `_negative_number_matcher`; the '=' spelling never needs it
+    with tempfile.TemporaryDirectory() as where:
+        out = Path(where, "x.csv")
+        spaced = _run(["surface", "--n", "2", flag, text], out)
+        assert spaced == _run(["surface", "--n", "2", f"{flag}={text}"], out)
+    # a table, or one error line
+    assert spaced[0] == 0 or re.fullmatch(r"error: [^\n]*\n", spaced[1])
 
 
 def test_flag_without_its_value_is_usage_error(tmp_path, capsys):

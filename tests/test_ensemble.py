@@ -92,6 +92,19 @@ def test_signal_state_trace_one():
             assert np.trace(st).real == pytest.approx(1.0)
 
 
+def test_tensor_ordering():
+    z, i = np.diag([1.0, -1.0]), np.eye(2)
+    # qubit 0 (the left Kronecker factor) is most significant
+    assert np.allclose(np.diag(np.kron(z, i)), [1, 1, -1, -1])
+    # a block on (A_i, B) of the register (A_1, A_2, B), maximally mixed on the other port
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    block = a @ a.conj().T
+    assert np.allclose(_embed_pair_block(block, 2, 2), np.kron(i / 2, block))
+    p = np.kron(i, np.eye(4)[[0, 2, 1, 3]])  # swaps A_2 and B
+    assert np.allclose(_embed_pair_block(block, 1, 2), p @ np.kron(block, i / 2) @ p)
+
+
 def test_signal_state_bad_port():
     for port in (0, 4):
         with pytest.raises(ValueError, match=rf"^port index {port} out of range 1\.\.3$"):

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from pbtlab.ensemble import _embed_pair_block
 from pbtlab.linops import (
     inv_sqrt_on_support,
     sqrt_psd,
@@ -26,17 +25,6 @@ def test_eigensolver_routes_reject_non_hermitian():
         sqrt_psd(m)
     with pytest.raises(ValueError, match="^matrix is not Hermitian within tolerance$"):
         trace_norm(m)
-
-
-def test_tensor_ordering():
-    z, i = np.diag([1.0, -1.0]), np.eye(2)
-    # qubit 0 (the left Kronecker factor) is most significant
-    assert np.allclose(np.diag(np.kron(z, i)), [1, 1, -1, -1])
-    # a block on (A_i, B) of the register (A_1, A_2, B), maximally mixed on the other port
-    block = random_density(2)
-    assert np.allclose(_embed_pair_block(block, 2, 2), np.kron(i / 2, block))
-    p = np.kron(i, np.eye(4)[[0, 2, 1, 3]])  # swaps A_2 and B
-    assert np.allclose(_embed_pair_block(block, 1, 2), p @ np.kron(block, i / 2) @ p)
 
 
 def test_inv_sqrt_on_support_rank_deficient():

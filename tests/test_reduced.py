@@ -77,10 +77,11 @@ def test_batched_rows_match_one_point_calls(n):
     assert square.shape == (2, 3) and np.array_equal(square.ravel(), batched)
 
 
-@pytest.mark.parametrize("n", (2, 5, 9, 30))
+@pytest.mark.parametrize("n", (2, 5, 9, 30, 256, 300))
 def test_chunked_walk_matches_one_stack(n, monkeypatch):
     # BLOCK_CHUNK = 1 stacks one sector of one row at a time; the rank cut is
-    # the row's own either way
+    # the row's own either way.  From N = 256 on the default stacks hold
+    # several sectors each, dealt round-robin, but not all of them.
     whole = pgm_fidelities_reduced(n, MIXED_GRID)
     monkeypatch.setattr(fidelity, "BLOCK_CHUNK", 1)
     pieces = pgm_fidelities_reduced(n, MIXED_GRID)

@@ -168,14 +168,13 @@ def test_extreme_baths_are_cold_or_one_error():
 
 
 def test_quadrature_cutoff_convergence():
-    wide = qd.QuadratureSettings(upper_cutoff=120.0)
+    wide = (120.0, 1e-10)  # (upper_cutoff, rel_tol)
     *_, shift = checks.spin_boson(*params(), (1.0, 4.0, 8.0), (wide,), 1e-12, 1e-8)
     assert shift.ok
 
 
 def test_spin_boson_check_names_the_quadrature_settings():
-    wide = qd.QuadratureSettings(upper_cutoff=120.0)
-    *_, shift = checks.spin_boson(*params(), (4.0,), (wide,), 1e-12, 1e-8)
+    *_, shift = checks.spin_boson(*params(), (4.0,), ((120.0, 1e-10),), 1e-12, 1e-8)
     assert shift.where == "tau=4 upper_cutoff=120 rel_tol=1e-10"
 
 
@@ -193,9 +192,8 @@ def test_negative_tau_rejected():
 @pytest.mark.parametrize("s", [2.0, 4.5])
 def test_quadrature_auto_cutoff(s):
     # upper_cutoff = 0 integrates up to 40 + 10 s
-    explicit = qd.QuadratureSettings(upper_cutoff=40.0 + 10.0 * s)
     for route in (qd.chi_and_error, qd.phase_and_error):
-        assert route(4.0, *params(s=s)) == route(4.0, *params(s=s), explicit)
+        assert route(4.0, *params(s=s)) == route(4.0, *params(s=s), 40.0 + 10.0 * s)
 
 
 def test_quadrature_overflow_is_value_error():
@@ -269,13 +267,15 @@ LARGE_TAUS = {1.001: (1e4, 1e8, 1e12), 1.01: (1e4, 1e8, 1e12), 1.5: (1e10, 1e50)
 @pytest.mark.parametrize("s", [1.001, 1.01, 1.05, 1.2, 1.5, 2 - 1e-9, 2.0, 2 + 1e-9, 3.0, 4.5,
                                20.0, 100.0])
 def test_decoherence_factors_match_mpmath(s):
-    # Measured worst for chi: 9.0e-13 (s = 1.001, theta_T = 5, tau = 3) and
-    # 6.3e-14 (s = 1.01); at the large taus 4.5e-14 (s = 1.001, tau = 1e12).
+    # Measured worst for chi: 1.4e-13 (s = 1.001, theta_T = 5, tau = 3) and
+    # 4.4e-15 (s = 1.01); at the large taus 4.5e-14 (s = 1.001, tau = 1e12).
     # As s -> 1 every row of G carries Gamma(s - 1) ~ 1/(s - 1), and chi is
-    # their difference: at s = 1.001, theta_T = 5 it reaches 1.7e-12 between
-    # the grid points (tau = 2.9).  The phase's worst is 4.7e-14 (s = 100),
-    # where exponents of size ~350 cost the float route digits.
-    taus = [1e-6, 1e-3, 0.2, 0.5, 3.0, 8.0, 40.0, 1e3]
+    # their difference: at s = 1.001, theta_T = 5 it reaches 2.7e-13 between
+    # the grid points (tau = 2.1).  tau = 2.9 and 3.0001 sit by tau = ell,
+    # where the near rule of `_second_difference` decides the branch.  The
+    # phase's worst is 4.7e-14 (s = 100), where exponents of size ~350 cost
+    # the float route digits.
+    taus = [1e-6, 1e-3, 0.2, 0.5, 2.9, 3.0, 3.0001, 8.0, 40.0, 1e3]
     _assert_matches_mpmath(s, taus, (0.0, 0.1, 0.9, 5.0), 30)
     if s in LARGE_TAUS:
         _assert_matches_mpmath(s, LARGE_TAUS[s], (0.0, 0.9), 60)
