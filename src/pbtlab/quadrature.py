@@ -2,7 +2,7 @@
 
 The frequency integrals of the `spinboson` module docstring, integrated by
 adaptive QUADPACK panels in one routine, `_integral`.  Each function checks
-its bath and tau with `spinboson.check_bath` and `check_tau`, as
+its bath and tau with one call of `spinboson.check_bath`, as
 `decoherence_grid` does.  Only the consistency checks and the tests use it.
 """
 
@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 from scipy import integrate
 
-from .spinboson import check_bath, check_tau
+from .spinboson import check_bath
 
 SMALL_W = 1e-6
 # QUADPACK's absolute tolerance and subdivision limit on each panel
@@ -35,7 +35,6 @@ def _integral(integrand: Callable[[float], float], head: float, tau: float, s: f
     40 + 10 s), summed over panels no wider than pi / max(tau, ell, 1), with
     QUADPACK's relative tolerance rel_tol on each panel, and QUADPACK's error
     estimate summed over the panels; (0, 0) at tau = 0 or ell = 0."""
-    check_tau(tau)
     if tau == 0.0 or ell == 0.0:
         return 0.0, 0.0
     hi = upper_cutoff if upper_cutoff > 0.0 else 40.0 + 10.0 * s
@@ -61,7 +60,8 @@ def chi_and_error(tau: float, ohmicity: float, temperature_ratio: float, separat
                   upper_cutoff: float = 0.0, rel_tol: float = 1e-10) -> tuple:
     """Decay exponent chi(tau, ell) >= 0 and the error estimate of its quadrature
     (0 where chi is exactly 0), with `_integral`'s upper_cutoff and rel_tol."""
-    s, th, ell = (x.item() for x in check_bath(ohmicity, temperature_ratio, separation))
+    tau, (s, th, ell) = check_bath(tau, ohmicity, temperature_ratio, separation)
+    tau, s, th, ell = tau.item(), s.item(), th.item(), ell.item()
 
     def integrand(w: float) -> float:
         return (
@@ -95,7 +95,8 @@ def phase_and_error(tau: float, ohmicity: float, temperature_ratio: float, separ
     relative gap is 4e-12 at s = 10, 4e-9 at s = 15, 5e-6 at s = 20 and 0.6
     at s = 30.
     """
-    s, _, ell = (x.item() for x in check_bath(ohmicity, temperature_ratio, separation))
+    tau, (s, _, ell) = check_bath(tau, ohmicity, temperature_ratio, separation)
+    tau, s, ell = tau.item(), s.item(), ell.item()
 
     def integrand(w: float) -> float:
         return (

@@ -159,22 +159,14 @@ def _bath_terms(a: np.ndarray, theta_t: np.ndarray) -> tuple:
     return np.array(terms).reshape(-1, 4).T, np.array(sizes, dtype=int)
 
 
-def check_tau(taus) -> np.ndarray:
-    """tau, a float or an array, as a float array: the one domain check of tau.
-    Raises ValueError for an entry that is negative or not finite."""
-    taus = np.asarray(taus, dtype=float)
-    bad = ~((taus >= 0.0) & (taus < math.inf))
-    if bad.any():
-        raise ValueError(f"tau must be finite and >= 0, got {taus[bad][0]}")
-    return taus
-
-
-def check_bath(ohmicity, temperature_ratio, separation) -> np.ndarray:
-    """The baths as one float array of three rows (s, theta_T, ell), a column
-    per bath: the one domain check of a bath.  The arguments, floats or 1-d
-    arrays or lists, are broadcast.  For the first bath with a bad entry it
-    raises ValueError naming an ohmicity that is not finite and above 1, else
-    a temperature ratio, else a separation, that is not finite and >= 0."""
+def check_bath(taus, ohmicity, temperature_ratio, separation) -> tuple:
+    """tau as a float array, and the baths as one float array of three rows
+    (s, theta_T, ell), a column per bath: the one domain check of a bath
+    evaluation.  tau is a float or an array; the bath arguments, floats or
+    1-d arrays or lists, are broadcast.  For the first bath with a bad entry
+    it raises ValueError naming an ohmicity that is not finite and above 1,
+    else a temperature ratio, else a separation, that is not finite and
+    >= 0; then for the first tau that is negative or not finite."""
     bath = np.empty((3,) + (np.broadcast(ohmicity, temperature_ratio, separation).shape or (1,)))
     bath[0], bath[1], bath[2] = ohmicity, temperature_ratio, separation
     bad = ~(np.isfinite(bath) & (bath >= 0.0))
@@ -184,7 +176,11 @@ def check_bath(ohmicity, temperature_ratio, separation) -> np.ndarray:
         rule = ("ohmicity must be finite and exceed 1", "temperature ratio must be finite and >= 0",
                 "separation must be finite and >= 0")[field]
         raise ValueError(f"{rule}, got {bath[field, b]}")
-    return bath
+    taus = np.asarray(taus, dtype=float)
+    bad = ~((taus >= 0.0) & (taus < math.inf))
+    if bad.any():
+        raise ValueError(f"tau must be finite and >= 0, got {taus[bad][0]}")
+    return taus, bath
 
 
 def decoherence_grid(taus, ohmicity, temperature_ratio, separation) -> tuple:
@@ -205,12 +201,11 @@ def decoherence_grid(taus, ohmicity, temperature_ratio, separation) -> tuple:
     `_second_difference` call serves the whole grid and a bath's chi sums
     its own rows.  tau = 0 and ell = 0 give exactly 0.  A bad bath, then a
     tau that is negative or not finite, raises ValueError (`check_bath`,
-    `check_tau`, which the quadrature oracle shares), and so does a chi or
-    phase outside the float range (s above about 172), naming the first such
-    bath, or the largest s where log Gamma(s - 1) itself overflows.
+    which the quadrature oracle shares), and so does a chi or phase outside
+    the float range (s above about 172), naming the first such bath, or the
+    largest s where log Gamma(s - 1) itself overflows.
     """
-    s, th, ell = check_bath(ohmicity, temperature_ratio, separation)
-    taus = check_tau(taus)
+    taus, (s, th, ell) = check_bath(taus, ohmicity, temperature_ratio, separation)
     try:
         terms, sizes = _bath_terms(s - 1.0, th)
     except OverflowError:  # math.lgamma past s ~ 2.5e305

@@ -215,8 +215,7 @@ def test_criterion_12_spin_boson_curves():
 
 def test_criterion_13_quadrature_robustness():
     settings = ((120.0, 1e-10), (0.0, 5e-11))  # (upper_cutoff, rel_tol)
-    *_, gap = checks.spin_boson(2.0, 0.1, 3.0, np.linspace(0.0, 8.0, 81), settings,
-                                1e-12, 1e-8)
+    *_, gap = checks.spin_boson(2.0, 0.1, 3.0, np.linspace(0.0, 8.0, 81), settings, 1e-8)
     report(13, "doubling the frequency cutoff or halving the tolerance moves "
                "chi and the phase by at most 1e-8", gap.ok,
            f"worst shift {gap.worst:.2e}")

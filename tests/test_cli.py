@@ -334,7 +334,9 @@ def test_invalid_grid_is_config_error(tmp_path, capsys):
     ("vs-n --n 3:1", "cannot parse integer list '3:1'"),
     ("surface --n 2,3", "surface requires a single --n value"),
     ("spinboson --n 2,3", "spinboson requires a single --n value"),
-    ("vs-n --n 0:2", "vs-n requires positive port counts"),
+    ("vs-n --n 0:2", "need n >= 1, got 0"),
+    ("vs-n --n ,", "cannot parse integer list ','"),
+    ("compare --n ,", "cannot parse integer list ','"),
     ("compare --n 1:3", "compare requires port counts >= 2"),
     ("spinboson --povm ,", "spinboson requires at least one povm mode"),
     ("surface --n 0", "need n >= 1, got 0"),
@@ -344,9 +346,9 @@ def test_config_error_is_one_line(tmp_path, capsys, argv, err):
     assert capsys.readouterr().err == f"error: {err}\n"
 
 
-# with several bad inputs the bath is checked where the baths are built, s-major:
-# before tau and its order, and the first bath's first bad entry wins; a tau
-# grid that starts with a minus sign reaches the tau check
+# with several bad inputs the bath is checked first, s-major, and the first
+# bath's first bad entry wins; then a tau value, then tau's order and the
+# modes.  A tau grid that starts with a minus sign reaches the tau check.
 @pytest.mark.parametrize("argv, err", [
     ("--s 0.5 --tau 3,1", "ohmicity must be finite and exceed 1, got 0.5"),
     ("--s 2,0.5 --temp-ratio -1", "temperature ratio must be finite and >= 0, got -1.0"),
@@ -354,10 +356,22 @@ def test_config_error_is_one_line(tmp_path, capsys, argv, err):
     ("--temp-ratio -1 --povm bogus", "temperature ratio must be finite and >= 0, got -1.0"),
     ("--temp-ratio -1 --tau -1,3", "temperature ratio must be finite and >= 0, got -1.0"),
     ("--tau -1,3", "tau must be finite and >= 0, got -1.0"),
+    ("--tau 3,-1", "tau must be finite and >= 0, got -1.0"),
+    ("--tau -1,3 --povm bogus", "tau must be finite and >= 0, got -1.0"),
 ])
 def test_bath_error_precedence(tmp_path, capsys, argv, err):
     assert main(["spinboson", *argv.split(), "--out", str(tmp_path / "x.csv")]) == 1
     assert capsys.readouterr().err == f"error: {err}\n"
+
+
+def test_spinboson_checks_its_baths_once(tmp_path, monkeypatch):
+    # the route checks the baths and tau; the CLI runs no second copy of that check
+    calls = []
+    monkeypatch.setattr(sb, "check_bath",
+                        lambda *args, check=sb.check_bath: calls.append(args) or check(*args))
+    assert main(["spinboson", "--n", "3", "--tau", "0:2:3", "--s", "2,3",
+                 "--povm", "closed_form,noise_adapted", "--out", str(tmp_path / "x.csv")]) == 0
+    assert len(calls) == 1
 
 
 # A grid value that starts with '-' and then a digit or '.' reaches its flag,
@@ -416,7 +430,7 @@ def _run(argv, out: Path) -> tuple:
     return code, err.getvalue(), written
 
 
-@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@settings(max_examples=100)
 @given(st.sampled_from(["--gamma", "--theta"]), GRID_TEXT)
 def test_spaced_and_joined_grid_flags_agree(flag, text):
     # the spaced spelling reaches its flag through the parser's patched

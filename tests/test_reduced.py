@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pbtlab import checks
 from pbtlab import closedform as cf
@@ -31,6 +32,16 @@ def test_compare_routes_match_dense(n):
     # dense PGM at every theta checks that a phase on B does not change the
     # adapted fidelity.
     assert all(gap.ok for gap in checks.closed_form_vs_trace((n,), GAMMAS, THETAS, TOL))
+
+
+@settings(max_examples=30)
+@given(st.integers(2, 6), st.floats(0.0, 1.0), st.floats(-math.pi, math.pi))
+def test_routes_agree_at_random_points(n, g, t):
+    # the dense route against the reduced PGM and against the noiseless closed
+    # form, at any (N, |gamma|, theta) it reaches quickly; the Beigi-Konig
+    # bound sits below the reduced PGM
+    assert all(gap.ok for gap in checks.closed_form_vs_trace((n,), (g,), (t,), TOL))
+    assert cf.beigi_konig_bound(n, g) <= pgm_fidelities_reduced(n, g) + 1e-12
 
 
 # The anchors beyond the dense oracle's N <= 8: |gamma| = 1 gives f_ih and

@@ -35,34 +35,35 @@ def cli_rows(tmp_path, taus, povm="closed_form"):
     return [dict(zip(table["columns"], row)) for row in table["rows"]]
 
 
-# every route that takes a bath, at tau = 1
-BATH_ROUTES = (sb.check_bath,
-               lambda s, th, ell: sb.decoherence_grid([1.0], s, th, ell),
-               lambda s, th, ell: qd.chi_and_error(1.0, s, th, ell),
-               lambda s, th, ell: qd.phase_and_error(1.0, s, th, ell))
+# every route that takes a bath, as a function of (tau, s, theta_T, ell)
+BATH_ROUTES = (lambda tau, s, th, ell: sb.check_bath([tau], s, th, ell),
+               lambda tau, s, th, ell: sb.decoherence_grid([tau], s, th, ell),
+               qd.chi_and_error, qd.phase_and_error)
 
 
 def test_params_validation():
     # each route runs the one bath check, `check_bath`, with one message per field;
-    # NaN and inf are rejected too: a NaN temperature once passed as a cold bath
+    # NaN and inf are rejected too: a NaN temperature once passed as a cold bath.
+    # The bath is checked before tau, so a bad tau beside it changes nothing.
     rules = (("ohmicity must be finite and exceed 1", (1.0, math.nan, math.inf)),
              ("temperature ratio must be finite and >= 0", (-0.1, math.nan, math.inf)),
              ("separation must be finite and >= 0", (-0.1, math.nan, math.inf)))
     for field, (rule, bads) in enumerate(rules):
-        for bad, route in itertools.product(bads, BATH_ROUTES):
+        for bad, tau, route in itertools.product(bads, (1.0, -1.0), BATH_ROUTES):
             bath = [2.0, 0.1, 3.0]
             bath[field] = bad
             with pytest.raises(ValueError, match=f"^{rule}, got {bad}$"):
-                route(*bath)
+                route(tau, *bath)
 
 
 def test_check_bath_names_the_first_bad_bath():
     # one entry per bath, broadcast; the first bad bath is named, and within it
     # the ohmicity before the temperature ratio before the separation; lists
     # (the CLI passes its baths as lists) and arrays give the same result
-    s, th, ell = sb.check_bath([2.0, 3.0], [0.1, 0.9], 3.0)
+    taus, (s, th, ell) = sb.check_bath([0, 1], [2.0, 3.0], [0.1, 0.9], 3.0)
+    assert taus.dtype == float and taus.tolist() == [0.0, 1.0]
     assert (s.tolist(), th.tolist(), ell.tolist()) == ([2.0, 3.0], [0.1, 0.9], [3.0, 3.0])
-    assert np.array_equal(sb.check_bath(np.array([2.0, 3.0]), np.array([0.1, 0.9]), 3.0),
+    assert np.array_equal(sb.check_bath(1.0, np.array([2.0, 3.0]), np.array([0.1, 0.9]), 3.0)[1],
                           np.array([s, th, ell]))
     for bath, message in (
             (([2.0, 0.5], -1.0, 3.0), "temperature ratio must be finite and >= 0, got -1.0"),
@@ -71,7 +72,7 @@ def test_check_bath_names_the_first_bad_bath():
         for route, args in itertools.product(BATH_ROUTES[:2],  # the quadrature takes one bath
                                              (bath, [np.asarray(v) for v in bath])):
             with pytest.raises(ValueError, match=f"^{message}$"):
-                route(*args)
+                route(1.0, *args)
 
 
 def test_chi_trivial_zeros():
@@ -92,7 +93,7 @@ def test_quadrature_reports_its_error_estimate():
 
 
 def test_chi_nonnegative():
-    assert all(g.ok for g in checks.spin_boson(*params(), (0.5, 1.0, 3.0, 8.0), (), 0.0, 0.0))
+    assert all(g.ok for g in checks.spin_boson(*params(), (0.5, 1.0, 3.0, 8.0), (), 0.0))
 
 
 def test_chi_thermal_enhancement():
@@ -169,12 +170,12 @@ def test_extreme_baths_are_cold_or_one_error():
 
 def test_quadrature_cutoff_convergence():
     wide = (120.0, 1e-10)  # (upper_cutoff, rel_tol)
-    *_, shift = checks.spin_boson(*params(), (1.0, 4.0, 8.0), (wide,), 1e-12, 1e-8)
+    *_, shift = checks.spin_boson(*params(), (1.0, 4.0, 8.0), (wide,), 1e-8)
     assert shift.ok
 
 
 def test_spin_boson_check_names_the_quadrature_settings():
-    *_, shift = checks.spin_boson(*params(), (4.0,), ((120.0, 1e-10),), 1e-12, 1e-8)
+    *_, shift = checks.spin_boson(*params(), (4.0,), ((120.0, 1e-10),), 1e-8)
     assert shift.where == "tau=4 upper_cutoff=120 rel_tol=1e-10"
 
 
@@ -305,7 +306,7 @@ def test_stacked_grid_matches_one_bath_calls():
 # A bath (s, theta_T) and times tau, ell in [1e-2, 1e3], drawn alike on every run.
 BATH = st.tuples(st.floats(1.05, 8.0), st.floats(0.0, 1.0))
 TIME = st.floats(1e-2, 1e3)
-PROPERTY = settings(max_examples=50, derandomize=True, database=None, deadline=None)
+PROPERTY = settings(max_examples=50)
 
 
 @PROPERTY
