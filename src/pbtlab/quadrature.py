@@ -16,7 +16,6 @@ from scipy import integrate
 
 from .spinboson import check_bath
 
-SMALL_W = 1e-6
 # QUADPACK's absolute tolerance and subdivision limit on each panel
 QUAD_ABS_TOL = 1e-12
 QUAD_MAX_SUBDIVISIONS = 200
@@ -29,17 +28,17 @@ def _coth_half(w: float, theta_t: float) -> float:
     return 1.0 / math.tanh(w / (2.0 * theta_t))
 
 
-def _integral(integrand: Callable[[float], float], head: float, tau: float, s: float,
-              ell: float, upper_cutoff: float = 0.0, rel_tol: float = 1e-10) -> tuple:
-    """head plus the integral of integrand from SMALL_W to upper_cutoff (0 for
-    40 + 10 s), summed over panels no wider than pi / max(tau, ell, 1), with
-    QUADPACK's relative tolerance rel_tol on each panel, and QUADPACK's error
-    estimate summed over the panels; (0, 0) at tau = 0 or ell = 0."""
+def _integral(integrand: Callable[[float], float], tau: float, s: float, ell: float,
+              upper_cutoff: float = 0.0, rel_tol: float = 1e-10) -> tuple:
+    """The integral of integrand from 0 (an endpoint, which QUADPACK never
+    evaluates) to upper_cutoff (0 for 40 + 10 s), summed over panels no wider
+    than pi / max(tau, ell, 1) with QUADPACK's relative tolerance rel_tol, and
+    their error estimates summed; (0, 0) at tau = 0 or ell = 0."""
     if tau == 0.0 or ell == 0.0:
         return 0.0, 0.0
     hi = upper_cutoff if upper_cutoff > 0.0 else 40.0 + 10.0 * s
     width = math.pi / max(tau, ell, 1.0)
-    edges = np.linspace(SMALL_W, hi, max(1, math.ceil((hi - SMALL_W) / width)) + 1)
+    edges = np.linspace(0.0, hi, math.ceil(hi / width) + 1)
     total = error = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         try:
@@ -53,7 +52,7 @@ def _integral(integrand: Callable[[float], float], head: float, tau: float, s: f
             raise ValueError(f"quadrature gave a non-finite value on panel [{a:g}, {b:g}]")
         total += val
         error += err
-    return head + total, error
+    return total, error
 
 
 def chi_and_error(tau: float, ohmicity: float, temperature_ratio: float, separation: float,
@@ -71,16 +70,7 @@ def chi_and_error(tau: float, ohmicity: float, temperature_ratio: float, separat
             * (1.0 - math.cos(w * ell))
         )
 
-    # Below SMALL_W the two cosine differences contribute w^4 tau^2 ell^2 / 4,
-    # and coth contributes 2 theta_T / w at finite temperature (1 at theta_T = 0),
-    # leaving an integrable power of w that we integrate analytically.
-    if th > 0.0:
-        # integrand ~ tau^2 ell^2 theta_T w^(s+1)
-        head = tau * tau * ell * ell * th * SMALL_W ** (s + 2.0) / (s + 2.0)
-    else:
-        # integrand ~ (tau^2 ell^2 / 2) w^(s+2)
-        head = 0.5 * tau * tau * ell * ell * SMALL_W ** (s + 3.0) / (s + 3.0)
-    return _integral(integrand, head, tau, s, ell, upper_cutoff, rel_tol)
+    return _integral(integrand, tau, s, ell, upper_cutoff, rel_tol)
 
 
 def phase_and_error(tau: float, ohmicity: float, temperature_ratio: float, separation: float,
@@ -105,6 +95,4 @@ def phase_and_error(tau: float, ohmicity: float, temperature_ratio: float, separ
             * math.sin(w * ell)
         )
 
-    # small-w: (1 - cos) sin ~ (tau^2 / 2) w^2 * ell w, so integrand ~ (tau^2 ell / 4) w^(s+1)
-    head = 0.25 * tau * tau * ell * SMALL_W ** (s + 2.0) / (s + 2.0)
-    return _integral(integrand, head, tau, s, ell, upper_cutoff, rel_tol)
+    return _integral(integrand, tau, s, ell, upper_cutoff, rel_tol)

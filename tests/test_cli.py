@@ -327,7 +327,8 @@ def test_invalid_grid_is_config_error(tmp_path, capsys):
             f"error: cannot parse grid specification {text!r}"]
 
 
-# the configuration errors the CLI raises itself, and the port count it leaves to f_ih
+# the configuration errors the CLI raises itself, and the port count it leaves to
+# closedform._noiseless_terms (through noiseless_fidelity)
 @pytest.mark.parametrize("argv, err", [
     ("surface --gamma 0:1", "cannot parse grid specification '0:1'"),
     ("surface --n x", "cannot parse integer list 'x'"),
