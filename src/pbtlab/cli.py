@@ -51,7 +51,7 @@ def _parse_grid(text: str) -> List[float]:
             if len(parts) != 3:
                 raise ValueError
             lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-            if count < 1 or lo > hi:
+            if count < 1 or not -math.inf < lo <= hi < math.inf:  # NaN fails too
                 raise ValueError
             with np.errstate(all="ignore"):  # a span past the float range gives NaNs, refused below
                 values = [lo] if count == 1 else list(np.linspace(lo, hi, count))

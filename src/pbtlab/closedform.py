@@ -106,7 +106,7 @@ def teleport_fidelity(ent_fid):
     bad = ~((f >= -FIDELITY_SLACK) & (f <= 1.0 + FIDELITY_SLACK))
     if bad.any():
         raise ValueError(f"entanglement fidelity {f[bad][0]} outside [0, 1]")
-    return (2.0 * ent_fid + 1.0) / 3.0
+    return (2.0 * (f if f.ndim else f.item()) + 1.0) / 3.0
 
 
 def beigi_konig_bound(n: int, gamma_abs):

@@ -121,42 +121,43 @@ def _second_difference(base, alpha, log_coef, h: np.ndarray, y: np.ndarray) -> t
     return about_0, about_y
 
 
-def _bath_terms(a: np.ndarray, theta_t: np.ndarray) -> tuple:
-    """G of each bath as sum_r sign_r e^(log_coef_r) (base_r - i t)^(-alpha_r) + const.
+def _bath_terms(a: np.ndarray, theta_t: np.ndarray, ell: np.ndarray) -> tuple:
+    """The table `decoherence_grid` evaluates: G(t) of each bath as
+    sum_r sign_r e^(log_coef_r) (base_r - i t)^(-alpha_r) + const, a column per row r.
 
-    a and theta_T hold one entry per bath.  A bath's last row is the
-    zero-temperature term Gamma(a) (1 - i t)^(-a).  At theta_T > 0 the rows
-    before it are the thermal part, 2 Gamma(a) sum_{k>=1} (z + k/theta_T)^(-a),
-    z = 1 - i t; a bath whose W below is past the float range (theta_T below
-    ~7e-308) counts as cold, as the thermal part's second differences fall
-    like theta_T^(a+2).  Rows k = 1..ZETA_TERMS are its first terms.  With
+    a, theta_T and ell hold one entry per bath.  Each bath has the
+    zero-temperature row Gamma(a) (1 - i t)^(-a).  At theta_T > 0 the thermal
+    part, 2 Gamma(a) sum_{k>=1} (z + k/theta_T)^(-a), z = 1 - i t, adds rows;
+    a bath whose W below is past the float range (theta_T below ~7e-308)
+    counts as cold, as the thermal part's second differences fall like
+    theta_T^(a+2).  Rows k = 1..ZETA_TERMS are its first terms.  With
     W = z + (ZETA_TERMS + 1)/theta_T, Euler-Maclaurin turns the rest into
     2 Gamma(a) times
     theta_T W^(1-a)/(a-1) + W^(-a)/2 + sum_j B_2j/(2j)! (a)_(2j-1) theta_T^(1-2j) W^(1-a-2j),
     one row each.  The first row's exponent a - 1 is 0 at s = 2, where
     theta_T W^(1-a)/(a-1) is -theta_T log W up to a constant; its coefficient
-    then leaves out the 1/(a-1) (see `_second_difference`).  Returned as one
-    array of four rows (base, alpha, log_coef, sign), a column per term with
-    the terms of every bath in turn, and the number of terms of each bath.
-    The terms are Python floats, with math.lgamma and math.log, made an array
-    once: a run has a few dozen, which numpy calls on tiny arrays would only
-    slow down; this also keeps scipy off the sweeps, and numpy's log can
-    differ from math's in the last bit.
+    then leaves out the 1/(a-1) (see `_second_difference`).  Returned: five
+    rows (base, alpha, log_coef, sign, ell), every bath's G rows in turn with
+    its separation, then each bath's zero-temperature row once more for the
+    phase; and the column of each bath's first row.  The rows are Python
+    floats (math.lgamma, math.log; numpy's log can differ in the last bit)
+    made an array once, which keeps scipy and tiny numpy calls off the sweeps.
     """
-    log_2, terms, sizes = math.log(2.0), [], []
-    for a, th in zip(a.tolist(), theta_t.tolist()):
-        lg_a, first = math.lgamma(a), len(terms)
+    log_2, rows, phase_rows, starts = math.log(2.0), [], [], []
+    for a, th, sep in zip(a.tolist(), theta_t.tolist(), ell.tolist()):
+        lg_a = math.lgamma(a)
+        starts.append(len(rows))
         w = 1.0 + (ZETA_TERMS + 1) / th if th > 0.0 else math.inf
         if w < math.inf:  # a cold bath, W past the float range included, has no thermal rows
             log_th, pole = math.log(th), 0.0 if a == 1.0 else math.log(abs(a - 1.0))
-            terms += [(1.0 + k / th, a, log_2 + lg_a, 1.0) for k in range(1, ZETA_TERMS + 1)]
-            terms += [(w, a - 1.0, log_2 + log_th + lg_a - pole, 1.0 if a >= 1.0 else -1.0),
-                      (w, a, lg_a, 1.0)]
-            terms += [(w, a + two_j - 1, log_2 + math.lgamma(a + two_j - 1) + log_b + (1 - two_j) * log_th,
-                       sign_b) for two_j, log_b, sign_b in _BERNOULLI_TERMS]
-        terms.append((1.0, a, lg_a, 1.0))
-        sizes.append(len(terms) - first)
-    return np.array(terms).reshape(-1, 4).T, np.array(sizes, dtype=int)
+            rows += [(1.0 + k / th, a, log_2 + lg_a, 1.0, sep) for k in range(1, ZETA_TERMS + 1)]
+            rows += [(w, a - 1.0, log_2 + log_th + lg_a - pole, 1.0 if a >= 1.0 else -1.0, sep),
+                     (w, a, lg_a, 1.0, sep)]
+            rows += [(w, a + two_j - 1, log_2 + math.lgamma(a + two_j - 1) + log_b + (1 - two_j) * log_th,
+                      sign_b, sep) for two_j, log_b, sign_b in _BERNOULLI_TERMS]
+        rows.append((1.0, a, lg_a, 1.0, sep))
+        phase_rows.append(rows[-1])
+    return np.array(rows + phase_rows).reshape(-1, 5).T, np.array(starts, dtype=int)
 
 
 def check_bath(taus, ohmicity, temperature_ratio, separation) -> tuple:
@@ -187,39 +188,38 @@ def decoherence_grid(taus, ohmicity, temperature_ratio, separation) -> tuple:
     """chi and the phase of every bath at every tau: two (baths, taus) arrays,
     a row for each entry of the bath arguments (floats or equal-length arrays).
 
-    They come from the closed form of the module docstring.  G(t) is the sum
-    of a bath's `_bath_terms` rows, and chi and the phase are sums of
-    `_second_difference`s of these powers; a constant in G drops out of them.
-    chi = 2 Re[D_tau(ell) - D_tau(0)], D_h(y) = G(y + h)/2 + G(y - h)/2 - G(y),
-    is symmetric in tau and ell, so its rows step by h = min(tau, ell) about
-    y = max(tau, ell): the far powers at large tau then fall in the series
-    about y, and chi(tau, ell) = chi(ell, tau) bit for bit.  The phase,
-    -1/2 Im D_tau(ell) of the zero-temperature term, is not symmetric: each
-    bath's zero-temperature row is stacked once more at (h, y) = (tau, ell),
-    so baths that differ only in temperature get bit-for-bit the same
-    phases.  The rows of all baths are stacked on one axis, so one
-    `_second_difference` call serves the whole grid and a bath's chi sums
-    its own rows.  tau = 0 and ell = 0 give exactly 0.  A bad bath, then a
-    tau that is negative or not finite, raises ValueError (`check_bath`,
-    which the quadrature oracle shares), and so does a chi or phase outside
-    the float range (s above about 172), naming the first such bath, or the
-    largest s where log Gamma(s - 1) itself overflows.
+    Both are sums of `_second_difference`s of the `_bath_terms` table's
+    powers, taken as the table gives them.  chi = 2 Re[D_tau(ell) - D_tau(0)],
+    D_h(y) = G(y + h)/2 + G(y - h)/2 - G(y), is symmetric in tau and ell, so
+    the G rows step by h = min(tau, ell) about y = max(tau, ell): the far
+    powers at large tau then fall in the series about y, and
+    chi(tau, ell) = chi(ell, tau) bit for bit.  The phase rows, -1/2 Im D_tau(ell)
+    of the zero-temperature term, take (h, y) = (tau, ell), so baths that
+    differ only in temperature get bit-for-bit the same phases.  One kernel
+    call serves the table; a bath's chi sums its own G rows.  tau = 0 and
+    ell = 0 give exactly 0.  A bad bath, then a tau that is negative or not
+    finite, raises ValueError (`check_bath`, which the quadrature oracle
+    shares), and so does a chi or phase outside the float range (s above
+    about 172), naming the first such bath, or the largest s where
+    log Gamma(s - 1) itself overflows.  At theta_T > 0 chi loses about
+    1e-16 / (s - 1) relative as s -> 1, unflagged (4.3e-5 at s - 1 = 1e-12,
+    0.15 at 1e-15; cold baths within 5e-15): the row theta_T W^(1-a)/(a-1)
+    has a coefficient ~1/(s - 1) and, at alpha -> -1, a second difference ~0.
     """
     taus, (s, th, ell) = check_bath(taus, ohmicity, temperature_ratio, separation)
     try:
-        terms, sizes = _bath_terms(s - 1.0, th)
+        table, starts = _bath_terms(s - 1.0, th, ell)
     except OverflowError:  # math.lgamma past s ~ 2.5e305
         raise ValueError(f"the decoherence factor at s={s.max():g} leaves the float range") from None
-    ends, n = np.cumsum(sizes), sizes.sum()  # the n rows of chi, then a phase row per bath
-    base, alpha, log_coef, sign = np.concatenate([terms, terms[:, ends - 1]], axis=1)[:, :, None]
-    row_ell = np.concatenate([np.repeat(ell, sizes), ell])[:, None]
+    base, alpha, log_coef, sign, row_ell = table[:, :, None]
+    n = len(base) - len(ell)  # the n rows of chi, then a phase row per bath
     h, y = np.minimum(taus, row_ell), np.maximum(taus, row_ell)
     h[n:], y[n:] = taus, row_ell[n:]
     # an overflow shows as a non-finite chi or phase, raised below
     with np.errstate(over="ignore", invalid="ignore"):
         about_0, about_y = _second_difference(base, alpha, log_coef, h, y)
         rows = sign * (about_y.real - about_0)
-        chis = 2.0 * np.add.reduceat(rows[:n], ends - sizes, axis=0)
+        chis = 2.0 * np.add.reduceat(rows[:n], starts, axis=0)
     phases = -0.5 * about_y[n:].imag
     chis[:, taus == 0.0] = phases[:, taus == 0.0] = 0.0
     chis[ell == 0.0] = phases[ell == 0.0] = 0.0

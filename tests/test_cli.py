@@ -321,7 +321,11 @@ def test_invalid_grid_is_config_error(tmp_path, capsys):
                        (["spinboson", "--tau", ""], ""),
                        (["spinboson", "--s", ""], ""),
                        (["surface", "--theta", "0:1.8e308:2"], "0:1.8e308:2"),
-                       (["surface", "--theta", "-1e308:1e308:3"], "-1e308:1e308:3")):
+                       (["surface", "--theta", "-1e308:1e308:3"], "-1e308:1e308:3"),
+                       # a bound that is not finite, at a count of 1 too
+                       (["surface", "--gamma", "0:nan:1"], "0:nan:1"),
+                       (["surface", "--gamma", "0:inf:1"], "0:inf:1"),
+                       (["surface", "--gamma", "0:1e999:1"], "0:1e999:1")):
         assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 1
         assert capsys.readouterr().err.splitlines() == [
             f"error: cannot parse grid specification {text!r}"]

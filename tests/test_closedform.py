@@ -142,6 +142,9 @@ def test_teleport_fidelity_map():
     assert type(cf.teleport_fidelity(0.25)) is float
     assert cf.teleport_fidelity(0.25) == pytest.approx(0.5)
     assert np.array_equal(cf.teleport_fidelity(np.array([[1.0], [0.25]])), [[1.0], [0.5]])
+    # a list or a tuple is read as an array, as by the other routes
+    for grid in ([1.0, 0.25], (1.0, 0.25)):
+        assert np.array_equal(cf.teleport_fidelity(grid), [1.0, 0.5])
     # within FIDELITY_SLACK of [0, 1] an entry passes; beyond it, or NaN, it is
     # named, as a float and as an array entry
     slack = cf.FIDELITY_SLACK

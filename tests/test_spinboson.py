@@ -306,6 +306,16 @@ def test_stacked_grid_matches_one_bath_calls():
                 assert abs(x - want) <= 2e-15 * max(1.0, abs(want)), (bath, got)
 
 
+def test_empty_grids_give_empty_tables():
+    # no bath: an empty `_bath_terms` table and no row starts to sum over;
+    # no tau: one bath row of no columns
+    taus = [0.0, 0.5, 3.0]
+    for got in sb.decoherence_grid(taus, [], [], 3.0):
+        assert got.shape == (0, len(taus))
+    for got in sb.decoherence_grid([], 2.0, 0.5, 3.0):
+        assert got.shape == (1, 0)
+
+
 # A bath (s, theta_T) and times tau, ell in [1e-2, 1e3], drawn alike on every run.
 BATH = st.tuples(st.floats(1.05, 8.0), st.floats(0.0, 1.0))
 TIME = st.floats(1e-2, 1e3)
