@@ -63,9 +63,11 @@ def _power(log_coef, alpha, b, y) -> tuple:
 
 def _bracket(alpha, x, log_1x2):
     """expm1(m) - 2 e^m sin^2(alpha arctan(x) / 2), m = -(alpha/2) log(1 + x^2), for
-    real or complex x and its log(1 + x^2): the series of `_second_difference`."""
+    real or complex x and its log(1 + x^2): the series of `_second_difference`.
+    Where alpha = 0 it is -(1/2) log(1 + x^2), the limit of the bracket over alpha."""
     expm1_m = np.expm1(-0.5 * alpha * log_1x2)
-    return expm1_m - 2.0 * (1.0 + expm1_m) * np.sin(0.5 * alpha * np.arctan(x)) ** 2
+    return np.where(alpha == 0.0, -0.5 * log_1x2,
+                    expm1_m - 2.0 * (1.0 + expm1_m) * np.sin(0.5 * alpha * np.arctan(x)) ** 2)
 
 
 def _second_difference(base, alpha, log_coef, h: np.ndarray, y: np.ndarray) -> tuple:
@@ -79,9 +81,8 @@ def _second_difference(base, alpha, log_coef, h: np.ndarray, y: np.ndarray) -> t
     with x = h / c the bracket is
     c^(-alpha) [expm1(m) - 2 e^m sin^2(alpha arctan(x) / 2)], m = -(alpha/2) log(1 + x^2)
     (e^m as 1 + expm1(m), whose rounding stays within the bracket's;
-    `_bracket`), which takes that cancellation out.  Where alpha = 0 it
-    returns the limit of the bracket over alpha, -(1/2) log(1 + x^2) times
-    e^log_coef.
+    `_bracket`, which also owns its alpha = 0 limit), which takes that
+    cancellation out.  Every e^log_coef c^(-alpha) is a `_power`.
 
     About 0, c and x are real, the series is exact at every x and it is
     evaluated in float64 over the whole array.  About y, x is complex; the
@@ -96,8 +97,7 @@ def _second_difference(base, alpha, log_coef, h: np.ndarray, y: np.ndarray) -> t
     # about 0: the series over every entry in float64
     x = h / base
     log_1x2 = np.log1p(x * x)
-    about_0 = np.where(alpha == 0.0, -0.5 * np.exp(log_coef) * log_1x2,
-                       np.exp(log_coef - alpha * np.log(base)) * _bracket(alpha, x, log_1x2))
+    about_0 = _power(log_coef, alpha, base, 0.0)[0] * _bracket(alpha, x, log_1x2)
 
     # about y: the near entries (alpha = 0 among them) in complex, the far in float64
     near = np.abs(alpha) * h < 0.75 * np.hypot(base, y)
@@ -109,8 +109,7 @@ def _second_difference(base, alpha, log_coef, h: np.ndarray, y: np.ndarray) -> t
     x2 = x * x
     log_1x2 = (0.5 * np.log1p(x2.real * (2.0 + x2.real) + x2.imag ** 2)
                + 1j * np.arctan2(x2.imag, 1.0 + x2.real))
-    about_y[i, j] = np.where(a == 0.0, -0.5 * np.exp(log_coef_n) * log_1x2,
-                             modulus * (np.cos(turn) + 1j * np.sin(turn)) * _bracket(a, x, log_1x2))
+    about_y[i, j] = modulus * (np.cos(turn) + 1j * np.sin(turn)) * _bracket(a, x, log_1x2)
     i, j = np.nonzero(~near)
     y_far = y[i, j] + [[1.0], [-1.0], [0.0]] * h[i, j]  # c -/+ i h and c are base - i y_far
     modulus, turn = _power(log_coef[i, 0], alpha[i, 0], base[i, 0], y_far)
@@ -163,12 +162,18 @@ def _bath_terms(a: np.ndarray, theta_t: np.ndarray, ell: np.ndarray) -> tuple:
 def check_bath(taus, ohmicity, temperature_ratio, separation) -> tuple:
     """tau as a float array, and the baths as one float array of three rows
     (s, theta_T, ell), a column per bath: the one domain check of a bath
-    evaluation.  tau is a float or an array; the bath arguments, floats or
-    1-d arrays or lists, are broadcast.  For the first bath with a bad entry
-    it raises ValueError naming an ohmicity that is not finite and above 1,
-    else a temperature ratio, else a separation, that is not finite and
-    >= 0; then for the first tau that is negative or not finite."""
-    bath = np.empty((3,) + (np.broadcast(ohmicity, temperature_ratio, separation).shape or (1,)))
+    evaluation.  tau is a float or a 1-d array; the bath arguments, floats or
+    1-d arrays or lists, are broadcast.  More dimensions raise ValueError
+    naming the shapes.  For the first bath with a bad entry it raises
+    ValueError naming an ohmicity that is not finite and above 1, else a
+    temperature ratio, else a separation, that is not finite and >= 0; then
+    for the first tau that is negative or not finite."""
+    taus = np.asarray(taus, dtype=float)
+    shape = np.broadcast(ohmicity, temperature_ratio, separation).shape
+    if taus.ndim > 1 or len(shape) > 1:
+        raise ValueError("tau and the baths must be at most 1-d, "
+                         f"got shapes {taus.shape} and {shape}")
+    bath = np.empty((3,) + (shape or (1,)))
     bath[0], bath[1], bath[2] = ohmicity, temperature_ratio, separation
     bad = ~(np.isfinite(bath) & (bath >= 0.0))
     bad[0] |= bath[0] <= 1.0
@@ -177,7 +182,6 @@ def check_bath(taus, ohmicity, temperature_ratio, separation) -> tuple:
         rule = ("ohmicity must be finite and exceed 1", "temperature ratio must be finite and >= 0",
                 "separation must be finite and >= 0")[field]
         raise ValueError(f"{rule}, got {bath[field, b]}")
-    taus = np.asarray(taus, dtype=float)
     bad = ~((taus >= 0.0) & (taus < math.inf))
     if bad.any():
         raise ValueError(f"tau must be finite and >= 0, got {taus[bad][0]}")

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from pbtlab import checks
 from pbtlab import closedform as cf
@@ -86,6 +87,25 @@ def test_noiseless_vs_adapted_larger_n():
     noiseless, adapted, beigi_konig = compare_columns(5, np.array([0.5, 0.8]))
     assert np.all(noiseless >= adapted - 1e-9)
     assert np.all(adapted >= beigi_konig - 1e-9)
+
+
+def test_crossover_gamma_star():
+    # At theta = 0 the noise-adapted PGM beats the noiseless measurement below
+    # one |gamma| = gamma*(N) and loses above it: on 2400 geometric |gamma| in
+    # [1e-6, 1) the difference changes sign once, and at |gamma| = 1 the two
+    # agree (measured within 4.5e-16), which is why a grid that ends at 1
+    # shows a second "crossing".  gamma*(9) = 0.0688 is why criterion 12(d)
+    # fails where the bath drives |gamma| below it.
+    gamma_star = {2: 0.9900539, 3: 0.5330482, 4: 0.3123115, 5: 0.2030456, 9: 0.06879278,
+                  20: 0.02603323, 50: 0.01015486, 100: 0.005038084}
+    grid = np.geomspace(1e-6, 1.0, 2400, endpoint=False)
+    for n, want in gamma_star.items():
+        def gap(g):
+            return cf.noiseless_fidelity(n, g) - pgm_fidelities_reduced(n, g)
+        [k] = np.flatnonzero(np.diff(np.sign(gap(grid))))
+        assert gap(grid[k]) < 0.0 < gap(grid[k + 1])
+        assert brentq(gap, grid[k], grid[k + 1], xtol=1e-15) == pytest.approx(want, rel=1e-6)
+        assert abs(gap(1.0)) <= 1e-15
 
 
 def test_helstrom_optimal_matches_closed_form():

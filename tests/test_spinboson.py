@@ -12,6 +12,7 @@ from pbtlab import closedform as cf
 from pbtlab import quadrature as qd
 from pbtlab import spinboson as sb
 from pbtlab.cli import main
+from pbtlab.fidelity import pgm_fidelities_reduced
 
 
 def params(s=2.0, th=0.1, ell=3.0):
@@ -73,6 +74,34 @@ def test_check_bath_names_the_first_bad_bath():
                                              (bath, [np.asarray(v) for v in bath])):
             with pytest.raises(ValueError, match=f"^{message}$"):
                 route(1.0, *args)
+
+
+def test_check_bath_refuses_more_than_one_dimension():
+    # a tau or bath argument of more than one dimension raises one ValueError
+    # naming the shapes, before the domain checks, in every route
+    for args, shapes in ((([1.0], [[2.0, 3.0]], 0.1, 3.0), r"\(1,\) and \(1, 2\)"),
+                         (([[1.0, 2.0]], 2.0, 0.1, 3.0), r"\(1, 2\) and \(\)"),
+                         (([[1.0], [2.0]], 2.0, 0.1, 3.0), r"\(2, 1\) and \(\)"),
+                         (([[-1.0]], 0.5, 0.1, 3.0), r"\(1, 1\) and \(\)")):
+        message = f"^tau and the baths must be at most 1-d, got shapes {shapes}$"
+        for route in (sb.check_bath, sb.decoherence_grid, qd.chi_and_error, qd.phase_and_error):
+            with pytest.raises(ValueError, match=message):
+                route(*args)
+
+
+def test_bracket_holds_its_alpha_zero_limit():
+    # at alpha = 0 `_bracket` is exactly the limit of bracket / alpha,
+    # -(1/2) log(1 + x^2), for the real x about 0 and the complex x about y;
+    # at small alpha bracket / alpha approaches it to first order in alpha
+    # (measured worst 2.04 |alpha|, at x = 100)
+    real = np.array([1e-3, 0.5, 3.0, 100.0])
+    cplx = np.array([1e-3 + 1e-3j, 0.3 - 0.2j, 2.0 + 1.5j, 40.0 - 3.0j])
+    for x, log_1x2 in ((real, np.log1p(real * real)), (cplx, np.log(1.0 + cplx * cplx))):
+        limit = -0.5 * log_1x2
+        assert np.array_equal(sb._bracket(0.0, x, log_1x2), limit)
+        for alpha in (1e-6, -1e-6, 1e-8, -1e-8):
+            ratio = sb._bracket(alpha, x, log_1x2) / alpha / limit
+            assert (np.abs(ratio - 1.0) <= 5 * abs(alpha)).all()
 
 
 def test_chi_trivial_zeros():
@@ -283,6 +312,41 @@ def test_decoherence_factors_match_mpmath(s):
     _assert_matches_mpmath(s, taus, (0.0, 0.1, 0.9, 5.0), 30)
     if s in LARGE_TAUS:
         _assert_matches_mpmath(s, LARGE_TAUS[s], (0.0, 0.9), 60)
+
+
+def _plateau(s, th, ell):
+    """chi and the phase as tau -> inf at 30 digits: 2 Re[G(0) - G(ell)] and
+    1/2 Im G_0(ell), G_0 the zero-temperature G."""
+    with mpmath.workdps(30):
+        g_0, g_ell = (_bath_transform_mpmath(t, s, th) for t in (0, ell))
+        cold = _bath_transform_mpmath(ell, s, 0)
+        return float(2 * mpmath.re(g_0 - g_ell)), float(mpmath.im(cold) / 2)
+
+
+def test_plateau_and_crossover_port_count():
+    # At ell = 3: each bath's long-time chi against its 30-digit plateau; at
+    # theta_T = 0 that is 2 Gamma(s-1) [1 - Re(1 - 3i)^(1-s)], 1.8 at s = 2 and
+    # 2.16 at s = 3.  chi approaches it like tau^(-s-1) (at s = 1.5,
+    # tau = 1e6 is 1.7e-9 off), so the kernel is read at tau = 1e12 and 1e50.
+    plateaus = {(2.0, 0.0): 1.8, (3.0, 0.0): 2.16, (2.0, 0.1): 1.83154025, (2.0, 0.9): 4.51283669,
+                (3.0, 0.1): 2.16727496, (3.0, 0.9): 3.88890614, (1.5, 0.9): 5.97513023,
+                (4.5, 0.0): 6.68620029}
+    s, th = (np.array(v) for v in zip(*plateaus))
+    chis, phases = sb.decoherence_grid([1e12, 1e50], s, th, 3.0)
+    for (bath, want), chi_row, phase_row in zip(plateaus.items(), chis, phases):
+        chi, phase = _plateau(*bath, 3.0)
+        assert chi == pytest.approx(want, abs=5e-9), bath
+        assert (np.abs(chi_row / chi - 1.0) <= 4e-16).all(), bath
+        assert (np.abs(phase_row / phase - 1.0) <= 1e-15).all(), bath
+    # On the plateau (|gamma| = e^-chi, the noiseless measurement at theta =
+    # the plateau's phase), the noise-adapted PGM beats the noiseless one
+    # exactly at N = 2 .. N_c - 1: this is why criterion 12(d) fails at N = 9
+    # on the theta_T = 0.9 baths.
+    for bath, n_c in (((2.0, 0.1), 6), ((3.0, 0.1), 7), ((3.0, 0.9), 26), ((2.0, 0.9), 47)):
+        chi, phase = _plateau(*bath, 3.0)
+        wins = [n for n in range(2, 61) if pgm_fidelities_reduced(n, math.exp(-chi))
+                > cf.noiseless_fidelity(n, math.exp(-chi), phase)]
+        assert wins == list(range(2, n_c)), bath
 
 
 def test_stacked_grid_matches_one_bath_calls():
