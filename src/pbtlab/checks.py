@@ -153,19 +153,19 @@ def spin_boson(s: float, th: float, ell: float, taus, settings, shift_bound: flo
     negative = Gap("negative part of chi", 0.0)
     shift = Gap("shift of chi and phase", shift_bound)
     for tau in taus:
-        c0, p0 = qd.chi_and_error(tau, s, th, ell)[0], qd.phase_and_error(tau, s, th, ell)[0]
+        c0, p0 = qd.decoherence_and_error(tau, s, th, ell)[:2]
         negative.see(-c0, f"tau={tau:g}")
         for cutoff, rel_tol in settings:
-            shift.see(max(abs(qd.chi_and_error(tau, s, th, ell, cutoff, rel_tol)[0] - c0),
-                          abs(qd.phase_and_error(tau, s, th, ell, cutoff, rel_tol)[0] - p0)),
+            c, p = qd.decoherence_and_error(tau, s, th, ell, cutoff, rel_tol)[:2]
+            shift.see(max(abs(c - c0), abs(p - p0)),
                       f"tau={tau:g} upper_cutoff={cutoff:g} rel_tol={rel_tol:g}")
     return negative, shift
 
 
 def decoherence_routes(ohmicities, temps, taus, ell: float, bound: float) -> tuple:
     """Analytic chi and phase (`decoherence_grid`, one call for the whole
-    (s, theta_T) grid, s-major) against the quadrature (`chi_and_error`,
-    `phase_and_error`), each gap relative to max(1, |quadrature value|); and
+    (s, theta_T) grid, s-major) against the quadrature (`decoherence_and_error`,
+    one call per point), each gap relative to max(1, |quadrature value|); and
     QUADPACK's own error estimate of those integrals, relative the same way."""
     chi_gap = Gap("|analytic - quadrature chi| / max(1, |chi|)", bound)
     phase_gap = Gap("|analytic - quadrature phase| / max(1, |phase|)", bound)
@@ -175,8 +175,7 @@ def decoherence_routes(ohmicities, temps, taus, ell: float, bound: float) -> tup
     for (s, th), chi_row, phase_row in zip(baths, chis.tolist(), phases.tolist()):
         for tau, chi_a, phase_a in zip(taus, chi_row, phase_row):
             at = f"s={s:g} theta_T={th:g} tau={tau:g}"
-            c, c_err = qd.chi_and_error(tau, s, th, ell)
-            p, p_err = qd.phase_and_error(tau, s, th, ell)
+            c, p, c_err, p_err = qd.decoherence_and_error(tau, s, th, ell)
             chi_gap.see(abs(chi_a - c) / max(1.0, abs(c)), at)
             phase_gap.see(abs(phase_a - p) / max(1.0, abs(p)), at)
             estimate.see(max(c_err / max(1.0, abs(c)), p_err / max(1.0, abs(p))), at)

@@ -31,10 +31,8 @@ def binomial_weights(n: int) -> list:
 
 def _noiseless_terms(n: int) -> tuple:
     """(f_ih(n), f_corr(n)): one build of the weights, one walk over k for both sums."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
     ih = corr = 0.0
-    for k, w in enumerate(binomial_weights(n)):
+    for k, w in enumerate(binomial_weights(check_n(n))):
         root_k, root_rest = math.sqrt(k + 1), math.sqrt(n - k + 1)
         a = (n - 2 * k - 1) / root_k + (n - 2 * k + 1) / root_rest
         ih += w * a * a
@@ -66,6 +64,16 @@ def noiseless_fidelity(n: int, gamma_abs, theta=0.0):
     corr *= CORR_TRACE_SCALE
     overlap = check_gamma_abs(gamma_abs) * np.cos(check_theta(theta))
     return 0.5 * (1.0 + overlap) * ih + 0.5 * (1.0 - overlap) * corr
+
+
+def check_n(n) -> int:
+    """The port count n, an int or a numpy integer: the one check of N.
+    Raises ValueError for a non-integer or for n < 1."""
+    if not isinstance(n, (int, np.integer)):
+        raise ValueError(f"need an integer n, got {n}")
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    return n
 
 
 # Rounding may carry |gamma| this far above 1.
@@ -112,8 +120,7 @@ def teleport_fidelity(ent_fid):
 def beigi_konig_bound(n: int, gamma_abs):
     """Purity/rank lower bound on the PGM entanglement fidelity (may be negative),
     per |gamma|, a float or an array."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    check_n(n)
     g = check_gamma_abs(gamma_abs)
     # float_power is libm pow, as a float's ** 2; numpy's ** 2 multiplies,
     # which can differ in the last bit

@@ -7,8 +7,8 @@ significant), Bob's qubit B last.  Bell conventions: |psi-> = (|01> - |10>)/sqrt
 `signal_states(n, gamma_abs, theta)` stacks the N signal states, d = 2^(N+1):
 state i is the dephased Bell block (`decohered_bell`) on (A_i, B) times the
 maximally mixed state of the other ports.  It takes the fast path's plain
-|gamma| and theta, and checks them with the same `closedform.check_gamma_abs`
-and `closedform.check_theta`.
+|gamma| and theta, and checks them and N with the same `closedform.check_gamma_abs`,
+`closedform.check_theta` and `closedform.check_n`.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .closedform import check_gamma_abs, check_theta
+from .closedform import check_gamma_abs, check_n, check_theta
 
 PSI_MINUS = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
 PSI_PLUS = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / math.sqrt(2.0)
@@ -60,6 +60,7 @@ def signal_states(n: int, gamma_abs: float, theta: float = 0.0) -> np.ndarray:
     Real where the Bell block is (theta = 0), for a ~4x cheaper `eigh` and
     products downstream; complex otherwise.
     """
+    check_n(n)
     block = decohered_bell(gamma_abs, theta)
     if not block.imag.any():
         block = block.real

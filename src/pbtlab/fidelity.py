@@ -94,10 +94,10 @@ def pgm_fidelities_reduced(n: int, gamma_abs) -> np.ndarray:
     The sectors are dealt round-robin into ceil(blocks / BLOCK_CHUNK)
     stacks, at most one per sector, so a stack holds at most BLOCK_CHUNK + N
     blocks per row; up to N = 255 that is one stack.  Raises ValueError for a
-    |gamma| outside [0, 1] or NaN (`closedform.check_gamma_abs`).
+    |gamma| outside [0, 1] or NaN (`closedform.check_gamma_abs`) and for a
+    port count that is not an integer >= 1 (`closedform.check_n`).
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    closedform.check_n(n)
     g = closedform.check_gamma_abs(gamma_abs)
     shape, g = g.shape, g.ravel()
     qq = 4.0 * g[:, None, None] ** 2

@@ -28,8 +28,8 @@ longer.  Its arithmetic is float64 throughout, except near the centre
 y != 0 of a step h: there the first-order cancellation of the powers is
 taken out by a series in the complex ratio h / (b - i y), b the real base
 of a power in G, and that series stays complex (see `_second_difference`).
-`quadrature.chi_and_error` and `quadrature.phase_and_error` integrate the frequency integrals by
-adaptive quadrature and are the independent check of that route.
+`quadrature.decoherence_and_error` integrates the frequency integrals by
+adaptive quadrature and is the independent check of that route.
 
 The module is the bath alone: it imports no fidelity route.  `cli.cmd_spinboson`
 turns |gamma| = e^(-chi) and the phase into each measurement's fidelity.

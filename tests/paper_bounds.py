@@ -2,7 +2,7 @@
 fidelity, the correction term as it enters the fidelity and the Knill-Barnum
 success bound.  No pbtlab route uses them."""
 
-from pbtlab.closedform import CORR_TRACE_SCALE, check_gamma_abs, f_corr, f_ih
+from pbtlab.closedform import CORR_TRACE_SCALE, check_gamma_abs, check_n, f_corr, f_ih
 
 
 def kim_fidelity(n: int, gamma_abs: float) -> float:
@@ -18,6 +18,4 @@ def f_corr_trace(n: int) -> float:
 
 def knill_barnum_bound(n: int) -> float:
     """Success-probability lower bound from the constant 1/2 pairwise fidelity."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    return 1.0 - (n - 1) / 4.0
+    return 1.0 - (check_n(n) - 1) / 4.0

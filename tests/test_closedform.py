@@ -6,7 +6,8 @@ import pytest
 
 from pbtlab import checks
 from pbtlab import closedform as cf
-from pbtlab.fidelity import _sector_weights
+from pbtlab.ensemble import signal_states
+from pbtlab.fidelity import _sector_weights, pgm_fidelities_reduced
 
 from paper_bounds import f_corr_trace, kim_fidelity, knill_barnum_bound
 
@@ -113,11 +114,16 @@ def test_fidelity_noiseless_povm_endpoints():
 
 
 @pytest.mark.parametrize("route", [cf.f_ih, cf.f_corr, lambda n: cf.beigi_konig_bound(n, 0.5),
-                                   knill_barnum_bound],
-                         ids=["f_ih", "f_corr", "beigi_konig_bound", "knill_barnum_bound"])
+                                   knill_barnum_bound, lambda n: pgm_fidelities_reduced(n, [1.0]),
+                                   lambda n: signal_states(n, 0.5)],
+                         ids=["f_ih", "f_corr", "beigi_konig_bound", "knill_barnum_bound",
+                              "pgm_fidelities_reduced", "signal_states"])
 def test_port_count_below_one_rejected(route):
-    with pytest.raises(ValueError, match=r"^need n >= 1, got 0$"):
-        route(0)
+    # every route checks N with the one `check_n`: below one, and not an integer
+    for n, message in ((0, r"need n >= 1, got 0"), (2.5, r"need an integer n, got 2\.5"),
+                       (2.0, r"need an integer n, got 2\.0")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            route(n)
 
 
 @pytest.mark.parametrize("bad", [1.5, -0.1, math.nan])

@@ -148,11 +148,6 @@ def test_smallest_eigenvalue_stays_above_minus_the_cut():
         assert (lm / cut).min() >= -1.0, n
 
 
-def test_rejects_empty_port_set():
-    with pytest.raises(ValueError, match=r"^need n >= 1, got 0$"):
-        pgm_fidelities_reduced(0, [1.0])
-
-
 @pytest.mark.parametrize("n", range(1, 21))
 def test_sector_weights_match_exact_degeneracy(n):
     for two_j, weight in _sector_weights(n):

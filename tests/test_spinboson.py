@@ -39,7 +39,7 @@ def cli_rows(tmp_path, taus, povm="closed_form"):
 # every route that takes a bath, as a function of (tau, s, theta_T, ell)
 BATH_ROUTES = (lambda tau, s, th, ell: sb.check_bath([tau], s, th, ell),
                lambda tau, s, th, ell: sb.decoherence_grid([tau], s, th, ell),
-               qd.chi_and_error, qd.phase_and_error)
+               qd.decoherence_and_error)
 
 
 def test_params_validation():
@@ -84,7 +84,7 @@ def test_check_bath_refuses_more_than_one_dimension():
                          (([[1.0], [2.0]], 2.0, 0.1, 3.0), r"\(2, 1\) and \(\)"),
                          (([[-1.0]], 0.5, 0.1, 3.0), r"\(1, 1\) and \(\)")):
         message = f"^tau and the baths must be at most 1-d, got shapes {shapes}$"
-        for route in (sb.check_bath, sb.decoherence_grid, qd.chi_and_error, qd.phase_and_error):
+        for route in (sb.check_bath, sb.decoherence_grid, qd.decoherence_and_error):
             with pytest.raises(ValueError, match=message):
                 route(*args)
 
@@ -105,18 +105,14 @@ def test_bracket_holds_its_alpha_zero_limit():
 
 
 def test_chi_trivial_zeros():
-    p = params()
-    assert qd.chi_and_error(0.0, *p)[0] == 0.0
-    assert qd.chi_and_error(5.0, *params(ell=0.0))[0] == 0.0
-    assert qd.phase_and_error(0.0, *p)[0] == 0.0
-    assert qd.phase_and_error(5.0, *params(ell=0.0))[0] == 0.0
+    # chi, the phase and both error estimates are exactly 0 at tau = 0 and at ell = 0
+    assert qd.decoherence_and_error(0.0, *params()) == (0.0, 0.0, 0.0, 0.0)
+    assert qd.decoherence_and_error(5.0, *params(ell=0.0)) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_quadrature_reports_its_error_estimate():
-    p = params()
-    assert qd.chi_and_error(0.0, *p) == qd.phase_and_error(0.0, *p) == (0.0, 0.0)
-    for _, err in (qd.chi_and_error(4.0, *p), qd.phase_and_error(4.0, *p)):
-        assert 0.0 < err < 1e-9
+    *_, chi_err, phase_err = qd.decoherence_and_error(4.0, *params())
+    assert 0.0 < chi_err < 1e-9 and 0.0 < phase_err < 1e-9
     # down to s = 1.05, where the integrand is least smooth at the first panel's edge w = 0
     gaps = checks.decoherence_routes((1.05, 1.2, 2.0), (0.0, 0.5, 0.9), (0.5, 4.0), 3.0, 1e-9)
     assert all(g.ok for g in gaps), gaps
@@ -129,14 +125,14 @@ def test_chi_nonnegative():
 
 
 def test_chi_thermal_enhancement():
-    hot = qd.chi_and_error(8.0, *params(th=0.9))[0]
-    cold = qd.chi_and_error(8.0, *params(th=0.1))[0]
+    hot = qd.decoherence_and_error(8.0, *params(th=0.9))[0]
+    cold = qd.decoherence_and_error(8.0, *params(th=0.1))[0]
     assert hot > cold
 
 
 def test_phase_temperature_independent():
-    a = qd.phase_and_error(4.0, *params(th=0.1))[0]
-    b = qd.phase_and_error(4.0, *params(th=0.9))[0]
+    a = qd.decoherence_and_error(4.0, *params(th=0.1))[1]
+    b = qd.decoherence_and_error(4.0, *params(th=0.9))[1]
     assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -146,7 +142,8 @@ def test_phase_computed_once_for_all_temperatures():
     # one stacked evaluation for both baths; the phase is the same bit for bit
     cold, hot = phases.tolist()
     assert cold == hot == one_bath(taus, *params(th=0.9))[1]
-    assert cold == pytest.approx([qd.phase_and_error(t, *params())[0] for t in taus], abs=1e-12)
+    quadrature = [qd.decoherence_and_error(t, *params())[1] for t in taus]
+    assert cold == pytest.approx(quadrature, abs=1e-12)
     assert chis[0].tolist() != chis[1].tolist()
 
 
@@ -159,7 +156,7 @@ def test_phase_analytic_ohmicity_two():
         return a / (1.0 + a * a)
 
     want = 0.5 * (lorentz(ell) - 0.5 * lorentz(ell + tau) - 0.5 * lorentz(ell - tau))
-    assert qd.phase_and_error(tau, *params())[0] == pytest.approx(want, abs=1e-10)
+    assert qd.decoherence_and_error(tau, *params())[1] == pytest.approx(want, abs=1e-10)
     assert one_bath([tau], *params())[1][0] == pytest.approx(want, abs=1e-13)
 
 
@@ -172,7 +169,7 @@ def test_zero_temperature_chi_analytic_ohmicity_two():
         return 1.0 / (1.0 + a * a)
 
     want = 2.0 * (c(0) - c(tau) - c(ell) + 0.5 * c(ell + tau) + 0.5 * c(ell - tau))
-    assert qd.chi_and_error(tau, *params(th=0.0))[0] == pytest.approx(want, abs=1e-9)
+    assert qd.decoherence_and_error(tau, *params(th=0.0))[0] == pytest.approx(want, abs=1e-9)
     assert one_bath([tau], *params(th=0.0))[0][0] == pytest.approx(want, abs=1e-13)
 
 
@@ -217,24 +214,22 @@ def test_negative_tau_rejected():
         message = f"^tau must be finite and >= 0, got {bad}$"
         with pytest.raises(ValueError, match=message):
             sb.decoherence_grid([0.0, bad], *params())
-        for route in (qd.chi_and_error, qd.phase_and_error):
-            with pytest.raises(ValueError, match=message):
-                route(bad, *params())
+        with pytest.raises(ValueError, match=message):
+            qd.decoherence_and_error(bad, *params())
 
 
 @pytest.mark.parametrize("s", [2.0, 4.5])
 def test_quadrature_auto_cutoff(s):
-    # upper_cutoff = 0 integrates up to 40 + 10 s
-    for route in (qd.chi_and_error, qd.phase_and_error):
-        assert route(4.0, *params(s=s)) == route(4.0, *params(s=s), 40.0 + 10.0 * s)
+    # upper_cutoff = 0 integrates both integrals up to 40 + 10 s
+    auto = qd.decoherence_and_error(4.0, *params(s=s))
+    assert auto == qd.decoherence_and_error(4.0, *params(s=s), 40.0 + 10.0 * s)
 
 
 def test_quadrature_overflow_is_value_error():
     # w ** (s - 2) leaves the float range on the second panel at s = 400
-    for route in (qd.chi_and_error, qd.phase_and_error):
-        with pytest.raises(ValueError, match=r"^quadrature gave a non-finite value on panel "
-                                             r"\[3\.14152, 6\.28305\]$"):
-            route(1.0, 400.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match=r"^quadrature gave a non-finite value on panel "
+                                         r"\[3\.14152, 6\.28305\]$"):
+        qd.decoherence_and_error(1.0, 400.0, 0.0, 1.0)
 
 
 def test_closed_form_column_identity(tmp_path):
