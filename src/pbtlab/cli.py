@@ -284,8 +284,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     # The ~21k objects the imports leave (nearly all numpy's) live until
-    # exit; frozen, no collection during the run rescans them.
-    gc.freeze()
+    # exit; frozen, no collection during the run rescans them.  Only the first
+    # call freezes: a later one would pin whatever its caller holds for good.
+    if gc.get_freeze_count() == 0:
+        gc.freeze()
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:

@@ -18,6 +18,9 @@ from .spinboson import check_bath
 # QUADPACK's absolute tolerance and subdivision limit on each panel
 QUAD_ABS_TOL = 1e-12
 QUAD_MAX_SUBDIVISIONS = 200
+# the most panels one integrand may take, about 2 s of QUADPACK calls a point
+# (`verify` needs at most 360)
+QUAD_MAX_PANELS = 10 ** 5
 
 
 def decoherence_and_error(tau: float, ohmicity: float, temperature_ratio: float,
@@ -32,7 +35,9 @@ def decoherence_and_error(tau: float, ohmicity: float, temperature_ratio: float,
     to upper_cutoff (0 for 40 + 10 s), summed over panels no wider than
     pi / max(tau, ell, 1) with QUADPACK's relative tolerance rel_tol, and its
     error estimates summed; chi is integrated over every panel before the
-    phase.  Raises ValueError for a panel whose value is not finite.
+    phase.  Raises ValueError, before integrating, for more than
+    QUAD_MAX_PANELS panels (tau = 10^6 at s = 2 needs 1.9e7; an infinite
+    upper_cutoff, infinitely many), and for a panel whose value is not finite.
 
     The phase is a reliable oracle only up to s ~ 10: its integrand is of
     size Gamma(s-1) and the quadrature tolerances cannot resolve its
@@ -54,7 +59,11 @@ def decoherence_and_error(tau: float, ohmicity: float, temperature_ratio: float,
         return 0.5 * w ** (s - 2.0) * math.exp(-w) * (1.0 - math.cos(w * tau)) * math.sin(w * ell)
 
     hi = upper_cutoff if upper_cutoff > 0.0 else 40.0 + 10.0 * s
-    edges = np.linspace(0.0, hi, math.ceil(hi / (math.pi / max(tau, ell, 1.0))) + 1)
+    panels = hi / (math.pi / max(tau, ell, 1.0))
+    if not panels <= QUAD_MAX_PANELS:  # an infinite upper_cutoff included
+        raise ValueError(f"the quadrature needs {panels:.3g} panels at tau={tau:g}, "
+                         f"more than {QUAD_MAX_PANELS}")
+    edges = np.linspace(0.0, hi, math.ceil(panels) + 1)
     sums = []
     for integrand in (chi, phase):
         total = error = 0.0

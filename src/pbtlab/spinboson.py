@@ -43,16 +43,17 @@ import numpy as np
 
 
 # The Hurwitz zeta of the thermal part is summed over ZETA_TERMS terms
-# directly and the rest by Euler-Maclaurin (DLMF 2.10.1, 25.11.5) with the
-# Bernoulli numbers B_2 .. B_20, each over (2j)!.
+# directly and the rest by Euler-Maclaurin (DLMF 2.10.1, 25.11.5), whose
+# terms times 2 Gamma(a) are rows c Gamma(a + d) theta_T^(-d) W^(-a-d), each
+# kept as (d, log|c|, sign c): k = 0 the integral (d = -1, c = 2), k = 1
+# the half term (d = 0, c = 1), then B_2 .. B_20 (d = 2j - 1, c = 2 B_2j/(2j)!).
 ZETA_TERMS = 12
 _BERNOULLI_OVER_FACTORIAL = np.array([
     1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510,
     43867 / 798, -174611 / 330]) / np.array([math.factorial(2 * j) for j in range(1, 11)])
-# (2j, log|B_2j/(2j)!|, sign B_2j) of each Bernoulli term, as floats
-_BERNOULLI_TERMS = tuple(zip((2.0 * np.arange(1, _BERNOULLI_OVER_FACTORIAL.size + 1)).tolist(),
-                             np.log(np.abs(_BERNOULLI_OVER_FACTORIAL)).tolist(),
-                             np.sign(_BERNOULLI_OVER_FACTORIAL).tolist()))
+_EULER_MACLAURIN = ((-1, math.log(2.0), 1.0), (0, 0.0, 1.0)) + tuple(zip(
+    range(1, 20, 2), np.log(2.0 * np.abs(_BERNOULLI_OVER_FACTORIAL)).tolist(),
+    np.sign(_BERNOULLI_OVER_FACTORIAL).tolist()))
 
 
 def _power(log_coef, alpha, b, y) -> tuple:
@@ -124,39 +125,38 @@ def _bath_terms(a: np.ndarray, theta_t: np.ndarray, ell: np.ndarray) -> tuple:
     """The table `decoherence_grid` evaluates: G(t) of each bath as
     sum_r sign_r e^(log_coef_r) (base_r - i t)^(-alpha_r) + const, a column per row r.
 
-    a, theta_T and ell hold one entry per bath.  Each bath has the
-    zero-temperature row Gamma(a) (1 - i t)^(-a).  At theta_T > 0 the thermal
-    part, 2 Gamma(a) sum_{k>=1} (z + k/theta_T)^(-a), z = 1 - i t, adds rows;
-    a bath whose W below is past the float range (theta_T below ~7e-308)
-    counts as cold, as the thermal part's second differences fall like
-    theta_T^(a+2).  Rows k = 1..ZETA_TERMS are its first terms.  With
-    W = z + (ZETA_TERMS + 1)/theta_T, Euler-Maclaurin turns the rest into
-    2 Gamma(a) times
-    theta_T W^(1-a)/(a-1) + W^(-a)/2 + sum_j B_2j/(2j)! (a)_(2j-1) theta_T^(1-2j) W^(1-a-2j),
-    one row each.  The first row's exponent a - 1 is 0 at s = 2, where
-    theta_T W^(1-a)/(a-1) is -theta_T log W up to a constant; its coefficient
-    then leaves out the 1/(a-1) (see `_second_difference`).  Returned: five
-    rows (base, alpha, log_coef, sign, ell), every bath's G rows in turn with
-    its separation, then each bath's zero-temperature row once more for the
-    phase; and the column of each bath's first row.  The rows are Python
-    floats (math.lgamma, math.log; numpy's log can differ in the last bit)
-    made an array once, which keeps scipy and tiny numpy calls off the sweeps.
+    a, theta_T and ell hold one entry per bath.  Every row follows one rule,
+    c Gamma(alpha) (b - i t)^(-alpha) for real c: a bath lists its terms
+    (b, alpha, log|c|, sign c) and one pass adds log|Gamma(alpha)| and the
+    sign of Gamma(alpha), save at alpha = 0, where the row is -c log(b - i t)
+    up to a constant (`_bracket` owns that limit).  Each bath has the
+    zero-temperature term Gamma(a) (1 - i t)^(-a).  At theta_T > 0 the
+    thermal part, 2 Gamma(a) sum_{k>=1} (z + k/theta_T)^(-a), z = 1 - i t,
+    adds its terms k = 1..ZETA_TERMS (c = 2) and, with
+    W = z + (ZETA_TERMS + 1)/theta_T, the `_EULER_MACLAURIN` rest at base W;
+    a bath whose W is past the float range (theta_T below ~7e-308) counts as
+    cold, as the thermal part's second differences fall like theta_T^(a+2).
+    Returned: five rows (base, alpha, log_coef, sign, ell), every bath's G
+    rows in turn with its separation, then each bath's zero-temperature row
+    once more for the phase; and the column of each bath's first row.  The
+    rows are Python floats (math.lgamma, math.log; numpy's log can differ in
+    the last bit) made an array once, which keeps scipy and tiny numpy calls
+    off the sweeps.
     """
-    log_2, rows, phase_rows, starts = math.log(2.0), [], [], []
+    terms, phase_terms, starts = [], [], []
     for a, th, sep in zip(a.tolist(), theta_t.tolist(), ell.tolist()):
-        lg_a = math.lgamma(a)
-        starts.append(len(rows))
+        starts.append(len(terms))
         w = 1.0 + (ZETA_TERMS + 1) / th if th > 0.0 else math.inf
-        if w < math.inf:  # a cold bath, W past the float range included, has no thermal rows
-            log_th, pole = math.log(th), 0.0 if a == 1.0 else math.log(abs(a - 1.0))
-            rows += [(1.0 + k / th, a, log_2 + lg_a, 1.0, sep) for k in range(1, ZETA_TERMS + 1)]
-            rows += [(w, a - 1.0, log_2 + log_th + lg_a - pole, 1.0 if a >= 1.0 else -1.0, sep),
-                     (w, a, lg_a, 1.0, sep)]
-            rows += [(w, a + two_j - 1, log_2 + math.lgamma(a + two_j - 1) + log_b + (1 - two_j) * log_th,
-                      sign_b, sep) for two_j, log_b, sign_b in _BERNOULLI_TERMS]
-        rows.append((1.0, a, lg_a, 1.0, sep))
-        phase_rows.append(rows[-1])
-    return np.array(rows + phase_rows).reshape(-1, 5).T, np.array(starts, dtype=int)
+        if w < math.inf:  # a cold bath, W past the float range included, has no thermal terms
+            terms += [(1.0 + k / th, a, math.log(2.0), 1.0, sep) for k in range(1, ZETA_TERMS + 1)]
+            terms += [(w, a + d, log_c - d * math.log(th), sign_c, sep)
+                      for d, log_c, sign_c in _EULER_MACLAURIN]
+        terms.append((1.0, a, 0.0, 1.0, sep))
+        phase_terms.append(terms[-1])
+    rows = [(b, alpha, log_c + (math.lgamma(alpha) if alpha else 0.0),
+             -sign_c if alpha < 0.0 and math.floor(alpha) % 2 else sign_c, sep)
+            for b, alpha, log_c, sign_c, sep in terms + phase_terms]
+    return np.array(rows).reshape(-1, 5).T, np.array(starts, dtype=int)
 
 
 def check_bath(taus, ohmicity, temperature_ratio, separation) -> tuple:
@@ -207,7 +207,7 @@ def decoherence_grid(taus, ohmicity, temperature_ratio, separation) -> tuple:
     about 172), naming the first such bath, or the largest s where
     log Gamma(s - 1) itself overflows.  At theta_T > 0 chi loses about
     1e-16 / (s - 1) relative as s -> 1, unflagged (4.3e-5 at s - 1 = 1e-12,
-    0.15 at 1e-15; cold baths within 5e-15): the row theta_T W^(1-a)/(a-1)
+    0.15 at 1e-15; cold baths within 5e-15): the row 2 Gamma(a - 1) theta_T W^(1-a)
     has a coefficient ~1/(s - 1) and, at alpha -> -1, a second difference ~0.
     """
     taus, (s, th, ell) = check_bath(taus, ohmicity, temperature_ratio, separation)

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import importlib
 import io
 import json
@@ -568,6 +569,18 @@ def test_one_parser_carries_no_state_between_calls(tmp_path, capsys, monkeypatch
     _python("-m", "pbtlab.cli", *argv, cwd=fresh)
     for name in ("x.csv", "x.csv.json"):
         assert (shared / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
+def test_main_freezes_the_heap_once(tmp_path, monkeypatch):
+    # the first call freezes what the imports left; a later one, with live
+    # objects of its caller about, freezes nothing more
+    monkeypatch.chdir(tmp_path)
+    argv = ["compare", "--n", "3", "--gamma", "0.5", "--no-timestamp", "--out", "x.csv"]
+    assert main(argv) == 0
+    frozen = gc.get_freeze_count()
+    held = [[i] for i in range(1000)]
+    assert main(argv) == 0
+    assert frozen > 0 and gc.get_freeze_count() == frozen, len(held)
 
 
 def test_every_public_module_imports():

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -232,6 +233,17 @@ def test_quadrature_overflow_is_value_error():
         qd.decoherence_and_error(1.0, 400.0, 0.0, 1.0)
 
 
+def test_quadrature_caps_its_panel_count(monkeypatch):
+    # tau = 1e6 at s = 2 would take 19,098,594 panels per integrand (minutes
+    # of QUADPACK calls), an infinite upper cutoff infinitely many; both
+    # raise before the first QUADPACK call
+    monkeypatch.setattr(qd.integrate, "quad", lambda *args, **kwargs: pytest.fail("integrated"))
+    for tau, upper_cutoff, panels in ((1e6, 0.0, "1.91e+07"), (1.0, math.inf, "inf")):
+        message = f"the quadrature needs {panels} panels at tau={tau:g}, more than 100000"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            qd.decoherence_and_error(tau, 2.0, 0.0, 3.0, upper_cutoff)
+
+
 def test_closed_form_column_identity(tmp_path):
     taus = [0.0, 1.0, 3.0]
     rows = cli_rows(tmp_path, taus)
@@ -342,6 +354,23 @@ def test_plateau_and_crossover_port_count():
         wins = [n for n in range(2, 61) if pgm_fidelities_reduced(n, math.exp(-chi))
                 > cf.noiseless_fidelity(n, math.exp(-chi), phase)]
         assert wins == list(range(2, n_c)), bath
+
+
+def test_sub_ohmic_rows_carry_the_sign_of_gamma(monkeypatch):
+    # Below s = 1, Gamma(s - 1) < 0 and each row takes the sign of its own
+    # Gamma factor.  With the bath check let through at s = 0.5, chi at
+    # ell = 3 against 20-digit mpmath.quad of the defining integral (15 digits).
+    check_bath = sb.check_bath
+
+    def lenient(taus, ohmicity, temperature_ratio, separation):
+        taus, bath = check_bath(taus, ohmicity + 1.0, temperature_ratio, separation)
+        bath[0] -= 1.0
+        return taus, bath
+
+    monkeypatch.setattr(sb, "check_bath", lenient)
+    chis, _ = sb.decoherence_grid([0.5, 8.0], 0.5, [0.0, 0.5], 3.0)
+    want = [[0.217852130047783, 3.33973080074271], [0.314520272037643, 9.01617624768793]]
+    assert (np.abs(chis / want - 1.0) <= 1e-13).all(), chis
 
 
 def test_stacked_grid_matches_one_bath_calls():
